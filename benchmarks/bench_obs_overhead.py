@@ -60,7 +60,7 @@ def publish_once() -> float:
     generator = CDSSWorkloadGenerator(
         WorkloadConfig(peers=PEERS, dataset="integer", seed=SEED)
     )
-    cdss = generator.build_cdss(index_policy="eager", workers=1)
+    cdss = generator.build_cdss(index_policy="eager")
     generator.record_insertions(cdss, generator.insertions(BASE_PER_PEER))
     gc.collect()
     gc.disable()
@@ -133,7 +133,6 @@ def main(argv: list[str] | None = None) -> int:
             "dataset": "integer",
             "topology": "chain",
             "index_policy": "eager",
-            "workers": 1,
             "seed": SEED,
         },
         "overhead_bar": OVERHEAD_BAR,

@@ -17,12 +17,7 @@ The exchange series runs under **both index maintenance policies**
 (``eager`` and ``deferred``, see ``repro.storage.indexes``) and records
 the eager/deferred wall-time ratio per phase (``policy_speedup``), plus a
 smaller **string-dataset** series (the paper's SWISS-PROT strings instead
-of integer hashes) under both policies, plus a **shard-parallel workers
-series** (``workers ∈ {1, 2, 4}`` by default, see ``repro.parallel``)
-re-running the exchange phases under an N-process evaluation pool with
-``speedup_vs_workers1`` ratios and the host ``cpu_count`` recorded — N
-workers cannot beat 1 without N cores, so on a 1-CPU host the series
-measures the replication protocol's overhead rather than a speedup.
+of integer hashes) under both policies.
 
 A second series exercises the serving-side query subsystem and writes
 ``BENCH_query.json``:
@@ -80,7 +75,7 @@ from repro.bench.harness import (  # noqa: E402
 )
 from repro.workload import CDSSWorkloadGenerator, WorkloadConfig  # noqa: E402
 
-RESULT_FORMAT = "repro/bench-update-exchange@5"
+RESULT_FORMAT = "repro/bench-update-exchange@6"
 QUERY_RESULT_FORMAT = "repro/bench-query@1"
 
 INDEX_POLICIES = ("eager", "deferred")
@@ -169,14 +164,14 @@ def _stats_delta(
     return delta
 
 
-def _build_cdss(generator, index_policy: str, workers: int | None = None):
-    """Build the workload CDSS under ``index_policy`` (+ worker count).
+def _build_cdss(generator, index_policy: str):
+    """Build the workload CDSS under ``index_policy``.
 
     Feature-detected by signature, not by catching TypeError — a
     swallowed unrelated TypeError would silently run both policy series
     against the default configuration and fabricate ~1.0x comparisons.
-    Older trees (baseline measurement) predate index policies / parallel
-    evaluation and get the plain build.
+    Older trees (baseline measurement) predate index policies and get
+    the plain build.
     """
     from inspect import signature
 
@@ -186,8 +181,6 @@ def _build_cdss(generator, index_policy: str, workers: int | None = None):
     kwargs = {}
     if "index_policy" in parameters:
         kwargs["index_policy"] = index_policy
-    if workers is not None and "workers" in parameters:
-        kwargs["workers"] = workers
     return generator.build_cdss(**kwargs)
 
 
@@ -244,7 +237,6 @@ def run_cell(
     seed: int,
     index_policy: str = PRIMARY_POLICY,
     dataset: str = "integer",
-    workers: int | None = None,
 ) -> dict[str, object]:
     """One benchmark cell: publish a base load under a serving workload,
     then time an incremental insertion exchange and a deletion exchange,
@@ -252,11 +244,7 @@ def run_cell(
     generator = CDSSWorkloadGenerator(
         WorkloadConfig(peers=peers, dataset=dataset, seed=seed)
     )
-    # Pin the worker count explicitly: passing None through would let the
-    # CDSS resolve a REPRO_WORKERS environment default, silently running
-    # (and mislabeling) a "sequential" series under a pool.
-    workers = 1 if workers is None else workers
-    cdss = _build_cdss(generator, index_policy, workers)
+    cdss = _build_cdss(generator, index_policy)
     hot_queries, cold_queries = _prepare_serving_queries(cdss, generator)
     serving_seconds = 0.0
 
@@ -295,7 +283,6 @@ def run_cell(
         "insert_per_peer": insert_per_peer,
         "index_policy": index_policy,
         "dataset": dataset,
-        "workers": workers,
         "serving_queries": {
             "hot": len(hot_queries),
             "cold": len(cold_queries),
@@ -396,7 +383,6 @@ def run_policy_series(
     repeat: int = 1,
     index_policies: tuple[str, ...] = INDEX_POLICIES,
     dataset: str = "integer",
-    workers: int | None = None,
 ) -> dict[str, object]:
     """The exchange series under every requested index policy.
 
@@ -419,7 +405,6 @@ def run_policy_series(
                         seed,
                         index_policy=policy,
                         dataset=dataset,
-                        workers=workers,
                     )
                 )
         for policy in index_policies:
@@ -443,7 +428,6 @@ def run_policy_series(
             "delete_per_peer": insert_per_peer,
             "seed": seed,
             "repeat": repeat,
-            "workers": workers if workers is not None else 1,
         },
         "policies": policies,
     }
@@ -467,11 +451,8 @@ def run_benchmark(
     repeat: int = 1,
     index_policies: tuple[str, ...] = INDEX_POLICIES,
     string_base_per_peer: int | None = None,
-    workers: int | None = None,
-    workers_counts: tuple[int, ...] | None = None,
     churn_per_peer: int | None = None,
     churn_batches: int = 3,
-    replication_workers_counts: tuple[int, ...] | None = None,
 ) -> dict[str, object]:
     series = run_policy_series(
         peer_counts,
@@ -480,32 +461,8 @@ def run_benchmark(
         seed=seed,
         repeat=repeat,
         index_policies=index_policies,
-        workers=workers,
     )
     result: dict[str, object] = {"format": RESULT_FORMAT, **series}
-    if workers_counts:
-        print(f"workers series: workers={workers_counts}")
-        result["workers_series"] = run_workers_series(
-            peer_counts,
-            base_per_peer,
-            insert_per_peer,
-            seed=seed,
-            repeat=repeat,
-            workers_counts=workers_counts,
-        )
-    if replication_workers_counts:
-        print(
-            "replication series: full vs complement at "
-            f"workers={replication_workers_counts}"
-        )
-        result["replication_series"] = run_replication_series(
-            peer_counts,
-            base_per_peer,
-            insert_per_peer,
-            seed=seed,
-            repeat=repeat,
-            workers_counts=replication_workers_counts,
-        )
     # The legacy top-level cells: the shipped-default policy's series (what
     # --baseline comparisons across PRs read).
     primary = (
@@ -526,7 +483,6 @@ def run_benchmark(
             churn_batches,
             seed=seed,
             repeat=repeat,
-            workers=workers,
         )
     if string_base_per_peer:
         print(
@@ -541,307 +497,8 @@ def run_benchmark(
             repeat=1,
             index_policies=index_policies,
             dataset="string",
-            workers=workers,
         )
     return result
-
-
-# ---------------------------------------------------------------------------
-# Shard-parallel workers series (workers ∈ {1, 2, 4})
-# ---------------------------------------------------------------------------
-
-
-def run_workers_series(
-    peer_counts: tuple[int, ...],
-    base_per_peer: int,
-    insert_per_peer: int,
-    seed: int = 0,
-    repeat: int = 1,
-    workers_counts: tuple[int, ...] = (1, 2, 4),
-    index_policy: str = PRIMARY_POLICY,
-) -> dict[str, object]:
-    """The exchange phases under a range of evaluation worker counts.
-
-    Same cell shape as the policy series (publish / incremental /
-    deletion under the serving mix), all under the shipped-default index
-    policy, one sub-series per worker count; samples are interleaved
-    across worker counts like the policy series.  ``cpu_count`` is
-    recorded because it is the whole story for this series: N workers
-    cannot beat 1 on wall time without N cores to run on — on a 1-CPU
-    host the series measures the protocol's overhead (Δ-shard shipping +
-    merge), on an N-core host its speedup.
-    """
-    import os
-
-    counts: dict[str, dict[str, object]] = {}
-    for peers in peer_counts:
-        samples: dict[int, list[dict[str, object]]] = {
-            workers: [] for workers in workers_counts
-        }
-        for _ in range(max(1, repeat)):
-            for workers in workers_counts:
-                samples[workers].append(
-                    run_cell(
-                        peers,
-                        base_per_peer,
-                        insert_per_peer,
-                        seed,
-                        index_policy=index_policy,
-                        workers=workers,
-                    )
-                )
-        for workers in workers_counts:
-            cell = _median_cell(samples[workers])
-            counts.setdefault(str(workers), {"cells": []})["cells"].append(
-                cell
-            )
-            print(
-                f"  [workers={workers}] peers={peers:3d}"
-                f"  publish={cell['publish']['seconds']:.3f}s"
-                f"  incremental={cell['incremental_insertion']['seconds']:.3f}s"
-                f"  deletion={cell['deletion']['seconds']:.3f}s"
-                f"  parallel_rounds="
-                f"{cell['publish'].get('parallel_rounds', 0):.0f}"
-            )
-    result: dict[str, object] = {
-        "workload": {
-            "dataset": "integer",
-            "topology": "chain",
-            "base_per_peer": base_per_peer,
-            "insert_per_peer": insert_per_peer,
-            "delete_per_peer": insert_per_peer,
-            "seed": seed,
-            "repeat": repeat,
-            "index_policy": index_policy,
-            "workers_counts": list(workers_counts),
-            "cpu_count": os.cpu_count(),
-        },
-        "workers": counts,
-    }
-    speedup = _workers_speedup(counts)
-    if speedup:
-        result["speedup_vs_workers1"] = speedup
-        for phase, by_workers in speedup.items():
-            rendered = ", ".join(
-                f"{workers}w: "
-                + ", ".join(
-                    f"{peers} peers {ratio:.2f}x"
-                    for peers, ratio in ratios.items()
-                )
-                for workers, ratios in by_workers.items()
-            )
-            print(f"  workers-vs-sequential[{phase}]: {rendered}")
-    return result
-
-
-def _workers_speedup(
-    counts: dict[str, dict[str, object]]
-) -> dict[str, dict[str, dict[str, float]]]:
-    """workers=1 / workers=N wall ratios per phase, worker count and peer
-    count (>1 means the parallel configuration is faster)."""
-    baseline = {
-        cell["peers"]: cell
-        for cell in counts.get("1", {}).get("cells", ())
-    }
-    out: dict[str, dict[str, dict[str, float]]] = {}
-    for workers, series in counts.items():
-        if workers == "1":
-            continue
-        for cell in series["cells"]:
-            base = baseline.get(cell["peers"])
-            if base is None:
-                continue
-            for phase in PHASES:
-                seconds = cell.get(phase, {}).get("seconds", 0.0)
-                if seconds <= 0 or phase not in base:
-                    continue
-                out.setdefault(phase, {}).setdefault(workers, {})[
-                    str(cell["peers"])
-                ] = base[phase]["seconds"] / seconds
-    return out
-
-
-# ---------------------------------------------------------------------------
-# Replication shipping series (protocol v1 full vs v2 complement)
-# ---------------------------------------------------------------------------
-
-REPLICATION_MODES = ("full", "complement")
-
-
-def run_replication_cell(
-    peers: int,
-    base_per_peer: int,
-    insert_per_peer: int,
-    seed: int,
-    workers: int,
-    mode: str,
-) -> dict[str, object]:
-    """One replication cell: the three exchange phases under ``mode``.
-
-    ``mode`` pins ``REPRO_REPLICATION`` for the pool's protocol
-    negotiation — ``full`` forces v1 broadcast shipping, ``complement``
-    allows v2 retained-derivation shipping — and the cell reads the
-    transport's per-message byte counters plus the pool's replication
-    row accounting afterwards.  ``bytes_on_wire`` is the MSG_APPLY
-    payload volume (the replication traffic the protocol targets);
-    ``bytes_total`` includes task shipping and results for context.  On
-    a 1-CPU CI host wall time barely moves either way — bytes, rows
-    retained and rows/CPU-second are the honest metrics here.
-    """
-    import os
-
-    generator = CDSSWorkloadGenerator(
-        WorkloadConfig(peers=peers, dataset="integer", seed=seed)
-    )
-    previous = os.environ.get("REPRO_REPLICATION")
-    os.environ["REPRO_REPLICATION"] = mode
-    try:
-        cdss = _build_cdss(generator, PRIMARY_POLICY, workers)
-        generator.record_insertions(cdss, generator.insertions(base_per_peer))
-        publish_seconds, publish_cpu = _timed_cpu(cdss.update_exchange)
-        generator.record_insertions(
-            cdss, generator.insertions(insert_per_peer)
-        )
-        incremental_seconds, incremental_cpu = _timed_cpu(
-            cdss.update_exchange
-        )
-        generator.record_deletions(cdss, generator.deletions(insert_per_peer))
-        deletion_seconds, deletion_cpu = _timed_cpu(cdss.update_exchange)
-        total_tuples = cdss.system().total_tuples()
-        stats = cdss.system().parallel_stats() or {}
-        cdss.system().close()
-    finally:
-        if previous is None:
-            os.environ.pop("REPRO_REPLICATION", None)
-        else:
-            os.environ["REPRO_REPLICATION"] = previous
-
-    transport = stats.get("transport", {}) or {}
-    apply_traffic = transport.get("apply", {})
-    replication = dict(stats.get("replication", {}))
-    cpu_seconds = publish_cpu + incremental_cpu + deletion_cpu
-    return {
-        "peers": peers,
-        "workers": workers,
-        "mode": mode,
-        "protocol": stats.get("protocol"),
-        "seconds": publish_seconds + incremental_seconds + deletion_seconds,
-        "cpu_seconds": cpu_seconds,
-        "total_tuples": total_tuples,
-        "rows_per_cpu_second": rows_per_cpu_second(
-            total_tuples, cpu_seconds
-        ),
-        "bytes_on_wire": apply_traffic.get("bytes_out", 0),
-        "frames_on_wire": apply_traffic.get("frames_out", 0),
-        "bytes_total": transport.get("total", {}).get("bytes_out", 0),
-        "replication": replication,
-        "peak_rss_kb": efficiency_snapshot()["peak_rss_kb"],
-    }
-
-
-def run_replication_series(
-    peer_counts: tuple[int, ...],
-    base_per_peer: int,
-    insert_per_peer: int,
-    seed: int = 0,
-    repeat: int = 1,
-    workers_counts: tuple[int, ...] = (2, 4),
-) -> dict[str, object]:
-    """Full vs complement shipping, per peer and worker count.
-
-    Each cell pairs the two modes on an identical workload and reports
-    ``wire_bytes_reduction`` — the fraction of MSG_APPLY bytes the
-    complement protocol avoids shipping (the headline number for this
-    series; the driver fails the run if it ever goes negative).  Byte
-    counters are deterministic per workload, so medians only de-noise
-    the timing fields.
-    """
-    import os
-
-    cells: list[dict[str, object]] = []
-    for peers in peer_counts:
-        for workers in workers_counts:
-            samples: dict[str, list[dict[str, object]]] = {
-                mode: [] for mode in REPLICATION_MODES
-            }
-            for _ in range(max(1, repeat)):
-                for mode in REPLICATION_MODES:
-                    samples[mode].append(
-                        run_replication_cell(
-                            peers,
-                            base_per_peer,
-                            insert_per_peer,
-                            seed,
-                            workers,
-                            mode,
-                        )
-                    )
-            pair: dict[str, dict[str, object]] = {}
-            for mode in REPLICATION_MODES:
-                ordered = sorted(
-                    samples[mode], key=lambda cell: cell["seconds"]
-                )
-                median = dict(ordered[len(ordered) // 2])
-                median["samples"] = len(ordered)
-                pair[mode] = median
-            full_bytes = pair["full"]["bytes_on_wire"]
-            complement_bytes = pair["complement"]["bytes_on_wire"]
-            reduction = (
-                1.0 - complement_bytes / full_bytes if full_bytes else 0.0
-            )
-            retained = pair["complement"]["replication"].get(
-                "rows_retained", 0
-            )
-            shipped = pair["complement"]["replication"].get(
-                "rows_shipped", 0
-            )
-            cells.append(
-                {
-                    "peers": peers,
-                    "workers": workers,
-                    "full": pair["full"],
-                    "complement": pair["complement"],
-                    "wire_bytes_reduction": reduction,
-                }
-            )
-            print(
-                f"  [replication] peers={peers:3d} workers={workers}"
-                f"  full={full_bytes}B complement={complement_bytes}B"
-                f"  reduction={reduction:.1%}"
-                f"  shipped={shipped} retained={retained}"
-            )
-    return {
-        "workload": {
-            "dataset": "integer",
-            "topology": "chain",
-            "base_per_peer": base_per_peer,
-            "insert_per_peer": insert_per_peer,
-            "delete_per_peer": insert_per_peer,
-            "seed": seed,
-            "repeat": repeat,
-            "index_policy": PRIMARY_POLICY,
-            "workers_counts": list(workers_counts),
-            "modes": list(REPLICATION_MODES),
-            "cpu_count": os.cpu_count(),
-        },
-        "cells": cells,
-    }
-
-
-def replication_regressions(series: dict[str, object]) -> list[str]:
-    """Cells where complement shipping moved MORE bytes than full —
-    the invariant the CI bench job enforces."""
-    problems: list[str] = []
-    for cell in series.get("cells", ()):
-        full_bytes = cell["full"]["bytes_on_wire"]
-        complement_bytes = cell["complement"]["bytes_on_wire"]
-        if complement_bytes > full_bytes:
-            problems.append(
-                f"peers={cell['peers']} workers={cell['workers']}: "
-                f"complement shipped {complement_bytes}B > full "
-                f"{full_bytes}B"
-            )
-    return problems
 
 
 # ---------------------------------------------------------------------------
@@ -889,7 +546,6 @@ def run_mixed_churn_cell(
     batches: int,
     seed: int,
     index_policy: str = PRIMARY_POLICY,
-    workers: int | None = None,
 ) -> tuple[dict[str, object], dict[str, list[dict[str, object]]]]:
     """One mixed-churn cell: base publish, then ``batches`` rounds of
     interleaved insertion / deletion / revocation / combined batches,
@@ -901,8 +557,7 @@ def run_mixed_churn_cell(
     generator = CDSSWorkloadGenerator(
         WorkloadConfig(peers=peers, dataset="integer", seed=seed)
     )
-    workers = 1 if workers is None else workers
-    cdss = _build_cdss(generator, index_policy, workers)
+    cdss = _build_cdss(generator, index_policy)
 
     # Locally published rows per relation, mirrored from the staged
     # updates: the complement (within an output view) is derived rows,
@@ -989,7 +644,6 @@ def run_mixed_churn_cell(
         "churn_per_peer": churn_per_peer,
         "batches": max(1, batches),
         "index_policy": index_policy,
-        "workers": workers,
         "base_publish": {"seconds": base_seconds},
         "total_tuples": cdss.system().total_tuples(),
     }
@@ -1012,7 +666,6 @@ def run_mixed_churn_series(
     seed: int = 0,
     repeat: int = 1,
     index_policy: str = PRIMARY_POLICY,
-    workers: int | None = None,
 ) -> dict[str, object]:
     """The mixed-churn series: per peer count, ``repeat`` fresh cells of
     ``batches`` interleaved batch rounds, pooled into per-phase medians."""
@@ -1030,7 +683,6 @@ def run_mixed_churn_series(
                 batches,
                 seed,
                 index_policy=index_policy,
-                workers=workers,
             )
             for phase in MIXED_PHASES:
                 pooled[phase].extend(samples[phase])
@@ -1056,7 +708,6 @@ def run_mixed_churn_series(
             "seed": seed,
             "repeat": repeat,
             "index_policy": index_policy,
-            "workers": workers if workers is not None else 1,
         },
         "cells": cells,
     }
@@ -1266,13 +917,9 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument(
         "--only",
-        choices=("all", "exchange", "query", "replication"),
+        choices=("all", "exchange", "query"),
         default="all",
-        help=(
-            "which series to run (default: exchange + query; "
-            "'replication' runs just the shipping-mode series and "
-            "merges it into an existing --out file when one is present)"
-        ),
+        help="which series to run (default: exchange + query)",
     )
     parser.add_argument(
         "--index-policy",
@@ -1280,32 +927,6 @@ def main(argv: list[str] | None = None) -> int:
         default="both",
         help="index maintenance policies for the exchange series "
         "(default: both, so policy regressions are visible per run)",
-    )
-    parser.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        metavar="N",
-        help="evaluation worker count for the exchange/string series "
-        "(default: sequential)",
-    )
-    parser.add_argument(
-        "--workers-counts",
-        type=int,
-        nargs="*",
-        default=None,
-        metavar="N",
-        help="worker counts for the shard-parallel series "
-        "(default: 1 2 4, or 1 2 with --quick; pass no values to skip)",
-    )
-    parser.add_argument(
-        "--replication-workers",
-        type=int,
-        nargs="*",
-        default=None,
-        metavar="N",
-        help="worker counts for the replication shipping series "
-        "(default: 2 4, or 2 with --quick; pass no values to skip)",
     )
     parser.add_argument(
         "--churn",
@@ -1378,14 +999,6 @@ def main(argv: list[str] | None = None) -> int:
         if args.string_base is not None
         else max(1, base // 3)
     )
-    if args.workers_counts is None:
-        workers_counts = (1, 2) if args.quick else (1, 2, 4)
-    else:
-        workers_counts = tuple(args.workers_counts)
-    if args.replication_workers is None:
-        replication_workers = (2,) if args.quick else (2, 4)
-    else:
-        replication_workers = tuple(args.replication_workers)
     churn = args.churn if args.churn is not None else insert
     churn_batches = (
         args.churn_batches
@@ -1407,11 +1020,8 @@ def main(argv: list[str] | None = None) -> int:
             repeat=repeat,
             index_policies=index_policies,
             string_base_per_peer=string_base,
-            workers=args.workers,
-            workers_counts=workers_counts,
             churn_per_peer=churn,
             churn_batches=churn_batches,
-            replication_workers_counts=replication_workers,
         )
 
         if args.baseline is not None and args.baseline.exists():
@@ -1464,46 +1074,6 @@ def main(argv: list[str] | None = None) -> int:
                 )
             )
         print(efficiency_footer())
-        problems = replication_regressions(
-            result.get("replication_series", {})
-        )
-        if problems:
-            for problem in problems:
-                print(f"REPLICATION REGRESSION: {problem}")
-            return 1
-
-    if args.only == "replication":
-        if replication_workers:
-            print(
-                "replication series: full vs complement at "
-                f"workers={replication_workers}"
-            )
-            series = run_replication_series(
-                peer_counts,
-                base,
-                insert,
-                seed=args.seed,
-                repeat=repeat,
-                workers_counts=replication_workers,
-            )
-            # Merge into an existing exchange result when one is present,
-            # so the committed trajectory file can be refreshed without a
-            # full rerun of the other series.
-            result = (
-                json.loads(args.out.read_text()) if args.out.exists() else {}
-            )
-            # @5 is @4 plus the replication series, so a merged file
-            # carries the new format tag.
-            result["format"] = RESULT_FORMAT
-            result["replication_series"] = series
-            result["efficiency"] = efficiency_snapshot()
-            args.out.write_text(json.dumps(result, indent=2) + "\n")
-            print(f"wrote {args.out}")
-            problems = replication_regressions(series)
-            if problems:
-                for problem in problems:
-                    print(f"REPLICATION REGRESSION: {problem}")
-                return 1
 
     if args.only in ("all", "query"):
         print(

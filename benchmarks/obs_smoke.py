@@ -9,8 +9,8 @@ The end-to-end check the CI ``obs-smoke`` job runs:
 3. diff the two scrapes: every counter must be monotonically
    non-decreasing, the counters the publish drives (requests, publishes,
    exchange rounds, WAL appends, snapshot refreshes, admission) must
-   strictly increase, and all five instrumented layer families —
-   engine, parallel, admission, index, durability — must be present;
+   strictly increase, and all four instrumented layer families —
+   engine, admission, index, durability — must be present;
 4. shut the node down and check the exported trace JSONL parses and
    contains the publish span tree.
 
@@ -39,7 +39,6 @@ from repro.serve.client import ServeClient  # noqa: E402
 
 REQUIRED_FAMILIES = (
     "repro_engine_",
-    "repro_parallel_",
     "repro_admission_",
     "repro_index_",
     "repro_wal_",

@@ -249,7 +249,6 @@ class SystemSpec:
     encoding_style: str = ENCODING_COMPOSITE
     perspective: str | None = None
     index_policy: str = POLICY_DEFERRED
-    workers: int = 1
     durability: DurabilitySpec | None = None
 
     def __post_init__(self) -> None:
@@ -270,14 +269,6 @@ class SystemSpec:
             raise SpecError(
                 f"unknown index policy {self.index_policy!r}; expected one "
                 f"of {INDEX_POLICIES}"
-            )
-        if (
-            not isinstance(self.workers, int)
-            or isinstance(self.workers, bool)
-            or self.workers < 1
-        ):
-            raise SpecError(
-                f"workers must be an integer >= 1, got {self.workers!r}"
             )
 
     # -- construction ------------------------------------------------------
@@ -301,7 +292,6 @@ class SystemSpec:
             "strategy": self.strategy,
             "encoding_style": self.encoding_style,
             "index_policy": self.index_policy,
-            "workers": self.workers,
             "peers": [p.to_dict() for p in self.peers],
             "mappings": [m.to_dict() for m in self.mappings],
             "edits": [e.to_dict() for e in self.edits],
@@ -328,6 +318,15 @@ class SystemSpec:
         unknown = set(document) - known
         if unknown:
             raise SpecError(f"unknown spec keys: {sorted(unknown)}")
+        # Specs written before parallel evaluation was removed carry
+        # "workers": 1 (every DurableNode spec.json does); that is what
+        # runs today, so it loads.  Any other count cannot be honoured.
+        workers = document.get("workers", 1)
+        if type(workers) is not int or workers != 1:
+            raise SpecError(
+                f"workers={workers!r}: parallel evaluation was removed; "
+                "evaluation is sequential, so only workers=1 is accepted"
+            )
         perspective = document.get("perspective")
         durability = document.get("durability")
         if durability is not None and not isinstance(durability, Mapping):
@@ -350,7 +349,6 @@ class SystemSpec:
             ),
             perspective=None if perspective is None else str(perspective),
             index_policy=str(document.get("index_policy", POLICY_DEFERRED)),
-            workers=document.get("workers", 1),  # type: ignore[arg-type]
             durability=(
                 None
                 if durability is None

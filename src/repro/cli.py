@@ -135,7 +135,7 @@ def _quickstart() -> None:
     )
 
 
-def _load_spec(path: str, index_policy: str | None, workers: int | None):
+def _load_spec(path: str, index_policy: str | None):
     """Load a SystemSpec, optionally overriding engine options."""
     from dataclasses import replace
 
@@ -144,8 +144,6 @@ def _load_spec(path: str, index_policy: str | None, workers: int | None):
     spec = SystemSpec.load(path)
     if index_policy is not None:
         spec = replace(spec, index_policy=index_policy)
-    if workers is not None:
-        spec = replace(spec, workers=workers)
     return spec
 
 
@@ -164,7 +162,6 @@ def _run_spec(
     path: str,
     strategy: str | None,
     index_policy: str | None,
-    workers: int | None,
     verbose: bool = False,
     trace: str | None = None,
 ) -> int:
@@ -178,7 +175,7 @@ def _run_spec(
 
         tracing.enable(trace)
     try:
-        cdss = CDSS.from_spec(_load_spec(path, index_policy, workers))
+        cdss = CDSS.from_spec(_load_spec(path, index_policy))
         # Schema validation (e.g. weak acyclicity) fires lazily on first use.
         report = cdss.update_exchange(strategy=strategy)
     except (OSError, SpecError, DatalogError, SchemaError) as error:
@@ -219,7 +216,6 @@ def _run_query(
     params: list[str],
     strategy: str | None,
     index_policy: str | None,
-    workers: int | None,
 ) -> int:
     """Build a CDSS from a spec, exchange, and answer one query."""
     from . import CDSS, SpecError
@@ -238,7 +234,7 @@ def _run_query(
             return 1
         bindings[name] = _parse_param_value(value)
     try:
-        cdss = CDSS.from_spec(_load_spec(path, index_policy, workers))
+        cdss = CDSS.from_spec(_load_spec(path, index_policy))
         cdss.update_exchange(strategy=strategy)
         prepared = cdss.prepare(text, params=tuple(bindings))
         answers = prepared.execute(**bindings)
@@ -269,7 +265,7 @@ def _run_serve(args: argparse.Namespace) -> int:
 
         tracing.enable(args.trace)
     try:
-        spec = _load_spec(args.spec, args.index_policy, args.workers)
+        spec = _load_spec(args.spec, args.index_policy)
         durability = spec.durability
         data_dir = args.data_dir or (
             durability.path if durability is not None else None
@@ -416,13 +412,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="override the spec's storage index-maintenance policy",
     )
     run_cmd.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        metavar="N",
-        help="override the spec's evaluation worker count (1 = sequential)",
-    )
-    run_cmd.add_argument(
         "--verbose",
         action="store_true",
         help="print per-phase wall/CPU seconds of the exchange",
@@ -465,13 +454,6 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("eager", "deferred"),
         default=None,
         help="override the spec's storage index-maintenance policy",
-    )
-    query_cmd.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        metavar="N",
-        help="override the spec's evaluation worker count (1 = sequential)",
     )
     serve_cmd = sub.add_parser(
         "serve",
@@ -564,13 +546,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="override the spec's storage index-maintenance policy",
     )
     serve_cmd.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        metavar="N",
-        help="override the spec's evaluation worker count (1 = sequential)",
-    )
-    serve_cmd.add_argument(
         "--trace",
         default=None,
         metavar="PATH",
@@ -617,7 +592,6 @@ def main(argv: list[str] | None = None) -> int:
             args.spec,
             args.strategy,
             args.index_policy,
-            args.workers,
             verbose=args.verbose,
             trace=args.trace,
         )
@@ -629,7 +603,6 @@ def main(argv: list[str] | None = None) -> int:
             args.param,
             args.strategy,
             args.index_policy,
-            args.workers,
         )
     if args.command == "serve":
         return _run_serve(args)

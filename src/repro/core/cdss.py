@@ -124,8 +124,6 @@ class CDSS:
         perspective: str | None = None,
         strategy: str | None = None,
         index_policy: str | None = None,
-        workers: int | None = None,
-        start_method: str | None = None,
     ) -> None:
         self.name = name
         # None -> the REPRO_STRATEGY environment default, else "unified".
@@ -142,9 +140,6 @@ class CDSS:
         self._perspective = perspective
         # None -> the exchange system's default (deferred/batched).
         self._index_policy = index_policy
-        # None -> the REPRO_WORKERS environment default (1 = sequential).
-        self._workers = workers
-        self._start_method = start_method
         self._peers: dict[str, Peer] = {}
         self._mappings: dict[str, SchemaMapping] = {}
         self._relation_owner: dict[str, str] = {}
@@ -232,7 +227,6 @@ class CDSS:
             perspective=spec.perspective,
             strategy=spec.strategy,
             index_policy=spec.index_policy,
-            workers=spec.workers,
         )
         for peer_spec in spec.peers:
             cdss.add_peer(peer_spec.name, peer_spec.to_schemas())
@@ -300,7 +294,6 @@ class CDSS:
             encoding_style=self._encoding_style,
             perspective=self._perspective,
             index_policy=self.index_policy,
-            workers=self.workers,
         )
 
     # -- trust (internal entry points; public surface is TrustScope) ---------
@@ -447,8 +440,6 @@ class CDSS:
             encoding_style=self._encoding_style,
             perspective=self._perspective,
             index_policy=self._index_policy,
-            workers=self._workers,
-            start_method=self._start_method,
         )
         if self._previous_system is not None:
             from ..schema.internal import local_name, rejection_name
@@ -463,9 +454,6 @@ class CDSS:
                         carried = True
             if carried:
                 system.recompute()
-            # The superseded system is dead: release its worker pool now
-            # rather than waiting for garbage collection.
-            self._previous_system.close()
             self._previous_system = None
         self._system = system
         return system
@@ -479,14 +467,6 @@ class CDSS:
             if self._index_policy is not None
             else POLICY_DEFERRED
         )
-
-    @property
-    def workers(self) -> int:
-        """The evaluation worker count in effect (1 = sequential; see
-        :mod:`repro.parallel`)."""
-        from ..parallel import resolve_workers
-
-        return resolve_workers(self._workers)
 
     @property
     def internal_schema(self) -> InternalSchema:

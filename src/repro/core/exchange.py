@@ -125,9 +125,9 @@ class Subscription:
     """A change-stream cursor over one :class:`ExchangeSystem`.
 
     Holding at least one open subscription is what turns change capture
-    on (capture costs one change-feed per publish, so unsubscribed
-    systems pay nothing).  :meth:`poll` returns the batches published
-    since the previous poll and advances the cursor.
+    on (unsubscribed systems pay nothing for it).  :meth:`poll` returns
+    the batches published since the previous poll and advances the
+    cursor.
     """
 
     __slots__ = ("_system", "cursor", "_closed")
@@ -196,11 +196,9 @@ class ExchangeReport:
     details: dict[str, object] = field(default_factory=dict)
     #: Total CPU seconds of the operation (process-wide clock).
     cpu_seconds: float = 0.0
-    #: Per-phase timing: ``{"evaluate" | "merge" | "index_settle":
+    #: Per-phase timing: ``{"evaluate" | "index_settle":
     #: {"wall_seconds": float, "cpu_seconds": float}}``.  ``evaluate``
-    #: is stratum fixpoint evaluation, ``merge`` the parallel
-    #: executor's result merge (0 on the sequential path, where merging
-    #: happens inside evaluation), ``index_settle`` deferred index
+    #: is stratum fixpoint evaluation, ``index_settle`` deferred index
     #: catch-up.  Always populated — sourced from the layers'
     #: always-on phase clocks, not from opt-in tracing.
     phases: dict[str, dict[str, float]] = field(default_factory=dict)
@@ -242,8 +240,6 @@ class ExchangeSystem:
         perspective: str | None = None,
         db: Database | None = None,
         index_policy: str | None = None,
-        workers: int | None = None,
-        start_method: str | None = None,
     ) -> None:
         if index_policy is not None and index_policy not in INDEX_POLICIES:
             raise ExchangeError(
@@ -269,16 +265,7 @@ class ExchangeSystem:
         self.head_filters = exchange_head_filters(
             internal, self.encoding, self.policies, perspective
         )
-        # workers=None resolves the REPRO_WORKERS environment default; the
-        # worker pool itself is spawned once per exchange system, lazily,
-        # on the first parallel stratum round (see repro.parallel).
-        self.engine = SemiNaiveEngine(
-            planner,
-            head_filters=self.head_filters,
-            workers=workers,
-            start_method=start_method,
-        )
-        self.workers = self.engine.workers
+        self.engine = SemiNaiveEngine(planner, head_filters=self.head_filters)
         if db is None:
             db = Database(
                 index_policy=(
@@ -296,20 +283,9 @@ class ExchangeSystem:
         self._subscriptions: set[Subscription] = set()
         self._changelog: list[ChangeBatch] = []
         self._version = 0
-        self._output_names = {
-            output_name(relation): relation
-            for relation in internal.relation_names()
-        }
         #: Publishes applied through :meth:`apply_delta` (cumulative).
         self.publishes = 0
         _metrics.REGISTRY.register(self, _exchange_samples)
-
-    def close(self) -> None:
-        """Release the evaluation worker pool, if one was spawned.
-
-        Idempotent; the system remains usable afterwards (evaluation
-        falls back to the sequential path)."""
-        self.engine.close()
 
     # -- state access ----------------------------------------------------------
 
@@ -346,19 +322,6 @@ class ExchangeSystem:
             relation: self.instance(relation)
             for relation in self.internal.relation_names()
         }
-
-    def parallel_stats(self) -> dict | None:
-        """Worker-pool replication + transport counters, or ``None``.
-
-        ``None`` while no parallel executor exists (``workers=1`` or no
-        parallel round yet); otherwise the live counter snapshot — the
-        negotiated replication protocol version, complement-shipping row
-        counts (shipped vs. retained vs. rejected), and the per-message
-        frames/bytes/pickle-seconds breakdown measured by the pool's
-        transport layer.  The serve tier republishes this under
-        ``/stats`` as ``"parallel"``.
-        """
-        return self.engine.parallel_stats()
 
     def total_tuples(self) -> int:
         return self.db.total_rows()
@@ -413,26 +376,6 @@ class ExchangeSystem:
             batch for batch in self._changelog if batch.version > since
         ]
 
-    def _capture_feed(self):
-        """A change feed over the internal db, iff anyone subscribed."""
-        return self.db.changefeed() if self._subscriptions else None
-
-    def _capture_from_feed(self, feed) -> None:
-        """Fold one publish's feed window into a change-log batch."""
-        if feed is None:
-            return
-        try:
-            zsets = feed.drain_zsets()
-        finally:
-            feed.close()
-        self._append_changes(
-            {
-                self._output_names[name]: zset
-                for name, zset in zsets.items()
-                if name in self._output_names
-            }
-        )
-
     def _append_changes(self, changes: dict[str, ZSet]) -> None:
         self._version += 1
         self._changelog.append(ChangeBatch(self._version, changes))
@@ -443,7 +386,7 @@ class ExchangeSystem:
         self, before: Mapping[str, frozenset[Row]]
     ) -> dict[str, ZSet]:
         """Output-table deltas vs. a snapshot (the recompute capture path:
-        a cleared-and-refilled table cannot be folded from feed ops)."""
+        a full re-derivation has no row-level delta to report)."""
         changes: dict[str, ZSet] = {}
         for relation, old_rows in before.items():
             new_rows = self.instance(relation)
@@ -514,7 +457,6 @@ class ExchangeSystem:
         start = time.perf_counter()
         cpu_start = time.process_time()
         stats_before = self.engine.stats.counters()
-        merge_before = self._merge_clock()
         settle_before = self._settle_clock()
         span = (
             _tracing.start(
@@ -530,14 +472,17 @@ class ExchangeSystem:
                 report = self._apply_by_recompute(delta)
             else:
                 local, rejections = _publish_zsets(delta)
-                feed = self._capture_feed()
+                changes = {} if self._subscriptions else None
                 try:
                     with self.db.defer_maintenance():
                         deletion_report, unreject_report, insert_report = (
-                            self._maintainer.apply(local, rejections)
+                            self._maintainer.apply(local, rejections, changes)
                         )
                 finally:
-                    self._capture_from_feed(feed)
+                    if changes is not None:
+                        self._append_changes(
+                            {r: z for r, z in changes.items() if z}
+                        )
                 report = ExchangeReport(
                     strategy=strategy,
                     inserted=insert_report.total_derived
@@ -558,16 +503,11 @@ class ExchangeSystem:
                 _tracing.finish(span)
             raise
         evaluation = report.details.get("evaluation", {})
-        merge_after = self._merge_clock()
         settle_after = self._settle_clock()
         report.phases = {
             "evaluate": {
                 "wall_seconds": evaluation.get("eval_wall_seconds", 0.0),
                 "cpu_seconds": evaluation.get("eval_cpu_seconds", 0.0),
-            },
-            "merge": {
-                "wall_seconds": merge_after[0] - merge_before[0],
-                "cpu_seconds": merge_after[1] - merge_before[1],
             },
             "index_settle": {
                 "wall_seconds": settle_after[0] - settle_before[0],
@@ -581,13 +521,6 @@ class ExchangeSystem:
         report.seconds = time.perf_counter() - start
         report.cpu_seconds = time.process_time() - cpu_start
         return report
-
-    def _merge_clock(self) -> tuple[float, float]:
-        """Cumulative (wall, cpu) seconds of parallel result merging."""
-        executor = self.engine._parallel
-        if executor is None:
-            return (0.0, 0.0)
-        return (executor.merge_wall_seconds, executor.merge_cpu_seconds)
 
     def _settle_clock(self) -> tuple[float, float]:
         """Cumulative (wall, cpu) seconds of deferred index settling."""
@@ -614,15 +547,11 @@ class ExchangeSystem:
     def is_consistent(self) -> bool:
         """Check Definition 3.1: derived state equals a fresh fixpoint from
         the current edbs."""
-        # The reference recomputation is a one-shot correctness check:
-        # always sequential (workers=1), so consistency probes never spawn
-        # a second worker pool.
         reference = ExchangeSystem(
             self.internal,
             self.policies,
             encoding_style=self.encoding.style,
             perspective=self.perspective,
-            workers=1,
         )
         for relation in self.internal.relation_names():
             reference.db[local_name(relation)].insert_many(

@@ -24,8 +24,7 @@ rule::
 
 compiled and cached through the engine's plan cache exactly like an
 insertion delta rule — so retraction probes run on the same warm plans
-and probe indexes, and (with a worker pool) ship through the same
-shard-parallel executor and :class:`~repro.parallel.merge.Merger`.
+and probe indexes.
 
 Weights and ``distinct``
 ------------------------
@@ -66,10 +65,6 @@ from ..storage.zset import ZSet
 from .derivation import DerivationTest, HeadFilters
 
 Rows = Mapping[str, "set[Row] | list[Row] | frozenset[Row]"]
-
-#: Contributions below this Δ size are always probed in-process: shipping
-#: a handful of rows to the worker pool costs more than the semijoin.
-PARALLEL_DELETION_MIN_ROWS = 256
 
 
 @dataclass
@@ -135,10 +130,13 @@ class WeightedMaintainer:
                 self._deletion_rules.setdefault(user_rel, []).append(
                     (table, rule)
                 )
-        # The delta-shipping filter for parallel retraction rounds: the
-        # same body-predicate set the insertion rounds use, so worker
-        # replicas stay current on one consistent relation set.
-        self._relevant = engine._body_predicates(program)
+        self._output_relations = {
+            output_name(relation): relation
+            for relation in encoding.internal.relation_names()
+        }
+        # The net R__o change of the apply() in flight, per user relation
+        # (None unless the caller asked for it).
+        self._changes: dict[str, ZSet] | None = None
         # Mappings with negated LHS atoms make deletion non-monotone (a
         # deletion can create tuples); incremental maintenance then requires
         # full recomputation.
@@ -156,6 +154,7 @@ class WeightedMaintainer:
         self,
         local: Mapping[str, ZSet],
         rejections: Mapping[str, ZSet],
+        changes: dict[str, ZSet] | None = None,
     ) -> tuple[DeletionReport, InsertionReport, InsertionReport]:
         """Apply one signed publish delta in a single maintenance pass.
 
@@ -165,21 +164,44 @@ class WeightedMaintainer:
         re-admissions).  The retraction side runs first so a row deleted
         and re-published in the same batch lands in its final state, then
         re-admissions and insertions share the insertion fast path.
+
+        When ``changes`` is given, every effective ``R__o`` insert (+1)
+        and delete (-1) accumulates into it per user relation — the net
+        output delta the change stream publishes.  It fills in as the
+        pass runs, so a pass that raises still reports the changes it
+        made.
         """
-        with _tracing.span("retraction"):
-            deletion = self.propagate_deletions(
-                {name: z.negative() for name, z in local.items()},
-                {name: z.positive() for name, z in rejections.items()},
-            )
-        with _tracing.span("unrejection"):
-            unrejected = self.apply_unrejections(
-                {name: z.negative() for name, z in rejections.items()}
-            )
-        with _tracing.span("insertion"):
-            inserted = self.apply_insertions(
-                {name: z.positive() for name, z in local.items()}
-            )
+        self._changes = changes
+        try:
+            with _tracing.span("retraction"):
+                deletion = self.propagate_deletions(
+                    {name: z.negative() for name, z in local.items()},
+                    {name: z.positive() for name, z in rejections.items()},
+                )
+            with _tracing.span("unrejection"):
+                unrejected = self.apply_unrejections(
+                    {name: z.negative() for name, z in rejections.items()}
+                )
+            with _tracing.span("insertion"):
+                inserted = self.apply_insertions(
+                    {name: z.positive() for name, z in local.items()}
+                )
+        finally:
+            self._changes = None
         return deletion, unrejected, inserted
+
+    def _note_output(self, relation: str, row: Row, weight: int) -> None:
+        if self._changes is not None:
+            self._changes.setdefault(relation, ZSet()).add(row, weight)
+
+    def _note_derived(self, derived: Mapping[str, set[Row]]) -> None:
+        if self._changes is None:
+            return
+        for name, rows in derived.items():
+            relation = self._output_relations.get(name)
+            if relation is not None:
+                for row in rows:
+                    self._note_output(relation, row, 1)
 
     # -- shared helpers ------------------------------------------------------
 
@@ -215,9 +237,11 @@ class WeightedMaintainer:
         should = self._output_membership(relation, row)
         out = self.db[output_name(relation)]
         if should:
-            out.insert(row)
+            if out.insert(row):
+                self._note_output(relation, row, 1)
         elif out.delete(row):
             deltas.setdefault(relation, ZSet()).add(row, -1)
+            self._note_output(relation, row, -1)
 
     # -- insertions (positive deltas) ---------------------------------------
 
@@ -243,6 +267,7 @@ class WeightedMaintainer:
                     self.program, self.db, seeds
                 )
                 report.derived = derived
+                self._note_derived(derived)
         return report
 
     def apply_unrejections(self, rejection_deletes: Rows) -> InsertionReport:
@@ -263,11 +288,13 @@ class WeightedMaintainer:
                         continue
                     if self._trusted_ok(relation, row) and out.insert(row):
                         seeds.setdefault(output_name(relation), set()).add(row)
+                        self._note_output(relation, row, 1)
             if seeds:
                 derived = self.engine.run_insertions(
                     self.program, self.db, seeds
                 )
                 report.derived = derived
+                self._note_derived(derived)
         return report
 
     # -- retractions (negative deltas) --------------------------------------
@@ -414,56 +441,26 @@ class WeightedMaintainer:
         """Evaluate and apply the retraction semijoins for one round.
 
         Returns the *effective* deletions per provenance table (rows that
-        were actually present), deduplicated across occurrences.  Rounds
-        big enough to amortize Δ-shipping go through the shard-parallel
-        executor's :meth:`~repro.parallel.executor.ParallelExecutor.
-        run_retraction_round` — which also journals the deletions under
-        producer-worker origin tags so replicas drop their own retained
-        retraction rows without re-shipping (replication protocol v2);
-        everything else — and any pool failure — runs the same plans
-        in-process and retracts through :meth:`Merger.apply_retractions
-        <repro.parallel.merge.Merger.apply_retractions>`.
+        were actually present), deduplicated across occurrences: every
+        semijoin reads the pre-deletion state, then each table's doomed
+        rows leave through one :meth:`Instance.delete_existing
+        <repro.storage.instance.Instance.delete_existing>` call.
         """
-        tasks: list[tuple[ProvenanceTable, Rule, list[Row]]] = []
-        total_rows = 0
+        doomed: dict[str, set[Row]] = {}
         for relation, zset in output_deltas.items():
             rows = zset.negative()
             if not rows:
                 continue
-            total_rows += len(rows)
             for table, rule in self._deletion_rules.get(relation, ()):
-                tasks.append((table, rule, rows))
-
-        if not tasks:
-            return {}
-
-        executor = (
-            self.engine._executor()
-            if total_rows >= PARALLEL_DELETION_MIN_ROWS
-            else None
-        )
-        if executor is not None:
-            plans = [
-                (self.engine.cached_plan(rule, self.db, 0), 0, rows)
-                for _, rule, rows in tasks
-            ]
-            removed = executor.run_retraction_round(
-                self.db, plans, self._relevant
-            )
-            if removed is not None:
-                self.engine.stats.parallel_rounds += 1
-                return removed
-            # Pool failure: nothing was mutated; fall through and run the
-            # very same round sequentially.
-
-        doomed: dict[str, set[Row]] = {}
-        for table, rule, rows in tasks:
-            matched = self._run_deletion_rule(rule, rows)
-            if matched:
-                doomed.setdefault(table.relation, set()).update(matched)
-        from ..parallel.merge import Merger
-
-        return Merger.apply_retractions(self.db, list(doomed.items()))
+                matched = self._run_deletion_rule(rule, rows)
+                if matched:
+                    doomed.setdefault(table.relation, set()).update(matched)
+        removed: dict[str, set[Row]] = {}
+        for name, rows in doomed.items():
+            gone = self.db[name].delete_existing(rows)
+            if gone:
+                removed[name] = set(gone)
+        return removed
 
     def _run_deletion_rule(self, rule: Rule, delta_rows: list[Row]) -> list[Row]:
         """One semijoin evaluation: the rule's Δ atom (body index 0) pinned

@@ -11,11 +11,7 @@ given a datalog engine with fixpoint capabilities").  It supports:
 * full fixpoint computation (:meth:`SemiNaiveEngine.run`) and incremental
   insertion propagation from externally supplied deltas
   (:meth:`SemiNaiveEngine.run_insertions` — the insertion delta rules of
-  Section 4.2),
-* shard-parallel evaluation of delta-driven stratum rounds across a
-  worker-process pool (``workers > 1``, see :mod:`repro.parallel`;
-  ``workers=1`` — the default — is the unchanged sequential path and the
-  two produce identical fixpoints, provenance included), and
+  Section 4.2), and
 * a deliberately naive reference evaluator (:class:`NaiveEngine`) used by the
   test suite to cross-check the semi-naive implementation.
 
@@ -71,7 +67,6 @@ class EvaluationResult:
     rule_applications: int = 0
     plan_cache_hits: int = 0
     plan_cache_misses: int = 0
-    parallel_rounds: int = 0
     # Always-on stratum-evaluation clocks (cheap: two perf_counter and
     # two process_time calls per stratum, not per round or rule).
     eval_wall_seconds: float = 0.0
@@ -96,7 +91,6 @@ class EvaluationResult:
             "tuples_inserted": self.total_inserted,
             "plan_cache_hits": self.plan_cache_hits,
             "plan_cache_misses": self.plan_cache_misses,
-            "parallel_rounds": self.parallel_rounds,
             "eval_wall_seconds": self.eval_wall_seconds,
             "eval_cpu_seconds": self.eval_cpu_seconds,
         }
@@ -126,7 +120,6 @@ class EvaluationResult:
         self.rule_applications += other.rule_applications
         self.plan_cache_hits += other.plan_cache_hits
         self.plan_cache_misses += other.plan_cache_misses
-        self.parallel_rounds += other.parallel_rounds
         self.eval_wall_seconds += other.eval_wall_seconds
         self.eval_cpu_seconds += other.eval_cpu_seconds
         for predicate, count in other.inserted.items():
@@ -193,13 +186,6 @@ def _engine_samples(engine: "SemiNaiveEngine"):
         stats.plan_cache_misses,
     )
     yield sample(
-        "repro_engine_parallel_rounds_total",
-        kind,
-        "",
-        (),
-        stats.parallel_rounds,
-    )
-    yield sample(
         "repro_engine_eval_seconds_total",
         kind,
         "",
@@ -213,10 +199,8 @@ class DeltaPool:
 
     Contents are replaced diff-wise (:meth:`Instance.replace_contents`)
     so materialized probe indexes are maintained incrementally instead of
-    rebuilt every round.  Shared by the engine, the DRed maintainer (via
-    :meth:`SemiNaiveEngine.delta_instance`), and the parallel subsystem's
-    worker replicas — one implementation, identical Δ-index maintenance
-    everywhere.
+    rebuilt every round.  Shared by the engine and the weighted
+    maintainer (via :meth:`SemiNaiveEngine.delta_instance`).
     """
 
     __slots__ = ("_instances",)
@@ -244,23 +228,9 @@ class SemiNaiveEngine:
         self,
         planner: Planner | None = None,
         head_filters: Mapping[str, HeadFilter] | None = None,
-        workers: int | None = 1,
-        start_method: str | None = None,
     ) -> None:
         self.planner: Planner = planner if planner is not None else PreparedPlanner()
         self.head_filters: dict[str, HeadFilter] = dict(head_filters or {})
-        # Shard-parallel evaluation (see repro.parallel): workers > 1 routes
-        # delta-driven stratum rounds through a persistent worker pool;
-        # workers=1 is the unchanged sequential path.  None resolves the
-        # REPRO_WORKERS environment default.
-        if workers is None or workers != 1:
-            from ..parallel import resolve_workers
-
-            workers = resolve_workers(workers)
-        self.workers: int = workers
-        self._start_method = start_method
-        self._parallel = None  # lazily constructed ParallelExecutor
-        self._parallel_closed = False
         # Planners without a token fall back to the database version
         # (conservative: any change re-plans).
         self._token_fn = getattr(self.planner, "plan_cache_token", None)
@@ -284,42 +254,6 @@ class SemiNaiveEngine:
         _metrics.REGISTRY.register(self, _engine_samples)
 
     # -- helpers -----------------------------------------------------------
-
-    def _executor(self):
-        """The parallel executor, spawned on first use (None if workers=1,
-        after :meth:`close`, or after a pool failure permanently fell back
-        to sequential)."""
-        if self.workers <= 1 or self._parallel_closed:
-            return None
-        executor = self._parallel
-        if executor is None:
-            from ..parallel import ParallelExecutor
-
-            executor = ParallelExecutor(self.workers, self._start_method)
-            self._parallel = executor
-        return executor if executor.available else None
-
-    def parallel_stats(self) -> dict | None:
-        """Replication + transport counters of the parallel subsystem.
-
-        ``None`` until a parallel executor exists (workers=1, or no
-        parallel round has run yet); afterwards the executor's
-        :meth:`~repro.parallel.executor.ParallelExecutor.stats` snapshot,
-        including protocol version, complement-shipping row counts, and
-        the per-message-tag byte/pickle-time breakdown.
-        """
-        if self._parallel is None:
-            return None
-        return self._parallel.stats()
-
-    def close(self) -> None:
-        """Release the worker pool and stay sequential (idempotent).
-
-        Also prevents a *later* lazy spawn: a closed engine never starts
-        a new pool, even if no parallel round had run yet."""
-        self._parallel_closed = True
-        if self._parallel is not None:
-            self._parallel.close()
 
     def invalidate_plans(self) -> None:
         """Drop all cached plans (and the planner's own cache)."""
@@ -440,11 +374,8 @@ class SemiNaiveEngine:
         ensure_idb_relations(program, db)
         stratification = stratify(program)
         result = EvaluationResult()
-        relevant = self._body_predicates(program)
         for stratum in stratification.strata:
-            self._run_stratum(
-                list(stratum), db, result, seed=None, relevant=relevant
-            )
+            self._run_stratum(list(stratum), db, result, seed=None)
         return self._finish(result)
 
     def run_insertions(
@@ -472,11 +403,10 @@ class SemiNaiveEngine:
         }
         derived: dict[str, set[Row]] = {}
         result = EvaluationResult()
-        relevant = self._body_predicates(program)
         for stratum in stratification.strata:
             seed = {pred: set(rows) for pred, rows in all_new.items() if rows}
             new_in_stratum = self._run_stratum(
-                list(stratum), db, result, seed=seed, relevant=relevant
+                list(stratum), db, result, seed=seed
             )
             for pred, rows in new_in_stratum.items():
                 all_new.setdefault(pred, set()).update(rows)
@@ -512,21 +442,12 @@ class SemiNaiveEngine:
 
     # -- stratum loop ---------------------------------------------------------
 
-    @staticmethod
-    def _body_predicates(program: Program) -> frozenset[str]:
-        """Every predicate some rule body reads — what worker replicas
-        must receive deltas for (head-only relations stay parent-side)."""
-        return frozenset(
-            atom.predicate for rule in program for atom in rule.body
-        )
-
     def _run_stratum(
         self,
         rules: list[Rule],
         db: Database,
         result: EvaluationResult,
         seed: dict[str, set[Row]] | None,
-        relevant: frozenset[str] | None = None,
     ) -> dict[str, set[Row]]:
         """Run one stratum to fixpoint.
 
@@ -556,7 +477,7 @@ class SemiNaiveEngine:
         try:
             with db.defer_maintenance():
                 new_total = self._run_stratum_deferred(
-                    rules, db, result, seed, relevant
+                    rules, db, result, seed
                 )
             if span is not None:
                 span.rows = sum(len(rows) for rows in new_total.values())
@@ -573,7 +494,6 @@ class SemiNaiveEngine:
         db: Database,
         result: EvaluationResult,
         seed: dict[str, set[Row]] | None,
-        relevant: frozenset[str] | None = None,
     ) -> dict[str, set[Row]]:
         new_total: dict[str, set[Row]] = {}
         delta_sets: dict[str, set[Row]] = {}
@@ -618,15 +538,7 @@ class SemiNaiveEngine:
                 if _tracing.ENABLED
                 else None
             )
-            next_deltas: dict[str, set[Row]] | None = None
-            if self.workers > 1:
-                next_deltas = self._run_parallel_round(
-                    rules, db, delta_sets, result, relevant
-                )
-            if next_deltas is None:
-                next_deltas = self._run_sequential_round(
-                    rules, db, delta_sets, result
-                )
+            next_deltas = self._run_round(rules, db, delta_sets, result)
             if round_span is not None:
                 round_span.rows = sum(
                     len(rows) for rows in next_deltas.values()
@@ -641,14 +553,14 @@ class SemiNaiveEngine:
             result._record(pred, len(rows))
         return new_total
 
-    def _run_sequential_round(
+    def _run_round(
         self,
         rules: list[Rule],
         db: Database,
         delta_sets: dict[str, set[Row]],
         result: EvaluationResult,
     ) -> dict[str, set[Row]]:
-        """One delta-driven pass over the stratum's rules, in process."""
+        """One delta-driven pass over the stratum's rules."""
         deltas = {
             pred: self.delta_instance(
                 pred,
@@ -673,54 +585,6 @@ class SemiNaiveEngine:
                     next_deltas.setdefault(
                         rule.head.predicate, set()
                     ).update(added)
-        return next_deltas
-
-    def _run_parallel_round(
-        self,
-        rules: list[Rule],
-        db: Database,
-        delta_sets: dict[str, set[Row]],
-        result: EvaluationResult,
-        relevant: frozenset[str] | None = None,
-    ) -> dict[str, set[Row]] | None:
-        """One delta-driven pass evaluated across the worker pool.
-
-        Every (rule, Δ-occurrence) task runs against the round-start
-        replica state; mid-round insertions — which the sequential loop's
-        later rules may observe through full-relation reads — arrive one
-        round later as Δ-seeds instead, so the fixpoint (and every
-        provenance row) is identical while ``rounds`` may differ.
-        Returns ``None`` on pool failure (the caller re-runs this same
-        round sequentially: nothing has been inserted yet).
-        """
-        executor = self._executor()
-        if executor is None:
-            return None
-        tasks: list = []
-        for rule in rules:
-            for index, atom in enumerate(rule.body):
-                if atom.negated:
-                    continue
-                rows = delta_sets.get(atom.predicate)
-                if not rows:
-                    continue
-                plan = self._plan_for(rule, db, index, result)
-                tasks.append(
-                    (
-                        plan,
-                        index,
-                        list(rows),
-                        rule.head.predicate,
-                        self._filter_for(rule),
-                    )
-                )
-        if not tasks:
-            return {}
-        next_deltas = executor.run_insertion_round(db, tasks, relevant)
-        if next_deltas is None:
-            return None
-        result.rule_applications += len(tasks)
-        result.parallel_rounds += 1
         return next_deltas
 
 
@@ -780,7 +644,4 @@ class _EmptySource:
         return frozenset()
 
 
-#: The shared empty row source (public: evaluation-adjacent code such as
-#: the parallel workers resolves absent predicates to it too).
-EMPTY_SOURCE = _EmptySource()
-_EMPTY_SOURCE = EMPTY_SOURCE
+_EMPTY_SOURCE = _EmptySource()

@@ -118,14 +118,6 @@ class RulePlan:
             raise PlanError(f"duplicate parameter variables: {self.params!r}")
         check_plan(self.rule, self.order, self.params)
 
-    def __reduce__(self):
-        # Plans are shipped to worker processes by the parallel evaluation
-        # subsystem (registered by id, sent once).  Reduce to the plain
-        # constructor arguments so the compiled-template cache — closures
-        # stashed on the instance by compile_plan — never crosses the wire;
-        # each process compiles its own copy on first execution.
-        return (RulePlan, (self.rule, self.order, self.params))
-
 
 class PlanError(DatalogError):
     """An invalid physical plan was constructed."""

@@ -37,7 +37,7 @@ def bootstrap_default_metrics(registry: MetricsRegistry = REGISTRY) -> None:
     Collectors only produce samples while their owning objects are
     alive, so a freshly booted node would otherwise expose an empty
     ``/metrics`` page for layers that have not constructed yet (no
-    durability directory, no worker pool).  Creating the label-less
+    durability directory, no serve node).  Creating the label-less
     families up front guarantees every documented family renders —
     collector samples for the same series names are summed on top.
     """
@@ -61,40 +61,8 @@ def bootstrap_default_metrics(registry: MetricsRegistry = REGISTRY) -> None:
         "repro_engine_plan_cache_misses_total", "Engine plan-cache misses"
     )
     counter(
-        "repro_engine_parallel_rounds_total",
-        "Fixpoint rounds dispatched to the worker pool",
-    )
-    counter(
         "repro_engine_eval_seconds_total",
         "Wall-clock seconds spent in stratum evaluation",
-    )
-    # parallel pool / transport
-    counter(
-        "repro_parallel_syncs_total",
-        "Replication syncs shipped to workers",
-    )
-    counter(
-        "repro_parallel_rows_shipped_total",
-        "Rows shipped to workers by the replication protocol",
-    )
-    counter(
-        "repro_parallel_rows_retained_total",
-        "Rows workers retained locally instead of being shipped",
-    )
-    counter(
-        "repro_parallel_frames_total",
-        "Transport frames moved",
-        labels=("direction",),
-    )
-    counter(
-        "repro_parallel_bytes_total",
-        "Transport payload bytes moved",
-        labels=("direction",),
-    )
-    counter(
-        "repro_parallel_pickle_seconds_total",
-        "Seconds spent (de)serializing transport payloads",
-        labels=("direction",),
     )
     # admission control
     counter("repro_admission_admitted_total", "Requests admitted")
@@ -128,10 +96,24 @@ def bootstrap_default_metrics(registry: MetricsRegistry = REGISTRY) -> None:
     )
     counter("repro_serve_errors_total", "HTTP requests answered with errors")
     counter("repro_serve_publishes_total", "Publishes applied by serve nodes")
+    registry.histogram(
+        "repro_serve_request_seconds",
+        "HTTP request latency by route",
+        labels=("route",),
+    )
+    registry.histogram(
+        "repro_serve_statement_seconds",
+        "Prepared-statement execution latency by statement id",
+        labels=("statement",),
+    )
     counter(
         "repro_exchange_publishes_total",
         "Update-exchange publish rounds applied",
     )
     counter("repro_snapshot_refreshes_total", "Serving snapshot refreshes")
+    gauge(
+        "repro_snapshot_version",
+        "Database version of the currently served snapshot",
+    )
     if registry is REGISTRY:
         _BOOTSTRAPPED = True

@@ -21,8 +21,8 @@ Two ways to publish a metric:
    tier.  These are mutated through the family objects and are
    thread-safe.
 2. **Collectors** (``registry.register(owner, collect_fn)``) — used to
-   surface the existing per-instance counters (engine stats, pool
-   replication counters, WAL appends, ...) without touching their
+   surface the existing per-instance counters (engine stats, index
+   maintenance counters, WAL appends, ...) without touching their
    mutation sites.  ``collect_fn(owner)`` is called at scrape time and
    yields :class:`Sample` tuples; the owner is held via weakref so
    short-lived objects (the thousands of engines the test-suite

@@ -1,26 +1,24 @@
 """The documented stats schema, and normalization of legacy keys.
 
 Every stats surface in the system (``/stats`` on a serve node,
-``ExchangeSystem.parallel_stats()``, durability counters) reports
-snake_case keys following these conventions:
+index and durability counters) reports snake_case keys following
+these conventions:
 
 - **Counters** end in ``_total`` in the metrics registry; in JSON
   stats blobs they keep their plain names (``requests``, ``appended``)
   because those names predate this module and are pinned by clients.
-- **Durations** end in ``_seconds`` (``pickle_seconds``,
-  ``timeout_seconds``, ``settle_wall_seconds``).
+- **Durations** end in ``_seconds`` (``timeout_seconds``,
+  ``settle_wall_seconds``).
 - **Sizes** end in ``_bytes`` / ``_rows`` / ``_kb``.
 - Nested blocks are one level deep and named after the layer:
   ``server``, ``admission``, ``snapshot``, ``engine``, ``indexes``,
-  ``parallel``, ``durability``.
+  ``durability``.
 
 Legacy keys kept as deprecation shims (old → new):
 
 ========================  ==========================
 legacy key                normalized key
 ========================  ==========================
-``pickle_s``              ``pickle_seconds``
-``unpickle_s``            ``unpickle_seconds``
 ``timeout`` (admission)   ``timeout_seconds``
 ``wal_seq`` (durability)  ``wal_last_seq``
 top-level ``requests``    ``server.requests``
@@ -42,8 +40,6 @@ __all__ = ["LEGACY_KEYS", "normalize"]
 #: Flat map of legacy key name → normalized key name.  Applied at any
 #: nesting depth; collisions resolve in favour of the normalized key.
 LEGACY_KEYS = {
-    "pickle_s": "pickle_seconds",
-    "unpickle_s": "unpickle_seconds",
     "timeout": "timeout_seconds",
     "wal_seq": "wal_last_seq",
 }

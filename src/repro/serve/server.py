@@ -436,10 +436,6 @@ class ReproServer:
         system_fn = getattr(self.cdss, "system", None)
         if system_fn is not None:
             system = system_fn()
-            parallel_fn = getattr(system, "parallel_stats", None)
-            parallel = parallel_fn() if parallel_fn is not None else None
-            if parallel is not None:
-                stats["parallel"] = parallel
             engine = getattr(system, "engine", None)
             if engine is not None:
                 stats["engine"] = engine.stats.counters()

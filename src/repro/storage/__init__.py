@@ -35,11 +35,10 @@ from .indexes import (
 from .instance import ArityError, Instance, Row, StorageError
 from .kvstore import KeyValueStore, RelationStore
 from .persistence import checkpoint, checkpoint_equal, restore
-from .replication import ChangeFeed, apply_ops, build_replica, export_snapshot
 from .snapshot import DatabaseSnapshot, pin_database
 from .sqlite import SQLiteStore
 from .stats import StatisticsCache, TableStats, compute_stats
-from .zset import ZSet, apply_zset, fold_ops
+from .zset import ZSet, apply_zset
 
 __all__ = [
     "ArityError",
@@ -48,7 +47,6 @@ __all__ = [
     "BACKEND_SQLITE",
     "BPlusTree",
     "BTreeError",
-    "ChangeFeed",
     "CodecError",
     "Database",
     "DatabaseSnapshot",
@@ -69,10 +67,7 @@ __all__ = [
     "TableStats",
     "UnknownRelationError",
     "ZSet",
-    "apply_ops",
     "apply_zset",
-    "fold_ops",
-    "build_replica",
     "checkpoint",
     "checkpoint_equal",
     "compute_stats",
@@ -81,7 +76,6 @@ __all__ = [
     "dumps_row",
     "encode_row",
     "encode_value",
-    "export_snapshot",
     "key_text",
     "loads_row",
     "make_index_set",

@@ -40,14 +40,6 @@ class Database:
         self._relations: dict[str, Instance] = {}
         self._stats = StatisticsCache()
         self._version = 0
-        # Row-level change feeds for replica synchronization (see
-        # repro.storage.replication); almost always empty.
-        self._feeds: tuple = ()
-        # Origin tag stamped onto journal entries recorded while a
-        # tag_changes() scope is open (the parallel executor tags merged
-        # derivations with their producer-worker bitmask so the pool can
-        # ship complements instead of the full delta).
-        self._change_origin: object | None = None
         # Instances enrolled in each currently open deferral scope,
         # innermost last — create/attach append to every open scope so a
         # relation born mid-scope still flushes at the scope's barrier.
@@ -75,9 +67,6 @@ class Database:
         self._relations[name] = instance
         instance.add_watcher(self._mark_dirty)
         self._enroll(instance)
-        for feed in self._feeds:
-            feed._record(name, "create", arity)
-            instance.add_feed(feed)
         self._version += 1
         if rows:
             instance.insert_many(rows)
@@ -107,11 +96,6 @@ class Database:
         self._relations[instance.name] = instance
         instance.add_watcher(self._mark_dirty)
         self._enroll(instance)
-        for feed in self._feeds:
-            feed._record(instance.name, "create", instance.arity)
-            if len(instance):
-                feed._record(instance.name, "+", tuple(instance))
-            instance.add_feed(feed)
         self._version += 1
         return instance
 
@@ -127,9 +111,6 @@ class Database:
         if dropped is None:
             return False
         dropped.remove_watcher(self._mark_dirty)
-        for feed in self._feeds:
-            dropped.remove_feed(feed)
-            feed._record(name, "drop", ())
         self._version += 1
         return True
 
@@ -223,58 +204,6 @@ class Database:
                     totals[key] += value
         totals["policy"] = policy if policy is not None else self.index_policy
         return totals
-
-    # -- replication ---------------------------------------------------------
-
-    def changefeed(self):
-        """Attach a row-level change journal to every relation.
-
-        Returns a :class:`~repro.storage.replication.ChangeFeed` whose
-        :meth:`~repro.storage.replication.ChangeFeed.drain` yields the ops
-        needed to bring a replica built from :meth:`export_snapshot` up to
-        the current state — the delta-shipping half of the parallel
-        subsystem's replication protocol.  Call ``close()`` on the feed
-        when the replica dies.
-        """
-        from .replication import ChangeFeed
-
-        return ChangeFeed(self)
-
-    @contextmanager
-    def tag_changes(self, origin: object):
-        """Stamp every journal entry recorded inside the scope with
-        ``origin``.
-
-        Attached :class:`~repro.storage.replication.ChangeFeed` journals
-        keep the tag per entry (see
-        :meth:`~repro.storage.replication.ChangeFeed.drain_tagged`);
-        plain :meth:`~repro.storage.replication.ChangeFeed.drain` strips
-        it, so nothing downstream of the ordinary replay path changes.
-        Scopes nest; the previous origin is restored on exit.
-        """
-        previous = self._change_origin
-        self._change_origin = origin
-        try:
-            yield self
-        finally:
-            self._change_origin = previous
-
-    def _attach_feed(self, feed) -> None:
-        self._feeds += (feed,)
-        for instance in self._relations.values():
-            instance.add_feed(feed)
-
-    def _detach_feed(self, feed) -> None:
-        self._feeds = tuple(f for f in self._feeds if f is not feed)
-        for instance in self._relations.values():
-            instance.remove_feed(feed)
-
-    def export_snapshot(self) -> dict[str, object]:
-        """A picklable full-contents snapshot (see
-        :func:`repro.storage.replication.export_snapshot`)."""
-        from .replication import export_snapshot
-
-        return export_snapshot(self)
 
     def pin(self, names: Iterable[str] | None = None):
         """Capture a version-pinned, immutable snapshot of ``names``.

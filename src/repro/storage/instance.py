@@ -59,7 +59,6 @@ class Instance:
         "_indexes",
         "_version",
         "_watchers",
-        "_feeds",
     )
 
     def __init__(
@@ -75,9 +74,6 @@ class Instance:
         self._indexes: IndexSet = make_index_set(index_policy, self._rows)
         self._version = 0
         self._watchers: tuple[Callable[[], None], ...] = ()
-        # Row-level change feeds (replica synchronization, see
-        # repro.storage.replication); empty for almost every instance.
-        self._feeds: tuple = ()
         for row in rows:
             self.insert(row)
 
@@ -124,19 +120,6 @@ class Instance:
         """Unregister a callback added with :meth:`add_watcher`."""
         self._watchers = tuple(w for w in self._watchers if w != notify)
 
-    def add_feed(self, feed) -> None:
-        """Attach a row-level :class:`~repro.storage.replication.ChangeFeed`."""
-        if feed not in self._feeds:
-            self._feeds += (feed,)
-
-    def remove_feed(self, feed) -> None:
-        """Detach a feed added with :meth:`add_feed`."""
-        self._feeds = tuple(f for f in self._feeds if f is not feed)
-
-    def _journal(self, op: str, rows: tuple) -> None:
-        for feed in self._feeds:
-            feed._record(self.name, op, rows)
-
     def rows(self) -> frozenset[Row]:
         """A frozen snapshot of the current contents."""
         return frozenset(self._rows)
@@ -160,8 +143,6 @@ class Instance:
         self._bump()
         if self._indexes._by_cols:
             self._indexes.insert_rows((row,))
-        if self._feeds:
-            self._journal("+", (row,))
         return True
 
     def insert_many(self, rows: Iterable[Sequence[object]]) -> int:
@@ -202,8 +183,6 @@ class Instance:
         self._bump()
         if self._indexes._by_cols:
             self._indexes.insert_rows(added)
-        if self._feeds:
-            self._journal("+", tuple(added))
         return added
 
     def delete(self, row: Sequence[object]) -> bool:
@@ -215,8 +194,6 @@ class Instance:
         self._bump()
         if self._indexes._by_cols:
             self._indexes.delete_rows((row,))
-        if self._feeds:
-            self._journal("-", (row,))
         return True
 
     def delete_many(self, rows: Iterable[Sequence[object]]) -> int:
@@ -251,16 +228,12 @@ class Instance:
         self._bump()
         if self._indexes._by_cols:
             self._indexes.delete_rows(removed)
-        if self._feeds:
-            self._journal("-", tuple(removed))
         return removed
 
     def clear(self) -> None:
         self._rows.clear()
         self._indexes.drop_all()
         self._bump()
-        if self._feeds:
-            self._journal("clear", ())
 
     def replace(self, rows: Iterable[Sequence[object]]) -> None:
         """Replace the whole extension (drops indexes)."""
@@ -285,8 +258,6 @@ class Instance:
             self._rows.clear()
             self._indexes.turnover()
             self._bump()
-            if self._feeds:
-                self._journal("clear", ())
             self.insert_many(new_rows)
             return
         fresh = new_rows - self._rows

@@ -67,9 +67,8 @@ class DatabaseSnapshot:
             if instance is None:
                 continue
             copied = instance.copy()
-            # Registered directly: attach() would journal the rows into
-            # any live change feeds, and the snapshot must stay invisible
-            # to the source's replication machinery.
+            # Registered directly: the copies are never mutated, so they
+            # need none of attach()'s watcher and deferral-scope wiring.
             snapshot._relations[name] = copied
         self.db = snapshot
         self.version = source.version

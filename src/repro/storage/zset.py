@@ -10,10 +10,7 @@ weights are normalized back to set semantics at stratum boundaries with
 positive — which is what lets one incremental operator pass serve
 inserts and retractions alike (see ``repro.core.weighted``).
 
-The module also unifies the replication change feed with this delta
-type: :func:`fold_ops` folds an ordered ``ChangeFeed`` op journal
-(``repro.storage.replication``) into per-relation Z-sets, and
-:func:`apply_zset` replays one against a live
+:func:`apply_zset` replays a Z-set against a live
 :class:`~repro.storage.instance.Instance`.
 """
 
@@ -24,7 +21,7 @@ from typing import TYPE_CHECKING, Iterable, Iterator, Mapping
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .instance import Instance, Row
 
-__all__ = ["ZSet", "fold_ops", "apply_zset"]
+__all__ = ["ZSet", "apply_zset"]
 
 
 class ZSet:
@@ -128,37 +125,6 @@ class ZSet:
 
     def to_dict(self) -> dict["Row", int]:
         return dict(self._weights)
-
-
-def fold_ops(ops: Iterable[tuple[str, str, object]]) -> dict[str, ZSet]:
-    """Fold an ordered replication op journal into per-relation Z-sets.
-
-    ``+``/``-`` ops accumulate ±1 per row, so an insert-then-delete of
-    the same row within one window nets to nothing — the folded form is
-    a diff, where the journal was a replay log.  Structural ops cannot
-    be expressed as weights: ``create``/``drop`` are skipped (an empty
-    relation has an empty delta), and ``clear`` raises — folding a clear
-    needs the pre-clear contents, which the journal does not carry, so
-    callers that may observe clears must snapshot-diff instead.
-    """
-    from .replication import OP_CLEAR, OP_DELETE, OP_INSERT
-
-    deltas: dict[str, ZSet] = {}
-    for name, op, payload in ops:
-        if op == OP_INSERT or op == OP_DELETE:
-            weight = 1 if op == OP_INSERT else -1
-            zset = deltas.get(name)
-            if zset is None:
-                zset = deltas[name] = ZSet()
-            for row in payload:  # type: ignore[attr-defined]
-                zset.add(row, weight)
-        elif op == OP_CLEAR:
-            raise ValueError(
-                f"cannot fold a {OP_CLEAR!r} op on {name!r} into a Z-set: "
-                "the pre-clear contents are not in the journal"
-            )
-        # create/drop carry no rows: nothing to fold.
-    return {name: zset for name, zset in deltas.items() if zset}
 
 
 def apply_zset(instance: "Instance", delta: ZSet) -> tuple[int, int]:

@@ -185,6 +185,19 @@ class TestBuildAndRoundTrip:
         with pytest.raises(SpecError, match="shards"):
             SystemSpec.from_dict(document)
 
+    def test_legacy_workers_key(self, tmp_path):
+        """Specs from before parallel evaluation was removed carry
+        ``"workers": 1``; that loads (and is not written back).  Any
+        other value names the removal."""
+        document = running_example(with_data=False).to_spec().to_dict()
+        assert "workers" not in document
+        path = tmp_path / "legacy.json"
+        path.write_text(json.dumps({**document, "workers": 1}))
+        assert SystemSpec.load(path).to_dict() == document
+        for bad in (2, 0, True, "1", 1.0):
+            with pytest.raises(SpecError, match="parallel evaluation was removed"):
+                SystemSpec.from_dict({**document, "workers": bad})
+
     def test_wrong_format_rejected(self):
         document = running_example(with_data=False).to_spec().to_dict()
         document["format"] = "repro/system-spec@99"

@@ -132,6 +132,19 @@ class TestThreePeerChainDeletions:
             (100, 1)
         }
         assert cdss.system().is_consistent()
+        # A bulk retraction: hundreds of rows leave in one publish.
+        with cdss.peer("P1").batch() as tx:
+            for i in range(200, 600):
+                tx.insert("A", (i, i % 7))
+        cdss.update_exchange()
+        with cdss.peer("P1").batch() as tx:
+            for i in range(200, 500):
+                tx.delete("A", (i, i % 7))
+        cdss.update_exchange()
+        assert cdss.instance("C") == {(i, i * 10) for i in range(5, 10)} | {
+            (100, 1)
+        } | {(i, i % 7) for i in range(500, 600)}
+        assert cdss.system().is_consistent()
 
     @pytest.mark.parametrize(
         "strategy", [STRATEGY_INCREMENTAL, STRATEGY_DRED]
@@ -184,6 +197,14 @@ class TestMultiAtomBodies:
         for snapshot in snapshots:
             assert snapshot["B1__o"] == {(2, "x2", "y2")}
         assert snapshots[0] == snapshots[1] == snapshots[2]
+        # The provenance row is doomed through both join sides; the
+        # bulk retraction counts its effective deletion once.
+        system = ExchangeSystem(internal)
+        system.db["A1__l"].insert_many([(1, "x1"), (2, "x2")])
+        system.db["A2__l"].insert_many([(1, "y1"), (2, "y2")])
+        system.recompute()
+        report = system.apply_delta(delta)
+        assert report.details["deletion"].provenance_rows_deleted == 1
 
     def test_deleting_one_join_side_only(self):
         internal = self._internal()

@@ -1,7 +1,7 @@
 """Tests for stratification, planning, and the semi-naive engine."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.datalog import (
@@ -345,6 +345,12 @@ def random_edges(draw):
 
 @settings(max_examples=40, deadline=None)
 @given(edges=random_edges(), extra=random_edges())
+# A long chain with a back edge, extended by insertions that close a
+# second cycle through it.
+@example(
+    edges={(i, i + 1) for i in range(12)} | {(7, 2)},
+    extra={(12, 13), (13, 3)},
+)
 def test_property_incremental_insertion_equals_recompute(edges, extra):
     """Property: semi-naive incremental insertion reaches the same fixpoint
     as recomputation from scratch, for random graphs and random insertions."""

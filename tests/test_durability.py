@@ -9,6 +9,7 @@ through the exchange-report strategy counters and the node's replay
 counters).
 """
 
+import json
 import os
 import signal
 import subprocess
@@ -17,7 +18,14 @@ from pathlib import Path
 
 import pytest
 
-from repro import CDSS, DurableNode, DurabilitySpec, SystemSpec, WriteAheadLog
+from repro import (
+    CDSS,
+    DurableNode,
+    DurabilitySpec,
+    SpecError,
+    SystemSpec,
+    WriteAheadLog,
+)
 from repro.durability.wal import read_segment
 from repro.serve.client import ServeClient
 from repro.storage.instance import StorageError
@@ -273,6 +281,25 @@ class TestDurableNode:
         created = DurableNode.launch(paper_spec(), tmp_path / "fresh")
         assert not created.recovered
         created.close()
+
+    def test_legacy_spec_with_workers_opens(self, tmp_path):
+        """Node directories created before parallel evaluation was
+        removed hold a spec.json with ``"workers": 1``: they open and
+        recover; a spec asking for more workers is refused."""
+        data_dir = tmp_path / "node"
+        node = DurableNode.create(paper_spec(), data_dir)
+        run_script(node.cdss, node.publish, publishes=2, stage_tail=False)
+        node.close(checkpoint=False)
+        spec_path = data_dir / "spec.json"
+        document = json.loads(spec_path.read_text())
+        spec_path.write_text(json.dumps({**document, "workers": 1}))
+        recovered = DurableNode.open(data_dir)
+        assert recovered.recovered
+        assert certain_state(recovered.cdss) == reference_state(2, False)
+        recovered.close()
+        spec_path.write_text(json.dumps({**document, "workers": 2}))
+        with pytest.raises(SpecError, match="parallel evaluation was removed"):
+            DurableNode.open(data_dir)
 
     def test_durability_spec_roundtrip(self, tmp_path):
         spec = paper_spec()

@@ -8,7 +8,9 @@ exposition format.
 """
 
 import gc
+import re
 import threading
+from pathlib import Path
 
 import pytest
 
@@ -216,10 +218,36 @@ class TestRender:
         text = registry.render()
         for family in (
             "repro_engine_",
-            "repro_parallel_",
             "repro_admission_",
             "repro_index_",
             "repro_wal_",
             "repro_serve_",
         ):
             assert family in text
+
+    def test_design_metric_table_lists_registered_families(self):
+        """DESIGN.md's metric-family table names exactly the families
+        ``bootstrap_default_metrics`` registers, and every family name
+        the source emits is one of them."""
+        root = Path(__file__).resolve().parents[1]
+        design = (root / "DESIGN.md").read_text(encoding="utf-8")
+        section = design.split("## Observability", 1)[1].split("\n## ", 1)[0]
+        table = section.split("| Layer | Families | Source |", 1)[1]
+        rows = table.split("\n\n", 1)[0].splitlines()[2:]
+        documented = {
+            name
+            for row in rows
+            for name in re.findall(r"repro_\w+", row.split("|")[2])
+        }
+        registry = MetricsRegistry()
+        bootstrap_default_metrics(registry)
+        registered = set(re.findall(r"^# TYPE (\S+) ", registry.render(), re.M))
+        assert documented == registered
+        emitted = {
+            name
+            for path in (root / "src" / "repro").rglob("*.py")
+            for name in re.findall(
+                r'"(repro_\w+)"', path.read_text(encoding="utf-8")
+            )
+        }
+        assert emitted <= registered, sorted(emitted - registered)

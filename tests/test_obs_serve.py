@@ -36,7 +36,7 @@ class TestMetricsEndpoint:
             series = parse_exposition(text)
             for family in (
                 "repro_engine_rounds_total",
-                "repro_parallel_syncs_total",
+                "repro_exchange_publishes_total",
                 "repro_admission_admitted_total",
                 "repro_index_applied_runs_total",
                 "repro_wal_appends_total",
@@ -138,6 +138,7 @@ class TestStatsSchema:
             assert "rounds" in stats["engine"]
             assert "eval_cpu_seconds" in stats["engine"]
             assert stats["indexes"]["relations"] > 0
+            assert "parallel" not in stats
             admission = stats["admission"]
             assert admission["timeout_seconds"] == admission["timeout"]
 
@@ -145,19 +146,13 @@ class TestStatsSchema:
         stats = {
             "requests": 3,
             "server": {"requests": 3},
-            "parallel": {"transport": {"total": {"pickle_s": 0.5}}},
             "durability": {"wal_seq": 9},
             "admission": {"timeout": 30.0},
         }
         normalized = normalize(stats)
-        assert (
-            normalized["parallel"]["transport"]["total"]["pickle_seconds"]
-            == 0.5
-        )
         assert normalized["durability"]["wal_last_seq"] == 9
         assert normalized["admission"]["timeout_seconds"] == 30.0
         # Legacy spellings are folded away by normalize().
-        assert "pickle_s" not in normalized["parallel"]["transport"]["total"]
         assert "wal_seq" not in normalized["durability"]
         assert "timeout" not in normalized["admission"]
         assert all(legacy in LEGACY_KEYS for legacy in ("wal_seq", "timeout"))
@@ -167,7 +162,7 @@ class TestStatsSchema:
         with cdss.batch() as tx:
             tx.insert("G", (50, 60, 70))
         report = cdss.update_exchange()
-        assert set(report.phases) == {"evaluate", "merge", "index_settle"}
+        assert set(report.phases) == {"evaluate", "index_settle"}
         for clocks in report.phases.values():
             assert clocks["wall_seconds"] >= 0.0
             assert clocks["cpu_seconds"] >= 0.0

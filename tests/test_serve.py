@@ -4,7 +4,7 @@ Covers the snapshot layer (pin / immutability / result cache), the
 snapshot-pinned execution paths on prepared queries and programs, the
 mid-exchange isolation property (a snapshot pinned before ``publish``
 returns byte-identical answers during and after the exchange — including
-shard-parallel evaluation and DRed deletions mid-flight), the asyncio
+deletions mid-flight), the asyncio
 HTTP server end to end, admission control (503/504), and the
 ``python -m repro serve`` CLI in a child process.
 """
@@ -200,14 +200,12 @@ class _ExchangePauser:
         self._resume.set()
 
 
-@pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("strategy", ["incremental", "dred"])
-def test_snapshot_isolated_mid_exchange(workers, strategy):
+def test_snapshot_isolated_mid_exchange(strategy):
     """A snapshot pinned before publish() serves byte-identical answers
     while the exchange is mid-flight (live tables torn) and after it
-    completes — under sequential and shard-parallel evaluation, for
-    insertions and DRed deletions."""
-    cdss = paper_cdss(workers=workers)
+    completes, for insertions and deletions."""
+    cdss = paper_cdss()
     prepared = cdss.prepare("ans(i, n) :- B(i, n)")
     program = cdss.prepare_program("ans(i) :- B(i, n), U(n, c)")
 

@@ -39,9 +39,14 @@ class TestDatabase:
 
     def test_drop(self):
         db = Database()
-        db.create("R", 1)
+        db.create("R", 1, [(1,), (2,)])
+        db["R"].clear()
+        db["R"].insert((7,))
         assert db.drop("R") is True
         assert db.drop("R") is False
+        # A re-created relation starts empty: nothing survives the drop.
+        db.create("R", 1).insert((8,))
+        assert db.snapshot() == {"R": frozenset({(8,)})}
 
     def test_total_rows(self):
         db = Database()

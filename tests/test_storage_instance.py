@@ -39,10 +39,20 @@ class TestInsertDelete:
     def test_insert_many_counts_new_rows_only(self):
         inst = Instance("R", 1, [(1,)])
         assert inst.insert_many([(1,), (2,), (3,)]) == 2
+        # insert_new returns the effective rows: in input order, without
+        # rows already present or repeated within the batch.
+        assert inst.insert_new([[4], (3,), (5,), (4,)]) == [(4,), (5,)]
+        assert inst.insert_new([(1,), (5,)]) == []
 
     def test_delete_many_counts_removed_rows_only(self):
         inst = Instance("R", 1, [(1,), (2,)])
         assert inst.delete_many([(1,), (9,)]) == 1
+        # delete_existing returns the effective rows: absent and repeated
+        # rows drop out, so the result is exactly what left the relation.
+        inst.insert_many([(3,), (4,)])
+        assert inst.delete_existing([[4], (9,), (2,), (4,)]) == [(4,), (2,)]
+        assert inst.delete_existing([(2,)]) == []
+        assert set(inst) == {(3,)}
 
     def test_version_bumps_on_mutation(self):
         inst = Instance("R", 1)

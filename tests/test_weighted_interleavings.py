@@ -6,12 +6,13 @@ sequence — must leave the system byte-identical to a full recomputation
 from the edbs: same certain answers, same provenance tables, same
 ``R__o`` output instances.  This is the central contract of the PR that
 unified insertion and deletion maintenance on signed deltas: whatever
-order edits arrive in, the maintained fixpoint is *the* fixpoint.
+order edits arrive in, the maintained fixpoint is *the* fixpoint.  The
+change stream rides along: every exchange's captured ``R__o`` Z-set must
+equal the diff of the output instances around it.
 
-The grid covers workers ∈ {1, 2} (sequential vs. shard-parallel
-evaluation), both index-maintenance policies (eager / deferred), and the
-legacy strategy shims ("incremental" / "dred"), which must route through
-the very same weighted pass as the "unified" default.
+The grid covers both index-maintenance policies (eager / deferred) and
+the legacy strategy shims ("incremental" / "dred"), which must route
+through the very same weighted pass as the "unified" default.
 """
 
 import warnings
@@ -21,15 +22,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import CDSS
+from repro.storage import ZSet
 
 
-def build_cdss(strategy, index_policy, workers, trust_threshold=None):
+def build_cdss(strategy, index_policy, trust_threshold=None):
     with warnings.catch_warnings():
         # Legacy strategy names warn by design; that is not under test here.
         warnings.simplefilter("ignore", DeprecationWarning)
-        cdss = CDSS(
-            "zset", strategy=strategy, index_policy=index_policy, workers=workers
-        )
+        cdss = CDSS("zset", strategy=strategy, index_policy=index_policy)
     cdss.add_peer("P1", {"A": ("k", "v")})
     cdss.add_peer("P2", {"B2": ("k", "v")})
     cdss.add_peer("P3", {"C": ("k",)})
@@ -66,9 +66,23 @@ def interleavings(draw):
     return ops, threshold
 
 
+def exchange_and_check_changes(cdss, subscription):
+    """One exchange; its change batch must be the exact output diff."""
+    system = cdss.system()
+    before = system.snapshot_outputs()
+    cdss.update_exchange()
+    after = system.snapshot_outputs()
+    (batch,) = subscription.poll()
+    for relation, old in before.items():
+        expected = ZSet.from_rows(after[relation] - old, 1)
+        expected.merge(ZSet.from_rows(old - after[relation], -1))
+        assert batch.changes.get(relation, ZSet()) == expected
+
+
 def apply_ops(cdss, ops):
     from repro.datalog.ast import tuple_has_labeled_null
 
+    subscription = cdss.system().subscribe()
     for op in ops:
         kind = op[0]
         if kind == "insert":
@@ -93,8 +107,9 @@ def apply_ops(cdss, ops):
             with cdss.batch() as tx:
                 tx.insert("C", (op[1],))
         else:
-            cdss.update_exchange()
-    cdss.update_exchange()
+            exchange_and_check_changes(cdss, subscription)
+    exchange_and_check_changes(cdss, subscription)
+    subscription.close()
 
 
 def state_fingerprint(system) -> str:
@@ -115,29 +130,15 @@ def state_fingerprint(system) -> str:
     return repr((certain, outputs, provenance))
 
 
-def check_matches_recompute(strategy, index_policy, workers, data):
-    ops, threshold = data
-    cdss = build_cdss(strategy, index_policy, workers, threshold)
-    try:
-        apply_ops(cdss, ops)
-        system = cdss.system()
-        maintained = state_fingerprint(system)
-        system.recompute()
-        assert state_fingerprint(system) == maintained
-    finally:
-        cdss.system().close()
-
-
 @pytest.mark.parametrize("index_policy", ["eager", "deferred"])
 @pytest.mark.parametrize("strategy", ["unified", "incremental", "dred"])
 @settings(max_examples=10, deadline=None)
 @given(data=interleavings())
 def test_interleavings_match_recompute(strategy, index_policy, data):
-    check_matches_recompute(strategy, index_policy, 1, data)
-
-
-@pytest.mark.parametrize("index_policy", ["eager", "deferred"])
-@settings(max_examples=5, deadline=None)
-@given(data=interleavings())
-def test_interleavings_match_recompute_parallel(index_policy, data):
-    check_matches_recompute("unified", index_policy, 2, data)
+    ops, threshold = data
+    cdss = build_cdss(strategy, index_policy, threshold)
+    apply_ops(cdss, ops)
+    system = cdss.system()
+    maintained = state_fingerprint(system)
+    system.recompute()
+    assert state_fingerprint(system) == maintained
