@@ -80,6 +80,10 @@ _PROGRAM_CACHE_LIMIT = 64
 (each entry pins its own engine + plan cache; parameterize instead of
 inlining constants to stay under it)."""
 
+_REPORT_HISTORY = 64
+"""How many of the latest exchange reports ``CDSS.exchange_reports``
+keeps; older ones are dropped so a long-running node does not grow."""
+
 
 @dataclass
 class Peer:
@@ -407,13 +411,19 @@ class CDSS:
         for name in names:
             delta.merge(publish(self._peer(name).edit_log, system.db))
         report = system.apply_delta(delta, strategy or self.strategy)
-        self.exchange_reports.append(report)
+        self._record_report(report)
         return report
 
     def recompute(self) -> ExchangeReport:
         report = self.system().recompute()
-        self.exchange_reports.append(report)
+        self._record_report(report)
         return report
+
+    def _record_report(self, report: ExchangeReport) -> None:
+        history = self.exchange_reports
+        history.append(report)
+        if len(history) > _REPORT_HISTORY:
+            del history[:-_REPORT_HISTORY]
 
     # -- inspection --------------------------------------------------------------------
 

@@ -53,6 +53,7 @@ from ..datalog.plan import run_plan
 from ..provenance.relations import ProvenanceEncoding, ProvenanceTable
 from ..provenance.semiring import Token
 from ..schema.internal import (
+    LOCAL_RULE_PREFIX,
     input_name,
     local_name,
     output_name,
@@ -75,7 +76,9 @@ class DeletionReport:
     provenance_rows_deleted: int = 0
     tuples_deleted: dict[str, int] = field(default_factory=dict)
     derivability_checks: int = 0
-    output_deletions: dict[str, set[Row]] = field(default_factory=dict)
+    #: Rows removed from ``R__o``, per user relation (counts, not rows:
+    #: the reports outlive the exchange in ``CDSS.exchange_reports``).
+    output_deletions: dict[str, int] = field(default_factory=dict)
 
     @property
     def total_deleted(self) -> int:
@@ -91,11 +94,17 @@ class DeletionReport:
 class InsertionReport:
     """What one incremental insertion pass derived."""
 
-    derived: dict[str, set[Row]] = field(default_factory=dict)
+    #: Newly derived rows per relation (counts; the rows themselves feed
+    #: ``/changes`` while the pass runs and are not retained).
+    derived: dict[str, int] = field(default_factory=dict)
 
     @property
     def total_derived(self) -> int:
-        return sum(len(rows) for rows in self.derived.values())
+        return sum(self.derived.values())
+
+
+def _counts(rows: Mapping[str, set[Row]]) -> dict[str, int]:
+    return {name: len(group) for name, group in rows.items()}
 
 
 class WeightedMaintainer:
@@ -208,8 +217,6 @@ class WeightedMaintainer:
     def _local_ok(self, relation: str, row: Row) -> bool:
         if row not in self.db[local_name(relation)]:
             return False
-        from ..schema.internal import LOCAL_RULE_PREFIX
-
         token_filter = self.head_filters.get(LOCAL_RULE_PREFIX + relation)
         return token_filter is None or token_filter(row)
 
@@ -266,7 +273,7 @@ class WeightedMaintainer:
                 derived = self.engine.run_insertions(
                     self.program, self.db, seeds
                 )
-                report.derived = derived
+                report.derived = _counts(derived)
                 self._note_derived(derived)
         return report
 
@@ -293,7 +300,7 @@ class WeightedMaintainer:
                 derived = self.engine.run_insertions(
                     self.program, self.db, seeds
                 )
-                report.derived = derived
+                report.derived = _counts(derived)
                 self._note_derived(derived)
         return report
 
@@ -431,9 +438,11 @@ class WeightedMaintainer:
         self, report: DeletionReport, output_deltas: dict[str, ZSet]
     ) -> None:
         for relation, zset in output_deltas.items():
-            rows = zset.negative()
-            report._count(output_name(relation), len(rows))
-            report.output_deletions.setdefault(relation, set()).update(rows)
+            n = len(zset.negative())
+            report._count(output_name(relation), n)
+            report.output_deletions[relation] = (
+                report.output_deletions.get(relation, 0) + n
+            )
 
     def _retract_doomed_provenance_rows(
         self, output_deltas: dict[str, ZSet]

@@ -15,7 +15,7 @@ semi-naive engine relies on heavily.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import FrozenInstanceError, dataclass, field
 from typing import Iterable, Iterator, Mapping, Sequence
 
 
@@ -89,8 +89,9 @@ class SkolemTerm:
 
 Term = Variable | Constant | SkolemTerm
 
+_set = object.__setattr__
 
-@dataclass(frozen=True)
+
 class SkolemValue:
     """A labeled null: the ground value produced by a Skolem function.
 
@@ -99,10 +100,46 @@ class SkolemValue:
     semantics of Section 4.1.1.  Labeled nulls are ordinary values to the
     engine (joins may test them for equality) but are filtered out when
     producing *certain answers* (Section 2.1).
+
+    Nulls nest (a null's arguments may be nulls), and every index insert,
+    probe and dedup hashes them, so the hash — ``hash((function_name,
+    args))`` — is computed once here rather than re-walked per use.
+    Instances are immutable and pickle by reconstruction, so a cached
+    hash never crosses a process (string hashes are per-process).
     """
+
+    __slots__ = ("function_name", "args", "_hash")
 
     function_name: str
     args: tuple[object, ...]
+
+    def __init__(self, function_name: str, args: tuple[object, ...]) -> None:
+        _set(self, "function_name", function_name)
+        _set(self, "args", args)
+        _set(self, "_hash", hash((function_name, args)))
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
+        if other.__class__ is not SkolemValue:
+            return False
+        return (
+            self._hash == other._hash
+            and self.function_name == other.function_name
+            and self.args == other.args
+        )
+
+    def __reduce__(self) -> tuple:
+        return SkolemValue, (self.function_name, self.args)
 
     def __repr__(self) -> str:
         inner = ", ".join(repr(a) for a in self.args)

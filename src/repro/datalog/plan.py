@@ -215,10 +215,8 @@ def _value_getter(
         return lambda env: env[slot]
     if isinstance(term, SkolemTerm):
         name = term.function.name
-        getters = tuple(_value_getter(arg, slot_of) for arg in term.args)
-        return lambda env: SkolemValue(
-            name, tuple(getter(env) for getter in getters)
-        )
+        args_of = _tuple_getter(term.args, slot_of)
+        return lambda env: SkolemValue(name, args_of(env))
     raise PlanError(f"cannot compile term {term!r}")
 
 
@@ -239,7 +237,7 @@ def _tuple_getter(
             return itemgetter(*slots)
         return lambda env: ()
     getters = tuple(_value_getter(term, slot_of) for term in terms)
-    return lambda env: tuple(getter(env) for getter in getters)
+    return lambda env: tuple([getter(env) for getter in getters])
 
 
 def _row_builder(

@@ -286,7 +286,7 @@ class DurableNode:
                 _decode_delta(record.body["delta"]),
                 str(record.body["strategy"]),
             )
-            self.cdss.exchange_reports.append(report)
+            self.cdss._record_report(report)
             self.replayed_publish_records += 1
         else:
             raise WalError(
@@ -340,7 +340,7 @@ class DurableNode:
             },
         )
         report = system.apply_delta(delta, used)
-        self.cdss.exchange_reports.append(report)
+        self.cdss._record_report(report)
         self._publishes_since_checkpoint += 1
         if (
             self.checkpoint_every

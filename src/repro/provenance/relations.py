@@ -38,6 +38,7 @@ from ..datalog.ast import (
     Program,
     Rule,
     SkolemTerm,
+    SkolemValue,
     Variable,
     instantiate_atom,
 )
@@ -167,8 +168,6 @@ class ProvenanceTable:
                 if not bind(term, value):
                     return None
             elif isinstance(term, SkolemTerm):
-                from ..datalog.ast import SkolemValue
-
                 if not isinstance(value, SkolemValue):
                     return None
                 if value.function_name != term.function.name:

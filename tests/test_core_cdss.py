@@ -79,6 +79,16 @@ class TestEditingAndExchange:
         cdss.update_exchange()
         assert len(cdss.exchange_reports) == 2
 
+    def test_exchange_reports_keep_the_latest_64(self):
+        cdss = CDSS("t")
+        peer = cdss.add_peer("P1", {"R": ("a",)})
+        for i in range(70):
+            peer.insert("R", (i,))
+            report = cdss.update_exchange()
+        assert len(cdss.exchange_reports) == 64
+        assert cdss.exchange_reports[-1] is report
+        assert isinstance(cdss.exchange_reports, list)
+
     def test_recompute_entry_point(self):
         cdss = small_cdss()
         cdss.insert("R", (1,))

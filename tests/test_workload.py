@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.schema import is_weakly_acyclic
+from repro.schema.internal import LOCAL_SUFFIX, OUTPUT_SUFFIX
 from repro.workload import (
     ARITY,
     CDSSWorkloadGenerator,
@@ -217,6 +218,73 @@ class TestEndToEnd:
         }
         present = {row[0] for row in instance}
         assert peer0_keys <= present
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            WorkloadConfig(
+                peers=4,
+                uniform_attributes=False,
+                attributes_per_peer=6,
+                seed=1,
+            ),
+            WorkloadConfig(peers=4, topology="pairs", seed=2),
+        ],
+        ids=["existential-chain", "pairs-cycle"],
+    )
+    def test_report_counts_match_table_diffs(self, config):
+        """The count-only reports against the rows they stopped keeping:
+        each per-relation count is that table's row-count change, so
+        ``inserted``/``deleted`` sum every internal table's change."""
+        gen = CDSSWorkloadGenerator(config)
+        cdss = gen.build_cdss()
+        gen.populate(cdss, base_per_peer=6)
+        db = cdss.system().db
+
+        def diff(step):
+            before = {name: len(db[name]) for name in db.relation_names()}
+            report = step()
+            return report, {
+                name: len(db[name]) - before.get(name, 0)
+                for name in db.relation_names()
+                if len(db[name]) != before.get(name, 0)
+            }
+
+        def exchange_with(record, updates):
+            record(cdss, updates)
+            return cdss.update_exchange()
+
+        report, grown = diff(
+            lambda: exchange_with(
+                gen.record_insertions, gen.insertions(per_peer=3)
+            )
+        )
+        seeded = {n: d for n, d in grown.items() if n.endswith(LOCAL_SUFFIX)}
+        derived = report.details["insertion"].derived
+        assert derived == {n: d for n, d in grown.items() if n not in seeded}
+        assert report.inserted == sum(grown.values()) - sum(seeded.values())
+        assert report.deleted == 0
+        assert any(n.endswith(OUTPUT_SUFFIX) for n in derived)
+
+        report, shrunk = diff(
+            lambda: exchange_with(
+                gen.record_deletions, gen.deletions(per_peer=2)
+            )
+        )
+        deletion = report.details["deletion"]
+        assert deletion.output_deletions == {
+            n[: -len(OUTPUT_SUFFIX)]: -d
+            for n, d in shrunk.items()
+            if n.endswith(OUTPUT_SUFFIX)
+        }
+        assert deletion.provenance_rows_deleted == -sum(
+            d for n, d in shrunk.items() if n.startswith("__prov_")
+        )
+        assert report.deleted == -sum(
+            d for n, d in shrunk.items() if not n.startswith("__prov_")
+        )
+        assert report.inserted == 0
+        assert deletion.output_deletions
 
     def test_existential_workload_produces_nulls(self):
         from repro.datalog.ast import tuple_has_labeled_null
