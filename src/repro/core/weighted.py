@@ -44,7 +44,7 @@ then normalize back to set semantics (``distinct``): a row is in
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import Iterable, Mapping
 
 from ..datalog.ast import Atom, DatalogError, Program, Rule
 from ..datalog.engine import SemiNaiveEngine
@@ -214,41 +214,8 @@ class WeightedMaintainer:
 
     # -- shared helpers ------------------------------------------------------
 
-    def _local_ok(self, relation: str, row: Row) -> bool:
-        if row not in self.db[local_name(relation)]:
-            return False
-        token_filter = self.head_filters.get(LOCAL_RULE_PREFIX + relation)
-        return token_filter is None or token_filter(row)
-
     def _trusted_ok(self, relation: str, row: Row) -> bool:
         return row in self.db[trusted_name(relation)]
-
-    def _output_membership(self, relation: str, row: Row) -> bool:
-        """Should ``row`` be in ``R__o`` given the current internal state?
-
-        This is the ``distinct`` normalization at the output boundary:
-        membership is "accumulated support is positive" (a surviving
-        local contribution, or trusted-and-not-rejected), never a
-        multiplicity."""
-        if self._local_ok(relation, row):
-            return True
-        return (
-            self._trusted_ok(relation, row)
-            and row not in self.db[rejection_name(relation)]
-        )
-
-    def _sync_output(
-        self, relation: str, row: Row, deltas: dict[str, ZSet]
-    ) -> None:
-        """Reconcile one R__o membership; accumulate ``-1`` if lost."""
-        should = self._output_membership(relation, row)
-        out = self.db[output_name(relation)]
-        if should:
-            if out.insert(row):
-                self._note_output(relation, row, 1)
-        elif out.delete(row):
-            deltas.setdefault(relation, ZSet()).add(row, -1)
-            self._note_output(relation, row, -1)
 
     # -- insertions (positive deltas) ---------------------------------------
 
@@ -343,25 +310,21 @@ class WeightedMaintainer:
         # and go through the derivability machinery rather than being
         # trusted blindly.
         for relation, rows in (local_deletes or {}).items():
-            local = self.db[local_name(relation)]
-            for row in map(tuple, rows):
-                if local.delete(row):
-                    report._count(local_name(relation))
-                    pending_affected.add((relation, row))
+            gone = self._delete(report, local_name(relation), rows)
+            pending_affected.update((relation, row) for row in gone)
         for relation, rows in (rejection_inserts or {}).items():
-            rejection = self.db[rejection_name(relation)]
-            for row in map(tuple, rows):
-                if rejection.insert(row):
-                    # Rejection removes the R__o row directly (rule (tR));
-                    # R__t itself is unaffected, so no derivability check.
-                    self._sync_output(relation, row, output_deltas)
+            # Rejection removes the R__o row directly (rule (tR)); R__t
+            # itself is unaffected, so no derivability check.
+            fresh = self.db[rejection_name(relation)].insert_new(rows)
+            self._drop_outputs(relation, fresh, output_deltas)
         self._record_output_deltas(report, output_deltas)
 
         # Main loop: one round per negative-delta stratum, mirroring the
-        # insertion rounds' shape.
+        # insertion rounds' shape.  Every step is set-at-a-time over the
+        # round's whole affected set; none runs per row.
         while any(output_deltas.values()) or pending_affected:
             report.iterations += 1
-            affected: set[Token] = set(pending_affected)
+            affected = pending_affected
             pending_affected = set()
 
             # Semijoin pass: evaluate every (provenance table, occurrence)
@@ -371,68 +334,96 @@ class WeightedMaintainer:
             # provenance row doomed through one occurrence must still be
             # visible to the others), then the doomed rows leave in one
             # bulk retraction per table.
+            span = _start("retraction.semijoin")
             removed = self._retract_doomed_provenance_rows(output_deltas)
             for name, rows in removed.items():
                 table = self._table_by_name[name]
                 report.provenance_rows_deleted += len(rows)
-                for prow in rows:
-                    for head in table.heads:
-                        affected.add(
-                            (head.user_relation, table.head_row(head, prow))
-                        )
+                for head in table.heads:
+                    relation = head.user_relation
+                    affected.update(
+                        (relation, table.head_row(head, prow)) for prow in rows
+                    )
+            _finish(span)
 
-            # Weight bookkeeping: recount each affected row's remaining
-            # direct support.  Weight zero -> the row is gone outright;
-            # positive weight -> groundedness check (cyclic support is
-            # weight a count cannot distinguish from live derivations).
+            # Weight bookkeeping: probe each affected row's remaining
+            # direct support once.  Weight zero -> the row is gone
+            # outright; positive weight -> groundedness check (cyclic
+            # support is weight a count cannot distinguish from live
+            # derivations), which starts from the support found here.
+            span = _start("retraction.recount")
+            tester = DerivationTest(self.db, self.encoding, self.head_filters)
+            by_relation: dict[str, list[Row]] = {}
+            for relation, row in affected:
+                by_relation.setdefault(relation, []).append(row)
+            support = {
+                node: tester.direct_support(*node) for node in affected
+            }
+            to_check = [node for node, entries in support.items() if entries]
+            _finish(span)
+
+            span = _start("retraction.derivability")
+            verdicts = tester.derivable(to_check, support) if to_check else {}
+            report.derivability_checks += len(to_check)
+            _finish(span)
+
+            # Apply the verdicts, one bulk removal per internal table.
+            span = _start("retraction.apply")
             output_deltas = {}
-            direct: dict[Token, tuple[bool, bool]] = {}
-            to_check: list[Token] = []
-            for node in affected:
-                relation, row = node
-                any_support = False
-                trusted_support = False
-                for table, head in self.encoding.targets_for_relation(
-                    relation
-                ):
-                    rows_left = table.supporting_rows(self.db, head, row)
-                    if rows_left:
-                        any_support = True
-                        if self._head_trust_ok(head, row):
-                            trusted_support = True
-                            break
-                direct[node] = (any_support, trusted_support)
-                if any_support:
-                    to_check.append(node)
-
-            verdicts = {}
-            if to_check:
-                tester = DerivationTest(
-                    self.db, self.encoding, self.head_filters
-                )
-                verdicts = tester.derivable(to_check)
-                report.derivability_checks += len(to_check)
-
-            for node in affected:
-                relation, row = node
-                any_support, trusted_support = direct[node]
-                if not any_support:
-                    keep_input = keep_trusted = False
-                else:
-                    verdict = verdicts[node]
-                    keep_input = verdict.any
-                    keep_trusted = verdict.trusted and trusted_support
-                if not keep_input:
-                    if self.db[input_name(relation)].delete(row):
-                        report._count(input_name(relation))
-                if not keep_trusted:
-                    if self.db[trusted_name(relation)].delete(row):
-                        report._count(trusted_name(relation))
-                self._sync_output(relation, row, output_deltas)
-
+            for relation, rows in by_relation.items():
+                lost_input: list[Row] = []
+                lost_trust: list[Row] = []
+                for row in rows:
+                    verdict = verdicts.get((relation, row))
+                    if verdict is None or not verdict.trusted:
+                        lost_trust.append(row)
+                        if verdict is None or not verdict.any:
+                            lost_input.append(row)
+                self._delete(report, input_name(relation), lost_input)
+                self._delete(report, trusted_name(relation), lost_trust)
+                self._drop_outputs(relation, rows, output_deltas)
             self._record_output_deltas(report, output_deltas)
+            _finish(span)
 
         return report
+
+    def _delete(
+        self, report: DeletionReport, name: str, rows: Iterable[Row]
+    ) -> list[Row]:
+        """One bulk removal from internal table ``name``, counted."""
+        gone = self.db[name].delete_existing(rows)
+        if gone:
+            report._count(name, len(gone))
+        return gone
+
+    def _drop_outputs(
+        self, relation: str, rows: Iterable[Row], deltas: dict[str, ZSet]
+    ) -> None:
+        """Remove from ``R__o`` the ``rows`` that lost their membership;
+        accumulate ``-1`` for each.
+
+        This is the ``distinct`` normalization at the output boundary:
+        membership is "accumulated support is positive" (a surviving
+        local contribution, or trusted-and-not-rejected), never a
+        multiplicity."""
+        local = self.db[local_name(relation)]
+        local_filter = self.head_filters.get(LOCAL_RULE_PREFIX + relation)
+        trusted = self.db[trusted_name(relation)]
+        rejected = self.db[rejection_name(relation)]
+        gone = self.db[output_name(relation)].delete_existing(
+            row
+            for row in rows
+            if not (
+                row in local and (local_filter is None or local_filter(row))
+            )
+            and (row not in trusted or row in rejected)
+        )
+        if gone:
+            for zsets in (deltas, self._changes):
+                if zsets is not None:
+                    zset = zsets.setdefault(relation, ZSet())
+                    for row in gone:
+                        zset.add(row, -1)
 
     def _record_output_deltas(
         self, report: DeletionReport, output_deltas: dict[str, ZSet]
@@ -489,9 +480,15 @@ class WeightedMaintainer:
 
         return run_plan(plan, resolve)
 
-    def _head_trust_ok(self, head, row: Row) -> bool:
-        condition = self.head_filters.get(head.trust_label)
-        return condition is None or condition(row)
+
+def _start(name: str) -> _tracing.Span | None:
+    """Open a per-round phase span (no allocation while tracing is off)."""
+    return _tracing.start(name) if _tracing.ENABLED else None
+
+
+def _finish(span: _tracing.Span | None) -> None:
+    if span is not None:
+        _tracing.finish(span)
 
 
 def _strip_output(internal_rel: str) -> str:

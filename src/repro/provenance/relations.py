@@ -30,18 +30,11 @@ instantiation").
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import AbstractSet, Iterator
+from functools import cached_property
+from typing import AbstractSet, Callable, Iterator
 
-from ..datalog.ast import (
-    Atom,
-    Constant,
-    Program,
-    Rule,
-    SkolemTerm,
-    SkolemValue,
-    Variable,
-    instantiate_atom,
-)
+from ..datalog.ast import Atom, Program, Rule, Variable
+from ..datalog.plan import _compile_pattern, _match_pattern, _tuple_getter
 from ..schema.internal import InternalSchema, input_name, output_name, trusted_name
 from ..schema.tgd import SchemaMapping
 from ..storage.database import Database
@@ -78,33 +71,90 @@ class HeadTarget:
     atom: Atom  # head over R__i, Skolemized
     user_relation: str
 
-    @property
+    @cached_property
     def proj_label(self) -> str:
         return f"{PROJ_RULE_PREFIX}{self.mapping}:{self.index}"
 
-    @property
+    @cached_property
     def trust_label(self) -> str:
         return trust_label(self.mapping, self.index)
 
 
+#: A compiled inverse rule: the provenance columns a head pins, and a
+#: matcher turning a target row into their probe values (None on a
+#: constant, repeated-variable or Skolem mismatch).  A None matcher means
+#: the head is distinct variables, so the target row *is* the probe key.
+InverseRule = tuple[tuple[int, ...], Callable[[Row], Row | None] | None]
+
+
+def _inverse_rule(head: Atom, var_index: dict[Variable, int]) -> InverseRule:
+    terms = head.terms
+    distinct = len(set(terms)) == len(terms)
+    if distinct and all(isinstance(t, Variable) for t in terms):
+        return tuple(var_index[t] for t in terms), None
+    # Variables bind in first-occurrence order, so the matcher's values
+    # line up with these columns (plan's Skolem-destructuring patterns).
+    slot_of: dict[Variable, int] = {}
+    patterns = tuple(_compile_pattern(t, slot_of, 0) for t in terms)
+
+    def match(row: Row) -> Row | None:
+        bound: list[object] = []
+        for pattern, value in zip(patterns, row):
+            if not _match_pattern(pattern, value, (), bound):
+                return None
+        return tuple(bound)
+
+    return tuple(var_index[var] for var in slot_of), match
+
+
 @dataclass(frozen=True)
 class ProvenanceTable:
-    """One provenance relation: its schema, defining body, and head targets."""
+    """One provenance relation: its schema, defining body, and head targets.
+
+    The forward rules (``head_row``, ``source_tuples``) and the inverse
+    rules of Section 4.1.3 (``supporting_rows``) are compiled once per
+    head here — the treatment ``repro.datalog.plan`` gives mapping rules —
+    so the deletion path never interprets a term per row.
+    """
 
     mapping: str
     relation: str
     variables: tuple[Variable, ...]
     body: tuple[Atom, ...]  # over R__o internal names; may include negation
     heads: tuple[HeadTarget, ...]
-    _var_index: dict[Variable, int] = field(
+    # head.index -> (head_row getter, inverse rule)
+    _compiled: dict[int, tuple[Callable[[Row], Row], InverseRule]] = field(
+        default=None, compare=False, repr=False
+    )  # type: ignore[assignment]
+    # (user relation, tuple getter) per positive body atom
+    _sources: tuple[tuple[str, Callable[[Row], Row]], ...] = field(
         default=None, compare=False, repr=False
     )  # type: ignore[assignment]
 
     def __post_init__(self) -> None:
+        var_index = {var: i for i, var in enumerate(self.variables)}
         object.__setattr__(
             self,
-            "_var_index",
-            {var: i for i, var in enumerate(self.variables)},
+            "_compiled",
+            {
+                head.index: (
+                    _tuple_getter(head.atom.terms, var_index),
+                    _inverse_rule(head.atom, var_index),
+                )
+                for head in self.heads
+            },
+        )
+        object.__setattr__(
+            self,
+            "_sources",
+            tuple(
+                (
+                    _user_relation_of_internal(atom.predicate),
+                    _tuple_getter(atom.terms, var_index),
+                )
+                for atom in self.body
+                if not atom.negated
+            ),
         )
 
     @property
@@ -117,119 +167,14 @@ class ProvenanceTable:
 
     # -- row interpretation -------------------------------------------------
 
-    def substitution(self, row: Row) -> dict[Variable, object]:
-        return dict(zip(self.variables, row, strict=True))
-
     def head_row(self, head: HeadTarget, row: Row) -> Row:
-        return instantiate_atom(head.atom, self.substitution(row))
+        return self._compiled[head.index][0](row)
 
     def source_tuples(self, row: Row) -> tuple[Token, ...]:
         """The user-level (relation, tuple) pairs joined by this instantiation
         (positive body atoms only — these are the provenance-graph arcs *into*
         the mapping node)."""
-        subst = self.substitution(row)
-        out: list[Token] = []
-        for atom in self.body:
-            if atom.negated:
-                continue
-            out.append(
-                (
-                    _user_relation_of_internal(atom.predicate),
-                    instantiate_atom(atom, subst),
-                )
-            )
-        return tuple(out)
-
-    def support_probe(
-        self, head: HeadTarget, target_row: Row
-    ) -> tuple[tuple[int, ...], tuple[object, ...]] | None:
-        """Columns/values probing this table for rows deriving ``target_row``.
-
-        This is the *inverse rule* of Section 4.1.3: it "uses the existing
-        provenance table to fill in the possible values ... that were
-        projected away during the mapping".  Returns None if ``target_row``
-        cannot possibly be derived through ``head`` (constant or Skolem
-        mismatch).
-        """
-        bindings: dict[Variable, object] = {}
-
-        def bind(var: Variable, value: object) -> bool:
-            known = bindings.get(var, _UNSET)
-            if known is _UNSET:
-                bindings[var] = value
-                return True
-            return known == value
-
-        for term, value in zip(head.atom.terms, target_row, strict=True):
-            if isinstance(term, Constant):
-                if term.value != value:
-                    return None
-            elif isinstance(term, Variable):
-                if not bind(term, value):
-                    return None
-            elif isinstance(term, SkolemTerm):
-                if not isinstance(value, SkolemValue):
-                    return None
-                if value.function_name != term.function.name:
-                    return None
-                if len(value.args) != len(term.args):
-                    return None
-                for arg_term, arg_value in zip(term.args, value.args):
-                    if isinstance(arg_term, Variable):
-                        if not bind(arg_term, arg_value):
-                            return None
-                    elif isinstance(arg_term, Constant):
-                        if arg_term.value != arg_value:
-                            return None
-                    else:  # pragma: no cover - parser forbids nesting
-                        raise ProvenanceError(
-                            f"nested Skolem term {arg_term!r} unsupported"
-                        )
-        columns: list[int] = []
-        values: list[object] = []
-        for var, value in bindings.items():
-            index = self._var_index.get(var)
-            if index is None:  # pragma: no cover - heads use LHS vars only
-                raise ProvenanceError(
-                    f"head variable {var!r} missing from provenance table "
-                    f"{self.relation!r}"
-                )
-            columns.append(index)
-            values.append(value)
-        return tuple(columns), tuple(values)
-
-    def body_probe(
-        self, atom_index: int, source_row: Row
-    ) -> tuple[tuple[int, ...], tuple[object, ...]] | None:
-        """Columns/values probing this table for instantiations that joined
-        ``source_row`` at positive body atom ``atom_index``.
-
-        This is the deletion delta rule of Section 4.2: when a source tuple
-        is deleted, the matching provenance rows are exactly the
-        instantiations that used it.  Returns None on constant mismatch
-        (the row cannot have matched this atom).
-        """
-        atom = self.body[atom_index]
-        if atom.negated:
-            raise ProvenanceError(
-                f"body_probe on negated atom {atom!r} of {self.relation!r}"
-            )
-        bindings: dict[Variable, object] = {}
-        for term, value in zip(atom.terms, source_row, strict=True):
-            if isinstance(term, Constant):
-                if term.value != value:
-                    return None
-            elif isinstance(term, Variable):
-                known = bindings.get(term, _UNSET)
-                if known is _UNSET:
-                    bindings[term] = value
-                elif known != value:
-                    return None
-            else:  # pragma: no cover - bodies cannot hold Skolem terms
-                raise ProvenanceError(f"unexpected body term {term!r}")
-        columns = tuple(self._var_index[var] for var in bindings)
-        values = tuple(bindings[var] for var in bindings)
-        return columns, values
+        return tuple([(relation, get(row)) for relation, get in self._sources])
 
     def positive_body_atoms(self) -> tuple[tuple[int, Atom], ...]:
         """(index, atom) pairs for the positive body atoms."""
@@ -245,15 +190,21 @@ class ProvenanceTable:
         """All rows of this provenance table deriving ``target_row`` via
         ``head`` in the current database state.
 
+        This is the *inverse rule* of Section 4.1.3: it "uses the existing
+        provenance table to fill in the possible values ... that were
+        projected away during the mapping".  A row the head cannot produce
+        (constant, repeated-variable or Skolem mismatch) has no support.
+
         Returns a read-only view of the live index bucket (see
         :meth:`repro.storage.instance.Instance.lookup`); materialize before
         mutating the provenance table while iterating.
         """
-        probe = self.support_probe(head, target_row)
-        if probe is None:
-            return frozenset()
-        columns, values = probe
-        return db[self.relation].lookup(columns, values)
+        columns, match = self._compiled[head.index][1]
+        if match is not None:
+            target_row = match(target_row)
+            if target_row is None:
+                return frozenset()
+        return db[self.relation].lookup(columns, target_row)
 
     # -- rule generation ------------------------------------------------------
 
@@ -286,13 +237,6 @@ class ProvenanceTable:
             )
             for head in self.heads
         )
-
-
-class _Unset:
-    __slots__ = ()
-
-
-_UNSET = _Unset()
 
 
 def _mapping_tables(
@@ -355,12 +299,23 @@ class ProvenanceEncoding:
     internal: InternalSchema
     style: str = ENCODING_COMPOSITE
     tables: tuple[ProvenanceTable, ...] = field(default=None, compare=False)  # type: ignore[assignment]
+    _targets: dict[str, tuple[tuple[ProvenanceTable, HeadTarget], ...]] = (
+        field(default=None, compare=False, repr=False)  # type: ignore[assignment]
+    )
 
     def __post_init__(self) -> None:
         tables: list[ProvenanceTable] = []
         for mapping in self.internal.mappings:
             tables.extend(_mapping_tables(mapping, self.style))
         object.__setattr__(self, "tables", tuple(tables))
+        targets: dict[str, list[tuple[ProvenanceTable, HeadTarget]]] = {}
+        for table, head in self.iter_heads():
+            targets.setdefault(head.user_relation, []).append((table, head))
+        object.__setattr__(
+            self,
+            "_targets",
+            {relation: tuple(pairs) for relation, pairs in targets.items()},
+        )
 
     # -- lookups ----------------------------------------------------------
 
@@ -377,12 +332,7 @@ class ProvenanceEncoding:
         self, user_relation: str
     ) -> tuple[tuple[ProvenanceTable, HeadTarget], ...]:
         """Every (table, head) pair that can derive tuples of a relation."""
-        out: list[tuple[ProvenanceTable, HeadTarget]] = []
-        for table in self.tables:
-            for head in table.heads:
-                if head.user_relation == user_relation:
-                    out.append((table, head))
-        return tuple(out)
+        return self._targets.get(user_relation, ())
 
     def iter_heads(self) -> Iterator[tuple[ProvenanceTable, HeadTarget]]:
         for table in self.tables:

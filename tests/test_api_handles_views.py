@@ -301,9 +301,9 @@ class TestDeprecatedFacade:
         cdss.update_exchange()
         cdss.relation("S").to_rows()
         cdss.peer("P2").trust().of("S", (1,))
-        # REPRO_STRATEGY=incremental/dred (CI's legacy-shim job) is an
-        # explicit opt-in to a deprecated strategy name, so the strategy
-        # shim's warning is expected there — everything else must be quiet.
+        # REPRO_STRATEGY=incremental/dred is an explicit opt-in to a
+        # deprecated strategy name, so the strategy shim's warning is
+        # expected there — everything else must be quiet.
         legacy_env = os.environ.get("REPRO_STRATEGY") in ("incremental", "dred")
         deprecations = [
             w for w in recwarn.list

@@ -38,8 +38,19 @@ class TestSpecObjects:
         assert [m.name for m in spec.mappings] == ["m1", "m2", "m3", "m4"]
         assert spec.edits == ()
         # The default strategy follows the REPRO_STRATEGY environment
-        # override (used by CI's legacy-shim job), else "unified".
+        # override, else "unified".
         assert spec.strategy == (os.environ.get("REPRO_STRATEGY") or "unified")
+
+    def test_strategy_environment_override_routes_through_the_shim(
+        self, monkeypatch
+    ):
+        monkeypatch.setenv("REPRO_STRATEGY", "dred")
+        cdss = running_example()
+        assert cdss.to_spec().strategy == "dred"
+        with pytest.warns(DeprecationWarning, match="strategy='dred'"):
+            report = cdss.update_exchange()
+        assert report.strategy == "dred"
+        assert set(cdss.relation("B")) == PAPER_B
 
     def test_to_spec_captures_pending_edits(self):
         spec = running_example().to_spec()

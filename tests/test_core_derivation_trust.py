@@ -74,6 +74,7 @@ class TestDerivationTest:
         verdict = tester.derivable([("S", (1,))])[("S", (1,))]
         assert verdict.trusted is False
         assert verdict.any is True  # derivation exists, just untrusted
+        assert verdict.output is False  # untrusted support never grounds
         assert tester.is_derivable("S", (2,))
 
     def test_instrumentation_counts(self):

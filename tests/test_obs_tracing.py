@@ -97,6 +97,24 @@ class TestPublishTrace:
         rounds = [s for s in trace if s["name"] == "round"]
         assert all("number" in s["attrs"] for s in rounds)
 
+    def test_deletion_publish_nests_retraction_phases(self):
+        cdss = paper_cdss()
+        cdss.update_exchange()
+        with cdss.batch() as tx:
+            tx.delete("G", (3, 5, 2))
+        tracing.enable()
+        report = cdss.update_exchange()
+        rounds = report.details["deletion"].iterations
+        assert rounds > 1
+        trace = tracing.recent_traces()[-1]
+        (retraction,) = [s for s in trace if s["name"] == "retraction"]
+        phases = [s for s in trace if s["name"].startswith("retraction.")]
+        assert all(s["parent_id"] == retraction["span_id"] for s in phases)
+        # One span per phase per round, never one per row.
+        names = [s["name"] for s in phases]
+        for phase in ("semijoin", "recount", "derivability", "apply"):
+            assert names.count(f"retraction.{phase}") == rounds
+
     def test_exception_inside_span_still_completes_trace(self):
         tracing.enable()
         with pytest.raises(RuntimeError):

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.weighted import WeightedMaintainer
 from repro.datalog import SemiNaiveEngine
 from repro.provenance import (
     BooleanSemiring,
@@ -118,15 +119,23 @@ class TestEncoding:
         m3_table = encoding.tables_for_mapping("m3")[0]
         head = m3_table.heads[0]
         # A plain value cannot match the Skolem position.
-        assert m3_table.support_probe(head, (2, "not-a-null")) is None
+        assert m3_table.supporting_rows(db, head, (2, "not-a-null")) == (
+            frozenset()
+        )
 
-    def test_body_probe_matches_joined_tuple(self):
+    def test_deleting_source_retracts_joined_provenance_row(self):
         internal, encoding, db = exchanged_db()
+        m1_table = encoding.tables_for_mapping("m1")[0]
         m4_table = encoding.tables_for_mapping("m4")[0]
-        # Deleting U(2,5) must locate the m4 instantiation that joined it.
-        probe = m4_table.body_probe(1, (2, 5))
-        assert probe is not None
-        assert db[m4_table.relation].lookup(*probe) == {(3, 5, 2)}
+        maintainer = WeightedMaintainer(
+            db, encoding, encoding.full_program(), SemiNaiveEngine()
+        )
+        # Deleting U(2,5) must retract the m4 instantiation that joined it;
+        # B(3,2) survives through m1.
+        maintainer.propagate_deletions({"U": [(2, 5)]})
+        assert (3, 5, 2) not in db[m4_table.relation]
+        assert (3, 5, 2) in db[m1_table.relation]
+        assert (3, 2) in db["B__o"]
 
 
 class TestGraph:
