@@ -5,18 +5,16 @@ complete recomputation, the incremental PropagateDelete algorithm, and DRed
 across deletion ratios of 0-90%.
 
 Paper shape: the incremental algorithm beats full recomputation up to
-roughly 80% deleted; DRed is slower than the incremental algorithm and only
-beats recomputation below ~50%.
+roughly 80% deleted.  The DRed curve is not reproduced: its
+over-delete/re-derive maintainer was removed when insertion and deletion
+maintenance were unified on the weighted core, so the cells here are
+recomputation vs. the unified (weighted PropagateDelete) maintainer.
 """
 
 from conftest import scaled
 
 from repro.bench import fig4_deletion_alternatives
-from repro.core import (
-    STRATEGY_DRED,
-    STRATEGY_INCREMENTAL,
-    STRATEGY_RECOMPUTE,
-)
+from repro.core import STRATEGY_RECOMPUTE, STRATEGY_UNIFIED
 
 PEERS = 5
 BASE = scaled(120)
@@ -38,13 +36,7 @@ def _run(cdss):
 
 def bench_incremental_10pct(benchmark):
     benchmark.pedantic(
-        _run, setup=lambda: _cell(STRATEGY_INCREMENTAL, 0.1), rounds=3
-    )
-
-
-def bench_dred_10pct(benchmark):
-    benchmark.pedantic(
-        _run, setup=lambda: _cell(STRATEGY_DRED, 0.1), rounds=3
+        _run, setup=lambda: _cell(STRATEGY_UNIFIED, 0.1), rounds=3
     )
 
 
@@ -56,13 +48,7 @@ def bench_recompute_10pct(benchmark):
 
 def bench_incremental_50pct(benchmark):
     benchmark.pedantic(
-        _run, setup=lambda: _cell(STRATEGY_INCREMENTAL, 0.5), rounds=3
-    )
-
-
-def bench_dred_50pct(benchmark):
-    benchmark.pedantic(
-        _run, setup=lambda: _cell(STRATEGY_DRED, 0.5), rounds=3
+        _run, setup=lambda: _cell(STRATEGY_UNIFIED, 0.5), rounds=3
     )
 
 
@@ -89,13 +75,9 @@ def bench_fig4_full_series(benchmark):
 
     # Incremental deletion beats full recomputation at low-to-mid ratios.
     for ratio in (0.1, 0.3, 0.5):
-        assert t(STRATEGY_INCREMENTAL, ratio) < t(STRATEGY_RECOMPUTE, ratio), (
+        assert t(STRATEGY_UNIFIED, ratio) < t(STRATEGY_RECOMPUTE, ratio), (
             f"incremental should beat recomputation at {ratio:.0%}"
         )
-    # DRed is slower than the incremental algorithm at low update ratios
-    # (the common case the paper optimizes for).
-    assert t(STRATEGY_DRED, 0.1) > t(STRATEGY_INCREMENTAL, 0.1)
-    assert t(STRATEGY_DRED, 0.3) > t(STRATEGY_INCREMENTAL, 0.3)
     # Recomputation cost declines as more data is deleted; by 90% it is
     # competitive (the paper's crossover).
     assert t(STRATEGY_RECOMPUTE, 0.9) < t(STRATEGY_RECOMPUTE, 0.1)

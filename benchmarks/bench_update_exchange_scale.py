@@ -27,9 +27,8 @@ A second series exercises the serving-side query subsystem and writes
   the recorded plan-cache hit rate must be 1.0);
 * **adhoc** — the same lookups as one-shot ``cdss.query`` text queries
   (parse + rewrite + plan every time);
-* **where_pushdown** vs **where_callable** — the same selection through
-  ``RelationView.where`` with a structured predicate (indexed probe)
-  vs. the deprecated Python-callable slow path (full scan).
+* **where_pushdown** — the same selection through ``RelationView.where``
+  with a structured predicate (indexed probe).
 
 Per cell the JSON records wall seconds, semi-naive rounds, rule
 applications, and the engine's plan-cache hit rate.  Run directly::
@@ -60,7 +59,6 @@ import gc
 import json
 import sys
 import time
-import warnings
 from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -76,7 +74,7 @@ from repro.bench.harness import (  # noqa: E402
 from repro.workload import CDSSWorkloadGenerator, WorkloadConfig  # noqa: E402
 
 RESULT_FORMAT = "repro/bench-update-exchange@6"
-QUERY_RESULT_FORMAT = "repro/bench-query@1"
+QUERY_RESULT_FORMAT = "repro/bench-query@2"
 
 INDEX_POLICIES = ("eager", "deferred")
 PRIMARY_POLICY = "deferred"  # the shipped default; fills the legacy "cells"
@@ -724,8 +722,8 @@ def run_query_cell(
     """One query-benchmark cell over a populated workload CDSS.
 
     Repeats the same key lookup with a fresh binding each time, through
-    four routes: prepared+parameterized, ad-hoc text, pushdown ``where``,
-    and the callable-``where`` slow path.
+    three routes that must agree: prepared+parameterized, ad-hoc text, and
+    pushdown ``where``.
     """
     from repro.api.query import Query, col, param
 
@@ -782,21 +780,10 @@ def run_query_cell(
         pushdown_matched += len(view.where(col(key_attr) == key).to_rows())
     pushdown_seconds = time.perf_counter() - start
 
-    # Callable where: the deprecated full-scan slow path.
-    callable_matched = 0
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DeprecationWarning)
-        start = time.perf_counter()
-        for key in chosen:
-            callable_matched += len(
-                view.where(lambda row, _k=key: row[0] == _k).to_rows()
-            )
-        callable_seconds = time.perf_counter() - start
-
-    if not (matched == adhoc_matched == pushdown_matched == callable_matched):
+    if not (matched == adhoc_matched == pushdown_matched):
         raise AssertionError(
             "query routes disagree: "
-            f"{matched}/{adhoc_matched}/{pushdown_matched}/{callable_matched}"
+            f"{matched}/{adhoc_matched}/{pushdown_matched}"
         )
     return {
         "peers": peers,
@@ -813,7 +800,6 @@ def run_query_cell(
         },
         "adhoc": {"seconds": adhoc_seconds},
         "where_pushdown": {"seconds": pushdown_seconds},
-        "where_callable": {"seconds": callable_seconds},
         "speedups": {
             "prepared_vs_adhoc": (
                 adhoc_seconds / prepared_seconds if prepared_seconds > 0 else 0.0
@@ -821,11 +807,6 @@ def run_query_cell(
             "cached_vs_prepared": (
                 (prepared_seconds / repeats) / (cached_seconds / repeats)
                 if cached_seconds > 0
-                else 0.0
-            ),
-            "pushdown_vs_callable": (
-                callable_seconds / pushdown_seconds
-                if pushdown_seconds > 0
                 else 0.0
             ),
         },
@@ -846,7 +827,6 @@ def run_query_benchmark(
             f"  peers={peers:3d}  prepared={cell['prepared']['seconds']:.3f}s"
             f"  adhoc={cell['adhoc']['seconds']:.3f}s"
             f"  pushdown={cell['where_pushdown']['seconds']:.3f}s"
-            f"  callable={cell['where_callable']['seconds']:.3f}s"
             f"  hit_rate="
             f"{cell['prepared'].get('plan_cache_hit_rate', 0.0):.2f}"
         )

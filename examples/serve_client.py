@@ -118,7 +118,7 @@ def main() -> None:
         stats = client.stats()
         admission = stats["admission"]
         print(
-            f"stats: {stats['requests']} requests, "
+            f"stats: {stats['server']['requests']} requests, "
             f"{admission['admitted']} admitted, "
             f"{admission['rejected']} rejected, "
             f"{stats['snapshot']['refreshes']} snapshot refresh(es)"

@@ -50,8 +50,6 @@ from .api import (
 )
 from .core import (
     CDSS,
-    STRATEGY_DRED,
-    STRATEGY_INCREMENTAL,
     STRATEGY_RECOMPUTE,
     STRATEGY_UNIFIED,
     ExchangeSystem,
@@ -94,8 +92,6 @@ __all__ = [
     "RelationSpec",
     "RelationView",
     "SQLiteStore",
-    "STRATEGY_DRED",
-    "STRATEGY_INCREMENTAL",
     "STRATEGY_RECOMPUTE",
     "STRATEGY_UNIFIED",
     "SchemaMapping",

@@ -1,15 +1,14 @@
 """Peer-centric handles: the v2 entry point for editing, reading and trust.
 
 ``CDSS.add_peer`` / ``CDSS.peer`` return a :class:`PeerHandle` — a light
-object scoped to one participant that replaces the old string-keyed facade
-calls::
+object scoped to one participant::
 
     pgus = cdss.add_peer("PGUS", {"G": ("id", "can", "nam")})
-    pgus.insert("G", (1, 2, 3))            # was: cdss.insert("G", ...)
+    pgus.insert("G", (1, 2, 3))
     with pgus.batch() as tx:               # transactional bulk edits
         tx.insert("G", (3, 5, 2))
     view = pgus.relation("G")              # lazy RelationView
-    pgus.trust().distrust_peer("PuBio")    # was: cdss.distrust_peer(...)
+    pgus.trust().distrust_peer("PuBio")
 
 Handles hold no state of their own (only the CDSS reference and the peer
 name), so they stay valid across reconfiguration and update exchanges.

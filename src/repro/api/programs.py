@@ -10,8 +10,8 @@ id-keyed — re-planned every rule from scratch in a throwaway engine.
 :class:`PreparedProgram` folds programs into the prepared subsystem:
 
 * the program is parsed, validated, and rewritten to the internal
-  ``R__o`` tables **once** (:func:`~repro.core.query.
-  rewrite_program_to_internal`), pinning the rule objects;
+  ``R__o`` tables **once** (:func:`rewrite_program_to_internal`),
+  pinning the rule objects;
 * a dedicated, persistent :class:`~repro.datalog.engine.SemiNaiveEngine`
   evaluates every execution, so the engine-level plan cache
   (``SemiNaiveEngine.cached_plan`` is the same machinery ``run`` uses
@@ -34,11 +34,6 @@ from __future__ import annotations
 import threading
 from typing import TYPE_CHECKING, Iterator, Mapping, Sequence
 
-from ..core.query import (
-    QueryError,
-    certain_rows,
-    rewrite_program_to_internal,
-)
 from ..datalog.ast import (
     Atom,
     Constant,
@@ -52,6 +47,7 @@ from ..datalog.parser import parse_program
 from ..schema.internal import InternalSchema, output_name
 from ..storage.database import Database
 from ..storage.instance import Row
+from .query import QueryError, certain_rows
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..core.cdss import CDSS
@@ -60,6 +56,53 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 _VARIANT_CACHE_LIMIT = 256
 """Substituted program variants kept per prepared program."""
+
+
+def rewrite_program_to_internal(
+    parsed: Program, internal: InternalSchema, answer: str
+) -> Program:
+    """Validate a query program and rewrite its EDB atoms to ``R__o``.
+
+    The program's extensional predicates must be user relation names
+    (resolved to their output tables); its intensional predicates are
+    scratch relations and must not collide with peer relations.
+    """
+    idb = parsed.idb_predicates()
+    if answer not in idb:
+        raise QueryError(
+            f"program does not define the answer predicate {answer!r}"
+        )
+    for predicate in idb:
+        if predicate in internal.catalog:
+            raise QueryError(
+                f"query program redefines peer relation {predicate!r}"
+            )
+    rewritten = []
+    for rule in parsed:
+        body = []
+        for atom in rule.body:
+            if atom.predicate in idb:
+                body.append(atom)
+            elif atom.predicate in internal.catalog:
+                if internal.arity_of(atom.predicate) != atom.arity:
+                    raise QueryError(
+                        f"query uses {atom.predicate!r} with arity "
+                        f"{atom.arity}, schema says "
+                        f"{internal.arity_of(atom.predicate)}"
+                    )
+                body.append(
+                    Atom(
+                        output_name(atom.predicate),
+                        atom.terms,
+                        negated=atom.negated,
+                    )
+                )
+            else:
+                raise QueryError(
+                    f"query references unknown relation {atom.predicate!r}"
+                )
+        rewritten.append(Rule(rule.head, tuple(body), label=rule.label))
+    return Program(tuple(rewritten), name="query")
 
 
 def _substitute_term(term: object, mapping: dict[Variable, Constant]):

@@ -35,7 +35,6 @@ import operator
 import threading
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, Sequence
 
-from ..core.query import QueryError, _rewrite_to_internal
 from ..datalog.ast import (
     Atom,
     Constant,
@@ -45,7 +44,7 @@ from ..datalog.ast import (
 )
 from ..datalog.parser import parse_rule
 from ..datalog.plan import CompiledPlan, RulePlan, compile_plan, execute_plan
-from ..schema.internal import InternalSchema
+from ..schema.internal import InternalSchema, output_name
 from ..schema.relation import RelationSchema
 from ..storage.database import Database
 from ..storage.instance import Instance, Row
@@ -65,6 +64,36 @@ _OPS: dict[str, Callable[[object, object], bool]] = {
 }
 
 ANSWER_PREDICATE = "ans"
+
+
+class QueryError(Exception):
+    """Raised for malformed queries."""
+
+
+def certain_rows(rows: Iterable[Row]) -> frozenset[Row]:
+    """Filter labeled-null-carrying rows out of a relation instance."""
+    return frozenset(
+        row for row in rows if not tuple_has_labeled_null(row)
+    )
+
+
+def _rewrite_to_internal(rule: Rule, internal: InternalSchema) -> Rule:
+    """Rewrite body atoms from user relation names to their ``R__o`` tables."""
+    body = []
+    for atom in rule.body:
+        if atom.predicate not in internal.catalog:
+            raise QueryError(
+                f"query references unknown relation {atom.predicate!r}"
+            )
+        if internal.arity_of(atom.predicate) != atom.arity:
+            raise QueryError(
+                f"query uses {atom.predicate!r} with arity {atom.arity}, "
+                f"schema says {internal.arity_of(atom.predicate)}"
+            )
+        body.append(
+            Atom(output_name(atom.predicate), atom.terms, negated=atom.negated)
+        )
+    return Rule(rule.head, tuple(body), label=rule.label)
 
 
 # ---------------------------------------------------------------------------
@@ -571,8 +600,7 @@ class Query:
             if not isinstance(condition, Condition):
                 raise QueryError(
                     f"select expects structured predicates, got "
-                    f"{condition!r}; Python callables belong to "
-                    "RelationView.where's deprecated slow path"
+                    f"{condition!r}"
                 )
             extra.extend((c, visible) for c in condition.conjuncts())
         query = self._copy()

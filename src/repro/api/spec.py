@@ -27,7 +27,7 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import TYPE_CHECKING, Mapping
 
-from ..core.exchange import STRATEGIES, STRATEGY_UNIFIED
+from ..core.exchange import STRATEGY_UNIFIED, ExchangeError, check_strategy
 from ..provenance.relations import ENCODING_STYLES, ENCODING_COMPOSITE
 from ..storage.indexes import INDEX_POLICIES, POLICY_DEFERRED
 from ..schema.relation import PeerSchema, RelationSchema, SchemaError
@@ -255,11 +255,10 @@ class SystemSpec:
         object.__setattr__(self, "peers", tuple(self.peers))
         object.__setattr__(self, "mappings", tuple(self.mappings))
         object.__setattr__(self, "edits", tuple(self.edits))
-        if self.strategy not in STRATEGIES:
-            raise SpecError(
-                f"unknown strategy {self.strategy!r}; expected one of "
-                f"{STRATEGIES}"
-            )
+        try:
+            check_strategy(self.strategy)
+        except ExchangeError as exc:
+            raise SpecError(str(exc)) from None
         if self.encoding_style not in ENCODING_STYLES:
             raise SpecError(
                 f"unknown encoding style {self.encoding_style!r}; expected "

@@ -6,17 +6,13 @@ test reads the current instance through the exchange system.  Views built
 before an :meth:`~repro.core.cdss.CDSS.update_exchange` therefore observe
 the post-exchange state — there is nothing to refresh.
 
-Views compose: :meth:`~RelationView.where` conjoins a row predicate and
-:meth:`~RelationView.certain` drops labeled-null rows, each returning a new
-(equally lazy) view.  Predicates come in two flavours:
-
-* **structured predicates** (``view.where(col("nam") == 5)``) — compiled
-  once and *pushed down*: equality comparisons against literals probe the
-  relation's hash index through the live ``R__o`` table instead of
-  scanning and filtering in Python;
-* **Python callables** (``view.where(lambda r: r[0] == 5)``) — the
-  deprecated slow path: every row crosses the interpreter.  Still
-  supported, but emits :class:`DeprecationWarning`.
+Views compose: :meth:`~RelationView.where` conjoins a structured
+predicate and :meth:`~RelationView.certain` drops labeled-null rows, each
+returning a new (equally lazy) view.  Predicates
+(``view.where(col("nam") == 5)``) are compiled once and *pushed down*:
+equality comparisons against literals probe the relation's hash index
+through the live ``R__o`` table instead of scanning and filtering in
+Python.
 
 Views are also the entry point to the query builder:
 :meth:`~RelationView.select` / :meth:`~RelationView.join` /
@@ -28,7 +24,6 @@ materializes a view as a plain ``frozenset``.
 
 from __future__ import annotations
 
-import warnings
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator
 
 from ..datalog.ast import tuple_has_labeled_null
@@ -40,8 +35,6 @@ from .query import Condition, Query, compile_row_condition
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..core.cdss import CDSS
 
-RowPredicate = Callable[[Row], bool]
-
 _CompiledCondition = tuple[
     tuple[int, ...], tuple[object, ...], "Callable[[Row], bool] | None"
 ]
@@ -50,9 +43,9 @@ _CompiledCondition = tuple[
 class RelationView:
     """A lazy view of one user relation's local instance.
 
-    Supports iteration, ``len``, ``in``, predicate filtering (structured
-    pushdown or deprecated callables), certain-answer restriction,
-    provenance lookup, query building, and materialization::
+    Supports iteration, ``len``, ``in``, structured predicate filtering
+    (pushed down to indexes), certain-answer restriction, provenance
+    lookup, query building, and materialization::
 
         B = cdss.relation("B")
         len(B)                          # live count
@@ -65,7 +58,6 @@ class RelationView:
     __slots__ = (
         "_cdss",
         "_relation",
-        "_predicate",
         "_condition",
         "_certain_only",
         "_compiled_condition",
@@ -75,13 +67,11 @@ class RelationView:
         self,
         cdss: "CDSS",
         relation: str,
-        predicate: RowPredicate | None = None,
         certain_only: bool = False,
         condition: Condition | None = None,
     ) -> None:
         self._cdss = cdss
         self._relation = relation
-        self._predicate = predicate
         self._condition = condition
         self._certain_only = certain_only
         self._compiled_condition: _CompiledCondition | None = None
@@ -119,11 +109,8 @@ class RelationView:
 
     def _iter_live(self) -> Iterator[Row]:
         """Iterate matching rows, probing indexes for pushdown equalities."""
-        predicate = self._predicate
         if self._condition is None:
-            for row in self._base_rows():
-                if predicate is None or predicate(row):
-                    yield row
+            yield from self._base_rows()
             return
         system = self._cdss.system()
         cols, values, residual = self._compiled()
@@ -140,8 +127,6 @@ class RelationView:
                 continue
             if certain_only and tuple_has_labeled_null(row):
                 continue
-            if predicate is not None and not predicate(row):
-                continue
             yield row
 
     def to_rows(self) -> frozenset[Row]:
@@ -152,14 +137,12 @@ class RelationView:
         return self._iter_live()
 
     def __len__(self) -> int:
-        if self._predicate is None and self._condition is None:
+        if self._condition is None:
             return len(self._base_rows())
         return sum(1 for _ in self._iter_live())
 
     def __contains__(self, row: Iterable[object]) -> bool:
         row = tuple(row)
-        if self._predicate is not None and not self._predicate(row):
-            return False
         if self._condition is not None:
             cols, values, residual = self._compiled()
             if any(row[c] != v for c, v in zip(cols, values)):
@@ -173,73 +156,33 @@ class RelationView:
 
     # -- composition -------------------------------------------------------
 
-    def where(self, predicate: Condition | RowPredicate) -> "RelationView":
+    def where(self, predicate: Condition) -> "RelationView":
         """A narrower view keeping only rows satisfying ``predicate``.
 
         Structured predicates (``col("nam") == 5``) are pushed down to
-        indexed probes.  Python callables still work but are the
-        deprecated slow path (full scan through the interpreter).
+        indexed probes; anything else raises :class:`TypeError`.
         """
-        if isinstance(predicate, Condition):
-            condition = (
-                predicate
-                if self._condition is None
-                else self._condition & predicate
-            )
-            return RelationView(
-                self._cdss,
-                self._relation,
-                self._predicate,
-                self._certain_only,
-                condition,
-            )
-        if not callable(predicate):
+        if not isinstance(predicate, Condition):
             raise TypeError(
-                f"where() expects a structured predicate or callable, "
-                f"got {predicate!r}"
+                f"where() expects a structured predicate such as "
+                f'col("attr") == value, got {predicate!r}'
             )
-        warnings.warn(
-            "callable row predicates are deprecated (they scan every row "
-            "in Python); use structured predicates, e.g. "
-            'where(col("attr") == value), which push down to indexed '
-            "probes — see DESIGN.md's query-subsystem section",
-            DeprecationWarning,
-            stacklevel=2,
+        condition = (
+            predicate
+            if self._condition is None
+            else self._condition & predicate
         )
-        previous = self._predicate
-        if previous is None:
-            combined = predicate
-        else:
-            def combined(row: Row, _p=previous, _q=predicate) -> bool:
-                return _p(row) and _q(row)
         return RelationView(
-            self._cdss,
-            self._relation,
-            combined,
-            self._certain_only,
-            self._condition,
+            self._cdss, self._relation, self._certain_only, condition
         )
 
     def certain(self) -> "RelationView":
         """The view restricted to certain answers (no labeled nulls)."""
-        return RelationView(
-            self._cdss,
-            self._relation,
-            self._predicate,
-            True,
-            self._condition,
-        )
+        return RelationView(self._cdss, self._relation, True, self._condition)
 
     # -- query building ----------------------------------------------------
 
     def _as_query(self) -> Query:
-        if self._predicate is not None:
-            from ..core.query import QueryError
-
-            raise QueryError(
-                "cannot build a Query from a view filtered with a Python "
-                "callable; use structured predicates instead"
-            )
         query = Query.scan(self)
         if self._condition is not None:
             query = query.select(self._condition)
@@ -280,7 +223,7 @@ class RelationView:
         # No row count here: len() would (re)build the exchange system,
         # and repr must stay side-effect free for debuggers and logging.
         qualifiers = []
-        if self._predicate is not None or self._condition is not None:
+        if self._condition is not None:
             qualifiers.append("filtered")
         if self._certain_only:
             qualifiers.append("certain")

@@ -44,6 +44,7 @@ from .bench import (
     fig10_cycles,
 )
 from .bench.harness import ExperimentResult
+from .core.exchange import STRATEGIES
 
 
 def _scaled(n: int, scale: float, minimum: int = 1) -> int:
@@ -89,7 +90,7 @@ def _run_ablation_planner(scale: float) -> ExperimentResult:
 
 
 EXPERIMENTS: dict[str, tuple[str, Callable[[float], ExperimentResult]]] = {
-    "fig4": ("deletion alternatives (incremental / DRed / recompute)", _run_fig4),
+    "fig4": ("deletion alternatives (incremental / recompute)", _run_fig4),
     "fig5": ("time to join the system", _run_fig5),
     "fig6": ("initial instance sizes", _run_fig6),
     "fig7": ("incremental insertions, string dataset", _run_fig7),
@@ -219,7 +220,7 @@ def _run_query(
 ) -> int:
     """Build a CDSS from a spec, exchange, and answer one query."""
     from . import CDSS, SpecError
-    from .core.query import QueryError
+    from .api.query import QueryError
     from .datalog.ast import DatalogError  # covers ParseError, SafetyError
     from .schema import SchemaError
 
@@ -339,12 +340,11 @@ def _run_stats(args: argparse.Namespace) -> int:
     """`repro stats URL [--watch]`: print a node's stats, then deltas."""
     import time as _time
 
-    from .obs.schema import normalize
     from .serve.client import ServeClient, ServeHTTPError
 
     try:
         with ServeClient.from_url(args.url, timeout=10.0) as client:
-            previous = _flatten_stats(normalize(client.stats()))
+            previous = _flatten_stats(client.stats())
             width = max(len(k) for k in previous) if previous else 0
             for key, value in previous.items():
                 if isinstance(value, float):
@@ -354,7 +354,7 @@ def _run_stats(args: argparse.Namespace) -> int:
                 return 0
             while True:
                 _time.sleep(args.interval)
-                current = _flatten_stats(normalize(client.stats()))
+                current = _flatten_stats(client.stats())
                 deltas = []
                 for key, value in current.items():
                     before = previous.get(key)
@@ -401,7 +401,7 @@ def build_parser() -> argparse.ArgumentParser:
     run_cmd.add_argument("spec", help="path to a spec JSON file")
     run_cmd.add_argument(
         "--strategy",
-        choices=("unified", "incremental", "dred", "recompute"),
+        choices=STRATEGIES,
         default=None,
         help="override the spec's maintenance strategy",
     )
@@ -445,7 +445,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     query_cmd.add_argument(
         "--strategy",
-        choices=("unified", "incremental", "dred", "recompute"),
+        choices=STRATEGIES,
         default=None,
         help="override the spec's maintenance strategy",
     )
@@ -535,7 +535,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve_cmd.add_argument(
         "--strategy",
-        choices=("unified", "incremental", "dred", "recompute"),
+        choices=STRATEGIES,
         default=None,
         help="maintenance strategy for the initial exchange",
     )

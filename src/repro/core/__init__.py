@@ -6,13 +6,9 @@ DESIGN.md documents how the layers stack.
 
 from .cdss import CDSS, Peer
 from .derivation import DerivabilityVerdict, DerivationTest
-from .dred import DRedMaintainer, DRedReport
 from .editlog import EditLog, PublishDelta, Update, publish
 from .exchange import (
-    LEGACY_STRATEGIES,
     STRATEGIES,
-    STRATEGY_DRED,
-    STRATEGY_INCREMENTAL,
     STRATEGY_RECOMPUTE,
     STRATEGY_UNIFIED,
     ChangeBatch,
@@ -20,21 +16,12 @@ from .exchange import (
     ExchangeReport,
     ExchangeSystem,
     Subscription,
-    resolve_strategy,
 )
-from .incremental import (
-    DeletionReport,
-    IncrementalMaintainer,
-    InsertionReport,
-)
-from .query import QueryError, answer_program, answer_query, certain_rows
-from .weighted import WeightedMaintainer
+from .weighted import DeletionReport, InsertionReport, WeightedMaintainer
 
 __all__ = [
     "CDSS",
     "ChangeBatch",
-    "DRedMaintainer",
-    "DRedReport",
     "DeletionReport",
     "DerivabilityVerdict",
     "DerivationTest",
@@ -42,22 +29,14 @@ __all__ = [
     "ExchangeError",
     "ExchangeReport",
     "ExchangeSystem",
-    "IncrementalMaintainer",
     "InsertionReport",
-    "LEGACY_STRATEGIES",
     "Peer",
     "PublishDelta",
-    "QueryError",
     "STRATEGIES",
-    "STRATEGY_DRED",
-    "STRATEGY_INCREMENTAL",
     "STRATEGY_RECOMPUTE",
     "STRATEGY_UNIFIED",
     "Subscription",
     "Update",
     "WeightedMaintainer",
-    "answer_program",
-    "answer_query",
-    "certain_rows",
     "publish",
 ]

@@ -30,23 +30,15 @@ Peers edit offline (handle/batch edits append to edit logs);
 consistent state with the configured maintenance strategy.  The whole
 configuration round-trips through declarative :class:`~repro.api.spec.SystemSpec`
 documents via :meth:`CDSS.from_spec` / :meth:`CDSS.to_spec`.
-
-The pre-v2 string-keyed facade (``cdss.insert("G", row)``,
-``cdss.instance("B")`` returning bare sets, ``cdss.distrust_peer(...)``)
-still works but emits :class:`DeprecationWarning`; DESIGN.md has the
-migration table.
 """
 
 from __future__ import annotations
 
-import os
-import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence
 
 from ..datalog.planner import Planner
-from ..provenance.expression import ProvenanceExpression
 from ..provenance.graph import ProvenanceGraph, build_provenance_graph
 from ..provenance.relations import ENCODING_COMPOSITE
 from ..provenance.semiring import Semiring, Token
@@ -58,11 +50,10 @@ from ..storage.indexes import POLICY_DEFERRED
 from ..storage.instance import Row
 from .editlog import EditLog, PublishDelta, publish
 from .exchange import (
-    LEGACY_STRATEGIES,
     STRATEGY_UNIFIED,
     ExchangeReport,
     ExchangeSystem,
-    resolve_strategy,
+    check_strategy,
 )
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -103,15 +94,6 @@ class Peer:
         self.policy = TrustPolicy(self.name)
 
 
-def _deprecated(old: str, new: str) -> None:
-    warnings.warn(
-        f"CDSS.{old} is deprecated; use {new} instead (see DESIGN.md's "
-        "migration table)",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-
-
 class CDSS:
     """A collaborative data sharing system (Section 2).
 
@@ -130,15 +112,7 @@ class CDSS:
         index_policy: str | None = None,
     ) -> None:
         self.name = name
-        # None -> the REPRO_STRATEGY environment default, else "unified".
-        # Legacy names ("incremental"/"dred") warn here, once, and are
-        # stored verbatim so spec round-trips echo what was configured;
-        # the exchange system maps them onto the unified maintainer.
-        if strategy is None:
-            strategy = os.environ.get("REPRO_STRATEGY") or STRATEGY_UNIFIED
-        elif strategy in LEGACY_STRATEGIES:
-            resolve_strategy(strategy)
-        self.strategy = strategy
+        self.strategy = check_strategy(strategy or STRATEGY_UNIFIED)
         self._planner = planner
         self._encoding_style = encoding_style
         self._perspective = perspective
@@ -339,38 +313,6 @@ class CDSS:
         )
         return verdicts.get((relation, tuple(row)), False)
 
-    def set_trust_condition(
-        self,
-        peer: str,
-        mapping: str,
-        condition: TrustCondition | Callable[[Row], bool],
-        description: str | None = None,
-    ) -> None:
-        """Deprecated: use ``cdss.peer(p).trust().condition(...)``."""
-        _deprecated(
-            "set_trust_condition", "peer(name).trust().condition(...)"
-        )
-        self._set_trust_condition(peer, mapping, condition, description)
-
-    def distrust_token(
-        self, peer: str, relation: str, row: Iterable[object]
-    ) -> None:
-        """Deprecated: use ``cdss.peer(p).trust().distrust_row(...)``."""
-        _deprecated("distrust_token", "peer(name).trust().distrust_row(...)")
-        self._distrust_token(peer, relation, row)
-
-    def distrust_peer(self, peer: str, other: str) -> None:
-        """Deprecated: use ``cdss.peer(p).trust().distrust_peer(other)``."""
-        _deprecated("distrust_peer", "peer(name).trust().distrust_peer(...)")
-        self._distrust_peer(peer, other)
-
-    def trust_of(
-        self, peer: str, relation: str, row: Iterable[object]
-    ) -> bool:
-        """Deprecated: use ``cdss.peer(p).trust().of(relation, row)``."""
-        _deprecated("trust_of", "peer(name).trust().of(relation, row)")
-        return self._trust_of(peer, relation, row)
-
     # -- editing (offline) -------------------------------------------------------
 
     def batch(self) -> "Batch":
@@ -378,16 +320,6 @@ class CDSS:
         from ..api.batch import Batch
 
         return Batch(self)
-
-    def insert(self, relation: str, row: Iterable[object]) -> None:
-        """Deprecated: use ``cdss.peer(p).insert(...)`` or a batch."""
-        _deprecated("insert", "peer(name).insert(...) or peer.batch()")
-        self._owner_peer(relation).edit_log.insert(relation, row)
-
-    def delete(self, relation: str, row: Iterable[object]) -> None:
-        """Deprecated: use ``cdss.peer(p).delete(...)`` or a batch."""
-        _deprecated("delete", "peer(name).delete(...) or peer.batch()")
-        self._owner_peer(relation).edit_log.delete(relation, row)
 
     def pending_edits(self) -> int:
         return sum(len(peer.edit_log) for peer in self._peers.values())
@@ -405,12 +337,13 @@ class CDSS:
         unpublished edits stay invisible, matching Section 2's operational
         model.
         """
+        strategy = check_strategy(strategy or self.strategy)
         system = self.system()
         delta = PublishDelta()
         names = tuple(peers) if peers is not None else tuple(self._peers)
         for name in names:
             delta.merge(publish(self._peer(name).edit_log, system.db))
-        report = system.apply_delta(delta, strategy or self.strategy)
+        report = system.apply_delta(delta, strategy)
         self._record_report(report)
         return report
 
@@ -506,17 +439,6 @@ class CDSS:
             for peer in self._peers.values()
             for schema in peer.schema.relations
         )
-
-    def instance(self, relation: str) -> frozenset[Row]:
-        """Deprecated: use ``cdss.relation(name)`` (a lazy view); call
-        ``.to_rows()`` on it for a bare frozenset."""
-        _deprecated("instance", "relation(name) / relation(name).to_rows()")
-        return self.system().instance(relation)
-
-    def certain_instance(self, relation: str) -> frozenset[Row]:
-        """Deprecated: use ``cdss.relation(name).certain()``."""
-        _deprecated("certain_instance", "relation(name).certain()")
-        return self.system().certain_instance(relation)
 
     # -- queries ----------------------------------------------------------------
 
@@ -638,15 +560,6 @@ class CDSS:
     def provenance_graph(self) -> ProvenanceGraph:
         system = self.system()
         return build_provenance_graph(system.db, system.encoding)
-
-    def provenance_of(
-        self, relation: str, row: Iterable[object], max_depth: int = 8
-    ) -> ProvenanceExpression:
-        """Deprecated: use ``cdss.relation(name).provenance(row)``."""
-        _deprecated("provenance_of", "relation(name).provenance(row)")
-        return self.provenance_graph().expression_for(
-            relation, row, max_depth=max_depth
-        )
 
     def evaluate_provenance(
         self,

@@ -13,12 +13,6 @@ maintenance strategies remain:
 * ``recompute`` — clear all derived state and re-run the fixpoint from
   the edbs (the "complete recomputation" baseline).
 
-The historical strategy names ``incremental`` (insertion delta rules +
-PropagateDelete) and ``dred`` (DRed deletion, the paper's [18] baseline)
-are accepted everywhere they always were — they resolve to ``unified``
-with a :class:`DeprecationWarning`; reports echo the requested name so
-round-trips are stable.
-
 After any strategy the database is in a *consistent state* (Definition 3.1
 as amended by the erratum: the instance computed by the chase/datalog
 program from the current edbs) — a property the test suite checks by
@@ -34,11 +28,10 @@ tier surfaces it as ``GET /changes?since=<version>``.
 from __future__ import annotations
 
 import time
-import warnings
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
-from ..datalog.ast import Program
+from ..datalog.ast import Program, tuple_has_labeled_null
 from ..datalog.engine import EvaluationResult, SemiNaiveEngine
 from ..datalog.planner import Planner
 from ..obs import metrics as _metrics
@@ -58,53 +51,35 @@ from ..storage.indexes import INDEX_POLICIES, POLICY_DEFERRED
 from ..storage.instance import Row
 from ..storage.zset import ZSet
 from .editlog import PublishDelta
-from .query import certain_rows
 from .weighted import WeightedMaintainer
 
 STRATEGY_UNIFIED = "unified"
-STRATEGY_INCREMENTAL = "incremental"
-STRATEGY_DRED = "dred"
 STRATEGY_RECOMPUTE = "recompute"
-STRATEGIES = (
-    STRATEGY_UNIFIED,
-    STRATEGY_INCREMENTAL,
-    STRATEGY_DRED,
-    STRATEGY_RECOMPUTE,
-)
-#: Deprecated strategy names and what they resolve to.
-LEGACY_STRATEGIES = {
-    STRATEGY_INCREMENTAL: STRATEGY_UNIFIED,
-    STRATEGY_DRED: STRATEGY_UNIFIED,
-}
+STRATEGIES = (STRATEGY_UNIFIED, STRATEGY_RECOMPUTE)
 
 #: Versioned change batches retained for subscribers; a cursor older than
 #: the window silently yields only the retained tail.
 CHANGELOG_RETENTION = 4096
 
 
-def resolve_strategy(strategy: str, *, stacklevel: int = 3) -> str:
-    """Map a (possibly legacy) strategy name to the one that runs.
-
-    ``incremental`` and ``dred`` are deprecation shims over the unified
-    weighted maintainer; requesting them warns once per call site and
-    returns ``unified``.  Unknown names pass through unchanged — callers
-    validate against :data:`STRATEGIES` where they always did.
-    """
-    target = LEGACY_STRATEGIES.get(strategy)
-    if target is None:
-        return strategy
-    warnings.warn(
-        f"strategy={strategy!r} is deprecated; insert and delete "
-        f"maintenance are unified on the weighted Z-set delta core — "
-        f"use strategy={target!r} (the default)",
-        DeprecationWarning,
-        stacklevel=stacklevel,
-    )
-    return target
-
-
 class ExchangeError(Exception):
     """Raised on invalid exchange operations."""
+
+
+def check_strategy(strategy: str) -> str:
+    """Return ``strategy`` if it names a maintenance strategy, else raise
+    :class:`ExchangeError` listing the valid ones."""
+    if strategy in STRATEGIES:
+        return strategy
+    hint = (
+        "; insertion and deletion maintenance are one weighted "
+        f"maintainer, use {STRATEGY_UNIFIED!r}"
+        if strategy in ("incremental", "dred")
+        else ""
+    )
+    raise ExchangeError(
+        f"unknown strategy {strategy!r}; expected one of {STRATEGIES}{hint}"
+    )
 
 
 @dataclass(frozen=True)
@@ -303,7 +278,11 @@ class ExchangeSystem:
 
     def certain_instance(self, relation: str) -> frozenset[Row]:
         """The local instance with labeled-null rows dropped."""
-        return certain_rows(self.instance(relation))
+        return frozenset(
+            row
+            for row in self.instance(relation)
+            if not tuple_has_labeled_null(row)
+        )
 
     def local_contributions(self, relation: str) -> frozenset[Row]:
         return self.db[local_name(relation)].rows()
@@ -443,17 +422,8 @@ class ExchangeSystem:
     def apply_delta(
         self, delta: PublishDelta, strategy: str = STRATEGY_UNIFIED
     ) -> ExchangeReport:
-        """Apply a published delta with the chosen maintenance strategy.
-
-        The report echoes the *requested* strategy name (legacy shims
-        included), so callers that round-trip strategy names keep seeing
-        what they asked for.
-        """
-        if strategy not in STRATEGIES:
-            raise ExchangeError(
-                f"unknown strategy {strategy!r}; expected one of {STRATEGIES}"
-            )
-        effective = resolve_strategy(strategy)
+        """Apply a published delta with the chosen maintenance strategy."""
+        check_strategy(strategy)
         start = time.perf_counter()
         cpu_start = time.process_time()
         stats_before = self.engine.stats.counters()
@@ -466,7 +436,7 @@ class ExchangeSystem:
             else None
         )
         try:
-            if effective == STRATEGY_RECOMPUTE:
+            if strategy == STRATEGY_RECOMPUTE:
                 # recompute() fills details["evaluation"] from its own run
                 # and captures the change batch by output-snapshot diff.
                 report = self._apply_by_recompute(delta)

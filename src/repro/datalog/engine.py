@@ -284,12 +284,7 @@ class SemiNaiveEngine:
         if entry is not None and entry[2] == token:
             result.plan_cache_hits += 1
             return entry[1]
-        if params:
-            plan = self.planner.plan(rule, db, delta_index, params)
-        else:
-            # Legacy two-planner call shape, kept so planner objects that
-            # predate parameter support keep working for ordinary rules.
-            plan = self.planner.plan(rule, db, delta_index)
+        plan = self.planner.plan(rule, db, delta_index, params)
         if len(self._plan_cache) >= _PLAN_CACHE_LIMIT:
             self._plan_cache.clear()
         self._plan_cache[key] = (rule, plan, token)
@@ -305,8 +300,8 @@ class SemiNaiveEngine:
     ) -> RulePlan:
         """Public entry to the engine-level plan cache.
 
-        Used by the prepared-query subsystem and the DRed maintainer, which
-        plan outside a full engine run; cache hits/misses accrue directly to
+        Used by the prepared-query subsystem and the weighted maintainer,
+        which plan outside a full engine run; cache hits/misses accrue directly to
         the engine's cumulative :attr:`stats`.
         """
         result = EvaluationResult()
@@ -319,7 +314,7 @@ class SemiNaiveEngine:
         self, predicate: str, arity: int, rows: set[Row]
     ) -> Instance:
         """The reusable Δ-relation for ``predicate``, swapped to ``rows``
-        (see :class:`DeltaPool`).  Public so the DRed maintainer shares
+        (see :class:`DeltaPool`).  Public so the weighted maintainer shares
         the same persistent Δ pool."""
         return self._delta_pool.instance(predicate, arity, rows)
 

@@ -50,7 +50,7 @@ from ..core.cdss import CDSS
 from ..obs import metrics as _metrics
 from ..core.editlog import EditLog, PublishDelta, Update
 from ..core.editlog import publish as publish_log
-from ..core.exchange import ExchangeReport
+from ..core.exchange import ExchangeReport, check_strategy
 from ..storage.codec import decode_row, dumps_row, encode_row
 from ..storage.instance import StorageError
 from ..storage.persistence import CATALOG_BUCKET, checkpoint as checkpoint_db
@@ -324,12 +324,12 @@ class DurableNode:
         the exchange engine applies it — the redo-log ordering that makes
         recovery exact.  Auto-checkpoints on the configured cadence.
         """
+        used = check_strategy(strategy or self.cdss.strategy)
         system = self.cdss.system()
         names = tuple(peers) if peers is not None else self.cdss.peers()
         delta = PublishDelta()
         for name in names:
             delta.merge(publish_log(self.cdss._peer(name).edit_log, system.db))
-        used = strategy or self.cdss.strategy
         self.wal.append(
             KIND_PUBLISH,
             {

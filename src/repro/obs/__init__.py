@@ -1,13 +1,13 @@
-"""repro.obs — unified telemetry: metrics registry, exchange tracing,
-and the stats schema.
+"""repro.obs — unified telemetry: metrics registry and exchange tracing.
 
-See :mod:`repro.obs.metrics`, :mod:`repro.obs.tracing`,
-:mod:`repro.obs.schema`, and the "Observability" section of DESIGN.md.
+See :mod:`repro.obs.metrics`, :mod:`repro.obs.tracing`, and the
+"Observability" section of DESIGN.md (which also documents the stats
+naming conventions).
 """
 
 from __future__ import annotations
 
-from . import metrics, schema, tracing
+from . import metrics, tracing
 from .metrics import (
     DEFAULT_LATENCY_BUCKETS,
     MetricError,
@@ -19,7 +19,6 @@ from .metrics import (
 __all__ = [
     "metrics",
     "tracing",
-    "schema",
     "REGISTRY",
     "MetricsRegistry",
     "MetricError",

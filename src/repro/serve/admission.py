@@ -134,12 +134,9 @@ class AdmissionController:
         self.timeouts += 1
 
     def stats(self) -> dict:
-        # ``timeout`` is the legacy spelling of ``timeout_seconds``
-        # (kept as a deprecation shim — see repro.obs.schema).
         return {
             "max_inflight": self.max_inflight,
             "max_queue": self.max_queue,
-            "timeout": self.timeout,
             "timeout_seconds": self.timeout,
             "admitted": self.admitted,
             "rejected": self.rejected,

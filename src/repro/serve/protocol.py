@@ -22,8 +22,7 @@ import threading
 import time
 from typing import TYPE_CHECKING, Mapping, Sequence
 
-from ..api.query import _OrderKey, apply_row_order
-from ..core.query import QueryError
+from ..api.query import QueryError, _OrderKey, apply_row_order
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..core.cdss import CDSS

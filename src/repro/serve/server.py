@@ -415,13 +415,7 @@ class ReproServer:
         raise ServeError(f"unknown path {path!r}", 404, "not_found")
 
     def _stats(self) -> dict:
-        # Legacy top-level request counters are kept as-is; the "server"
-        # block is the normalized spelling (see repro.obs.schema).
         stats = {
-            "requests": self.requests,
-            "errors": self.errors,
-            "publishes": self.publishes,
-            "pending_edits": self.cdss.pending_edits(),
             "statements": len(self.registry),
             "server": {
                 "requests": self.requests,
@@ -445,8 +439,6 @@ class ReproServer:
         if self.node is not None:
             stats["durability"] = {
                 "data_dir": str(self.node.data_dir),
-                # "wal_seq" is the legacy spelling of "wal_last_seq".
-                "wal_seq": self.node.wal.last_seq,
                 "wal_last_seq": self.node.wal.last_seq,
                 "wal_appends": self.node.wal.appended,
                 "wal_fsyncs": self.node.wal.fsyncs,

@@ -377,9 +377,7 @@ class Instance:
         """A deep copy carrying the index definitions and policy.
 
         Indexes are copied bucket-wise (cheaper than rebuilding key
-        tuples), so probes against the copy start warm — e.g. the DRed
-        maintainer's pre-deletion snapshot probes the same columns the
-        live database just did.
+        tuples), so probes against the copy start warm.
         """
         clone = Instance(
             name or self.name, self.arity, index_policy=self.index_policy

@@ -1,11 +1,9 @@
 """Tests for the v2 API surface: peer handles, transactional batches,
-lazy relation views, trust scopes, and the deprecated facade shims."""
-
-import os
+lazy relation views, trust scopes, and the removal of the old facade."""
 
 import pytest
 
-from repro import CDSS, Batch, BatchError, PeerHandle, RelationView
+from repro import CDSS, Batch, BatchError, PeerHandle, RelationView, col
 from repro.schema import SchemaError
 
 
@@ -186,11 +184,14 @@ class TestRelationView:
         with cdss.peer("P1").batch() as tx:
             tx.insert_many("R", [(i,) for i in range(10)])
         cdss.update_exchange()
-        evens = cdss.relation("R").where(lambda r: r[0] % 2 == 0)
-        assert len(evens) == 5
-        assert (2,) in evens and (3,) not in evens
-        small = evens.where(lambda r: r[0] < 4)
-        assert small.to_rows() == {(0,), (2,)}
+        high = cdss.relation("R").where(col("a") >= 5)
+        assert len(high) == 5
+        assert (6,) in high and (3,) not in high
+        small = high.where(col("a") < 7)
+        assert small.to_rows() == {(5,), (6,)}
+        # Only structured predicates are accepted; callables are refused.
+        with pytest.raises(TypeError):
+            high.where(lambda r: r[0] < 7)
         # The base view is unchanged.
         assert len(cdss.relation("R")) == 10
 
@@ -218,7 +219,7 @@ class TestRelationView:
         assert view.peer == "P1"
         assert view.schema.attributes == ("a",)
         assert "RelationView" in repr(view)
-        assert "filtered" in repr(view.where(lambda r: True))
+        assert "filtered" in repr(view.where(col("a") == 1))
 
     def test_bool_and_iteration(self):
         cdss = small_cdss()
@@ -252,47 +253,44 @@ class TestTrustScope:
 
 
 class TestDeprecatedFacade:
-    """The pre-v2 string-keyed facade still works but warns."""
+    """The pre-v2 string-keyed facade is gone; handles and views replace it."""
 
     def test_insert_instance_delete_warn_and_work(self):
         cdss = small_cdss()
-        with pytest.warns(DeprecationWarning, match="insert"):
-            cdss.insert("R", (1,))
+        for name in ("insert", "delete", "instance"):
+            assert not hasattr(cdss, name)
+        cdss.peer("P1").insert("R", (1,))
         cdss.update_exchange()
-        with pytest.warns(DeprecationWarning, match="instance"):
-            assert cdss.instance("S") == {(1,)}
-        with pytest.warns(DeprecationWarning, match="delete"):
-            cdss.delete("R", (1,))
+        assert cdss.relation("S").to_rows() == {(1,)}
+        cdss.peer("P1").delete("R", (1,))
         cdss.update_exchange()
-        with pytest.warns(DeprecationWarning):
-            assert cdss.instance("S") == frozenset()
+        assert cdss.relation("S").to_rows() == frozenset()
 
     def test_certain_instance_warns(self):
         cdss = small_cdss()
-        with pytest.warns(DeprecationWarning, match="certain_instance"):
-            assert cdss.certain_instance("S") == frozenset()
+        assert not hasattr(cdss, "certain_instance")
+        assert cdss.relation("S").certain().to_rows() == frozenset()
 
     def test_provenance_of_warns_and_matches_view(self):
         cdss = small_cdss()
+        assert not hasattr(cdss, "provenance_of")
         cdss.peer("P1").insert("R", (1,))
         cdss.update_exchange()
-        with pytest.warns(DeprecationWarning, match="provenance_of"):
-            old = cdss.provenance_of("S", (1,))
-        assert repr(old) == repr(cdss.relation("S").provenance((1,)))
+        assert repr(cdss.relation("S").provenance((1,))) == "m(R(1))"
 
     def test_trust_facade_warns_and_matches_scope(self):
         cdss = small_cdss()
-        with pytest.warns(DeprecationWarning, match="set_trust_condition"):
-            cdss.set_trust_condition("P2", "m", lambda row: row[0] > 0)
-        with pytest.warns(DeprecationWarning, match="distrust_token"):
-            cdss.distrust_token("P2", "R", (1,))
-        with pytest.warns(DeprecationWarning, match="distrust_peer"):
-            cdss.distrust_peer("P2", "P1")
+        for name in (
+            "set_trust_condition", "distrust_token", "distrust_peer",
+            "trust_of",
+        ):
+            assert not hasattr(cdss, name)
+        cdss.peer("P2").trust().condition("m", lambda row: row[0] > 0)
         cdss.peer("P1").insert("R", (1,))
         cdss.update_exchange()
-        with pytest.warns(DeprecationWarning, match="trust_of"):
-            old = cdss.trust_of("P2", "S", (1,))
-        assert old == cdss.peer("P2").trust().of("S", (1,))
+        assert cdss.peer("P2").trust().of("S", (1,)) is True
+        cdss.peer("P2").trust().distrust_peer("P1")
+        assert cdss.peer("P2").trust().of("S", (1,)) is False
 
     def test_new_api_does_not_warn(self, recwarn):
         cdss = small_cdss()
@@ -301,13 +299,8 @@ class TestDeprecatedFacade:
         cdss.update_exchange()
         cdss.relation("S").to_rows()
         cdss.peer("P2").trust().of("S", (1,))
-        # REPRO_STRATEGY=incremental/dred is an explicit opt-in to a
-        # deprecated strategy name, so the strategy shim's warning is
-        # expected there — everything else must be quiet.
-        legacy_env = os.environ.get("REPRO_STRATEGY") in ("incremental", "dred")
         deprecations = [
             w for w in recwarn.list
             if issubclass(w.category, DeprecationWarning)
-            and not (legacy_env and "strategy=" in str(w.message))
         ]
         assert deprecations == []

@@ -1,6 +1,7 @@
 """Tests for the first-class query subsystem (prepared / parameterized /
 plan-cached queries, structured-predicate pushdown, answer modes)."""
 
+import importlib
 import threading
 import warnings
 
@@ -9,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import CDSS, CountingSemiring, Query, col, param
-from repro.core.query import QueryError, answer_query
+from repro.api.query import QueryError
 from repro.datalog.ast import SkolemValue
 from repro.provenance.annotated import ExpressionSemiring
 from repro.provenance.expression import ZERO
@@ -339,25 +340,22 @@ class TestWherePushdown:
         assert rows == {(3, 2), (3, 3), (3, 5)}
 
     def test_callable_where_warns_and_agrees(self):
+        # Callable predicates were removed: where() refuses them outright.
         cdss = paper_cdss()
-        with pytest.warns(DeprecationWarning):
-            legacy = cdss.relation("B").where(lambda r: r[0] == 3).to_rows()
-        assert legacy == cdss.relation("B").where(col("id") == 3).to_rows()
+        with pytest.raises(TypeError, match="structured predicate"):
+            cdss.relation("B").where(lambda r: r[0] == 3)
 
     def test_answer_query_shim_warns_and_agrees(self):
+        # The one-shot answer_query helper and its module are gone; the
+        # prepared query is the one route.
+        import repro.core
+
+        assert not hasattr(repro.core, "answer_query")
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module("repro.core.query")
         cdss = paper_cdss()
-        system = cdss.system()
-        with pytest.warns(DeprecationWarning):
-            shim = answer_query(
-                "ans(x, y) :- U(x, z), U(y, z)", system.db, system.internal
-            )
-        assert shim == cdss.query("ans(x, y) :- U(x, z), U(y, z)")
-        with pytest.warns(DeprecationWarning):
-            superset = answer_query(
-                "ans(n, c) :- U(n, c)", system.db, system.internal,
-                certain=False,
-            )
-        assert superset == cdss.query("ans(n, c) :- U(n, c)", certain=False)
+        text = "ans(x, y) :- U(x, z), U(y, z)"
+        assert cdss.prepare(text).execute().to_rows() == cdss.query(text)
 
     def test_where_chaining_and_residuals(self):
         cdss = paper_cdss()
@@ -380,11 +378,13 @@ class TestWherePushdown:
             view.to_rows()
 
     def test_view_filtered_by_callable_cannot_become_query(self):
+        # No callable-filtered view can exist, and select() refuses a
+        # callable in place of a structured predicate.
         cdss = paper_cdss()
-        with pytest.warns(DeprecationWarning):
-            view = cdss.relation("B").where(lambda r: True)
+        with pytest.raises(TypeError):
+            cdss.relation("B").where(lambda r: True)
         with pytest.raises(QueryError):
-            view.select(col("id") == 3)
+            cdss.relation("B").select(lambda r: True)
 
     def test_repr_qualifiers(self):
         cdss = paper_cdss()
@@ -425,12 +425,6 @@ class TestPushdownEquivalenceProperty:
         )
         pushdown = cdss.relation("S").where(col("a") == key).to_rows()
         assert pushdown == naive
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            slow = (
-                cdss.relation("S").where(lambda r: r[0] == key).to_rows()
-            )
-        assert slow == naive
         # The prepared Query route agrees too.
         prepared = cdss.prepare(
             cdss.relation("S").select(col("a") == param("k"))
@@ -555,9 +549,8 @@ class TestDatabaseVersionDirtyBit:
 
 class TestDRedPlanReuse:
     def test_dred_reuses_engine_plans(self):
-        """Repeated DRed deletions must not rebuild plans per call."""
+        """Repeated deletions must not rebuild plans per call."""
         cdss = paper_cdss()
-        cdss.strategy = "dred"
         peer = cdss.peer("PGUS")
         planner = cdss.system().engine.planner
         peer.delete("G", (1, 2, 3))
@@ -570,7 +563,7 @@ class TestDRedPlanReuse:
 
     def test_dred_still_agrees_with_recompute(self):
         results = []
-        for strategy in ("dred", "recompute"):
+        for strategy in ("unified", "recompute"):
             cdss = paper_cdss()
             cdss.strategy = strategy
             cdss.peer("PBioSQL").delete("B", (3, 2))

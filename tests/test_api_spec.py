@@ -1,11 +1,11 @@
 """Tests for the declarative spec layer and the ``repro run`` CLI."""
 
 import json
-import os
 
 import pytest
 
 from repro import CDSS, EditSpec, MappingSpec, PeerSpec, SpecError, SystemSpec
+from repro.core import ExchangeError
 from repro.api.spec import RelationSpec
 from repro.cli import main
 
@@ -37,19 +37,18 @@ class TestSpecObjects:
         assert [p.name for p in spec.peers] == ["PGUS", "PBioSQL", "PuBio"]
         assert [m.name for m in spec.mappings] == ["m1", "m2", "m3", "m4"]
         assert spec.edits == ()
-        # The default strategy follows the REPRO_STRATEGY environment
-        # override, else "unified".
-        assert spec.strategy == (os.environ.get("REPRO_STRATEGY") or "unified")
+        assert spec.strategy == "unified"
 
     def test_strategy_environment_override_routes_through_the_shim(
         self, monkeypatch
     ):
+        # REPRO_STRATEGY was removed: the environment no longer picks
+        # the strategy, CDSS(strategy=None) always means "unified".
         monkeypatch.setenv("REPRO_STRATEGY", "dred")
         cdss = running_example()
-        assert cdss.to_spec().strategy == "dred"
-        with pytest.warns(DeprecationWarning, match="strategy='dred'"):
-            report = cdss.update_exchange()
-        assert report.strategy == "dred"
+        assert cdss.to_spec().strategy == "unified"
+        report = cdss.update_exchange()
+        assert report.strategy == "unified"
         assert set(cdss.relation("B")) == PAPER_B
 
     def test_to_spec_captures_pending_edits(self):
@@ -141,39 +140,28 @@ class TestBuildAndRoundTrip:
 
     def test_spec_preserves_options(self):
         cdss = CDSS(
-            "opts", encoding_style="per-rule", strategy="dred",
+            "opts", encoding_style="per-rule", strategy="recompute",
             perspective=None,
         )
         cdss.add_peer("P", {"R": ("a",)})
         spec = cdss.to_spec()
         clone = CDSS.from_spec(spec)
-        assert clone.strategy == "dred"
+        assert clone.strategy == "recompute"
         assert clone.to_spec() == spec
 
     @pytest.mark.parametrize("legacy", ["incremental", "dred"])
     def test_legacy_strategy_shims_warn_and_round_trip(self, legacy):
-        """`strategy="incremental"`/`"dred"` stay accepted as deprecation
-        shims: they warn, round-trip through spec JSON verbatim, and run
-        on the unified weighted maintainer."""
-        with pytest.warns(DeprecationWarning, match="unified"):
-            cdss = CDSS("legacy", strategy=legacy)
-        cdss.add_peer("P", {"R": ("a",)})
-        cdss.add_peer("Q", {"S": ("a",)})
-        cdss.add_mapping("m", "R(x) -> S(x)")
-        with cdss.batch() as tx:
-            tx.insert("R", (1,))
-        with pytest.warns(DeprecationWarning, match="unified"):
-            report = cdss.update_exchange()
-        # The report echoes the *requested* name, not the resolved one.
-        assert report.strategy == legacy
-        assert cdss.relation("S").to_rows() == {(1,)}
-        document = cdss.to_spec().to_json()
-        assert f'"strategy": "{legacy}"' in document
-        with pytest.warns(DeprecationWarning, match="unified"):
-            clone = CDSS.from_spec(SystemSpec.from_json(document))
-        assert clone.strategy == legacy
-        clone.update_exchange()
-        assert clone.relation("S").to_rows() == {(1,)}
+        """The old names `"incremental"`/`"dred"` were removed: every entry
+        point refuses them with a hint to use `"unified"`."""
+        with pytest.raises(ExchangeError, match="use 'unified'"):
+            CDSS("legacy", strategy=legacy)
+        cdss = CDSS("legacy")
+        with pytest.raises(ExchangeError, match="use 'unified'"):
+            cdss.update_exchange(strategy=legacy)
+        document = cdss.to_spec().to_dict()
+        document["strategy"] = legacy
+        with pytest.raises(SpecError, match="use 'unified'"):
+            SystemSpec.from_dict(document)
 
     def test_default_strategy_does_not_warn(self, recwarn):
         cdss = CDSS("quiet")
@@ -187,8 +175,25 @@ class TestBuildAndRoundTrip:
             if issubclass(w.category, DeprecationWarning)
             and "strategy" in str(w.message)
         ]
-        if not (os.environ.get("REPRO_STRATEGY") in ("incremental", "dred")):
-            assert strategy_warnings == []
+        assert strategy_warnings == []
+
+    def test_bad_strategy_fails_fast_at_construction(self):
+        with pytest.raises(ExchangeError, match="'unified', 'recompute'"):
+            CDSS("bad", strategy="bogus")
+
+    def test_bad_strategy_fails_fast_at_update_exchange(self):
+        cdss = running_example()
+        with pytest.raises(ExchangeError, match="'unified', 'recompute'"):
+            cdss.update_exchange(strategy="bogus")
+        # Refused before publishing: the staged edits are still pending.
+        assert cdss.pending_edits() == 4
+        assert cdss.relation("B").to_rows() == frozenset()
+
+    def test_bad_strategy_fails_fast_in_spec_from_dict(self):
+        document = running_example(with_data=False).to_spec().to_dict()
+        document["strategy"] = "bogus"
+        with pytest.raises(SpecError, match="'unified', 'recompute'"):
+            SystemSpec.from_dict(document)
 
     def test_unknown_keys_rejected(self):
         document = running_example(with_data=False).to_spec().to_dict()

@@ -63,7 +63,7 @@ class TestTinyDrivers:
         result = fig4_deletion_alternatives(
             base_per_peer=12, ratios=(0.25, 0.75), peers=3
         )
-        assert len(result.measurements) == 2 * 3
+        assert len(result.measurements) == 2 * 2  # recompute, unified
         for m in result.measurements:
             assert m.metrics["seconds"] >= 0
 

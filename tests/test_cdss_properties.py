@@ -5,7 +5,7 @@ mappings with existentials, trust conditions, interleaved edit batches —
 and check the global invariants after every exchange:
 
 * the database equals a fresh recomputation from the edbs (Def. 3.1);
-* all three maintenance strategies land on identical states;
+* incremental maintenance and recomputation land on identical states;
 * certain answers never contain labeled nulls;
 * every output tuple is derivable per the goal-directed test, and every
   trusted non-rejected derivable tuple is present (soundness/completeness
@@ -16,11 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import CDSS
-from repro.core import (
-    STRATEGY_DRED,
-    STRATEGY_INCREMENTAL,
-    STRATEGY_RECOMPUTE,
-)
+from repro.core import STRATEGIES, STRATEGY_UNIFIED
 from repro.core.derivation import DerivationTest
 from repro.datalog.ast import tuple_has_labeled_null
 
@@ -34,8 +30,8 @@ def build_cdss(strategy, trust_threshold=None):
     cdss.add_mapping("mbc", "B2(k, v) -> C(k)")
     cdss.add_mapping("mca", "C(k) -> exists v . A(k, v)")  # cycle + nulls
     if trust_threshold is not None:
-        cdss.set_trust_condition(
-            "P2", "mab", lambda row: row[0] < trust_threshold,
+        cdss.peer("P2").trust().condition(
+            "mab", lambda row: row[0] < trust_threshold,
             description="threshold",
         )
     return cdss
@@ -60,14 +56,14 @@ def lifecycle(draw):
 def apply_batch(cdss, batch):
     inserts, deletes, rejections = batch
     for key, value in inserts:
-        cdss.insert("A", (key, value))
+        cdss.peer("P1").insert("A", (key, value))
     for key in deletes:
         # Delete whatever A currently holds under this key (if anything).
-        for row in [r for r in cdss.instance("A") if r[0] == key]:
+        for row in [r for r in cdss.relation("A").to_rows() if r[0] == key]:
             if not tuple_has_labeled_null(row):
-                cdss.delete("A", row)
+                cdss.peer("P1").delete("A", row)
     for key in rejections:
-        cdss.delete("C", (key,))
+        cdss.peer("P3").delete("C", (key,))
     cdss.update_exchange()
 
 
@@ -75,7 +71,7 @@ def apply_batch(cdss, batch):
 @given(data=lifecycle())
 def test_property_incremental_lifecycle_consistent(data):
     batches, threshold = data
-    cdss = build_cdss(STRATEGY_INCREMENTAL, threshold)
+    cdss = build_cdss(STRATEGY_UNIFIED, threshold)
     for batch in batches:
         apply_batch(cdss, batch)
     assert cdss.system().is_consistent()
@@ -86,28 +82,23 @@ def test_property_incremental_lifecycle_consistent(data):
 def test_property_strategies_agree_via_facade(data):
     batches, threshold = data
     snapshots = []
-    for strategy in (
-        STRATEGY_INCREMENTAL,
-        STRATEGY_DRED,
-        STRATEGY_RECOMPUTE,
-    ):
+    for strategy in STRATEGIES:
         cdss = build_cdss(strategy, threshold)
         for batch in batches:
             apply_batch(cdss, batch)
         snapshots.append(cdss.system().db.snapshot())
     assert snapshots[0] == snapshots[1]
-    assert snapshots[1] == snapshots[2]
 
 
 @settings(max_examples=20, deadline=None)
 @given(data=lifecycle())
 def test_property_certain_answers_never_contain_nulls(data):
     batches, threshold = data
-    cdss = build_cdss(STRATEGY_INCREMENTAL, threshold)
+    cdss = build_cdss(STRATEGY_UNIFIED, threshold)
     for batch in batches:
         apply_batch(cdss, batch)
     for relation in ("A", "B2", "C"):
-        for row in cdss.certain_instance(relation):
+        for row in cdss.relation(relation).certain():
             assert not tuple_has_labeled_null(row)
     answers = cdss.query("ans(k) :- A(k, v)")
     assert all(not tuple_has_labeled_null(row) for row in answers)
@@ -119,7 +110,7 @@ def test_property_outputs_match_derivability(data):
     """Soundness and completeness of the maintained output tables against
     the goal-directed derivability semantics."""
     batches, threshold = data
-    cdss = build_cdss(STRATEGY_INCREMENTAL, threshold)
+    cdss = build_cdss(STRATEGY_UNIFIED, threshold)
     for batch in batches:
         apply_batch(cdss, batch)
     system = cdss.system()

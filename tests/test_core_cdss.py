@@ -40,12 +40,12 @@ class TestConfiguration:
     def test_unknown_relation_in_edit_rejected(self):
         cdss = small_cdss()
         with pytest.raises(SchemaError):
-            cdss.insert("Nope", (1,))
+            cdss.batch().insert("Nope", (1,))
 
     def test_unknown_peer_rejected(self):
         cdss = small_cdss()
         with pytest.raises(SchemaError):
-            cdss.distrust_peer("Nope", "P1")
+            cdss.peer("Nope").trust().distrust_peer("P1")
 
     def test_peers_and_mappings_listing(self):
         cdss = small_cdss()
@@ -59,23 +59,23 @@ class TestConfiguration:
 class TestEditingAndExchange:
     def test_pending_edits_counted(self):
         cdss = small_cdss()
-        cdss.insert("R", (1,))
-        cdss.delete("R", (2,))
+        cdss.peer("P1").insert("R", (1,))
+        cdss.peer("P1").delete("R", (2,))
         assert cdss.pending_edits() == 2
         cdss.update_exchange()
         assert cdss.pending_edits() == 0
 
     def test_strategy_override_per_exchange(self):
         cdss = small_cdss()
-        cdss.insert("R", (1,))
+        cdss.peer("P1").insert("R", (1,))
         report = cdss.update_exchange(strategy=STRATEGY_RECOMPUTE)
         assert report.strategy == STRATEGY_RECOMPUTE
 
     def test_exchange_reports_accumulate(self):
         cdss = small_cdss()
-        cdss.insert("R", (1,))
+        cdss.peer("P1").insert("R", (1,))
         cdss.update_exchange()
-        cdss.insert("R", (2,))
+        cdss.peer("P1").insert("R", (2,))
         cdss.update_exchange()
         assert len(cdss.exchange_reports) == 2
 
@@ -91,45 +91,45 @@ class TestEditingAndExchange:
 
     def test_recompute_entry_point(self):
         cdss = small_cdss()
-        cdss.insert("R", (1,))
+        cdss.peer("P1").insert("R", (1,))
         cdss.update_exchange()
         report = cdss.recompute()
         assert report.strategy == STRATEGY_RECOMPUTE
-        assert cdss.instance("S") == {(1,)}
+        assert cdss.relation("S").to_rows() == {(1,)}
 
 
 class TestReconfiguration:
     def test_add_mapping_after_data_preserves_base(self):
         cdss = small_cdss()
-        cdss.insert("R", (1,))
+        cdss.peer("P1").insert("R", (1,))
         cdss.update_exchange()
         # Reconfigure: add a peer and a new mapping; base data carries over.
         cdss.add_peer("P3", {"T": ("a",)})
         cdss.add_mapping("m2", "S(x) -> T(x)")
-        assert cdss.instance("T") == {(1,)}
-        assert cdss.instance("S") == {(1,)}
+        assert cdss.relation("T").to_rows() == {(1,)}
+        assert cdss.relation("S").to_rows() == {(1,)}
 
     def test_trust_change_after_data_recomputes(self):
         cdss = small_cdss()
-        cdss.insert("R", (1,))
-        cdss.insert("R", (2,))
+        cdss.peer("P1").insert("R", (1,))
+        cdss.peer("P1").insert("R", (2,))
         cdss.update_exchange()
-        assert cdss.instance("S") == {(1,), (2,)}
-        cdss.set_trust_condition("P2", "m", lambda row: row[0] % 2 == 0)
-        assert cdss.instance("S") == {(2,)}
+        assert cdss.relation("S").to_rows() == {(1,), (2,)}
+        cdss.peer("P2").trust().condition("m", lambda row: row[0] % 2 == 0)
+        assert cdss.relation("S").to_rows() == {(2,)}
         # Base data survived the rebuild.
-        assert cdss.instance("R") == {(1,), (2,)}
+        assert cdss.relation("R").to_rows() == {(1,), (2,)}
 
     def test_rejections_survive_reconfiguration(self):
         cdss = small_cdss()
-        cdss.insert("R", (1,))
+        cdss.peer("P1").insert("R", (1,))
         cdss.update_exchange()
-        cdss.delete("S", (1,))  # rejection at P2
+        cdss.peer("P2").delete("S", (1,))  # rejection at P2
         cdss.update_exchange()
         cdss.add_peer("P3", {"T": ("a",)})
         cdss.add_mapping("m2", "S(x) -> T(x)")
-        assert cdss.instance("S") == frozenset()
-        assert cdss.instance("T") == frozenset()
+        assert cdss.relation("S").to_rows() == frozenset()
+        assert cdss.relation("T").to_rows() == frozenset()
 
 
 class TestProvenanceAccess:
@@ -140,9 +140,9 @@ class TestProvenanceAccess:
         cdss.add_peer("PuBio", {"U": ("nam", "can")})
         cdss.add_mapping("m1", "G(i, c, n) -> B(i, n)")
         cdss.add_mapping("m4", "B(i, c), U(n, c) -> B(i, n)")
-        cdss.insert("G", (3, 5, 2))
-        cdss.insert("B", (3, 5))
-        cdss.insert("U", (2, 5))
+        cdss.peer("PGUS").insert("G", (3, 5, 2))
+        cdss.peer("PBioSQL").insert("B", (3, 5))
+        cdss.peer("PuBio").insert("U", (2, 5))
         cdss.update_exchange()
         trees = cdss.provenance_graph().derivation_trees("B", (3, 2))
         assert len(trees) == 2
@@ -158,7 +158,7 @@ class TestProvenanceAccess:
     def test_derivation_trees_cyclic_bounded(self):
         cdss = small_cdss()
         cdss.add_mapping("m_back", "S(x) -> R(x)")
-        cdss.insert("R", (1,))
+        cdss.peer("P1").insert("R", (1,))
         cdss.update_exchange()
         trees = cdss.provenance_graph().derivation_trees(
             "S", (1,), max_depth=4, limit=10
@@ -170,7 +170,7 @@ class TestProvenanceAccess:
 
     def test_base_tuple_tree_is_leaf(self):
         cdss = small_cdss()
-        cdss.insert("R", (1,))
+        cdss.peer("P1").insert("R", (1,))
         cdss.update_exchange()
         trees = cdss.provenance_graph().derivation_trees("R", (1,))
         assert trees[0] == DerivationTree(("R", (1,)))

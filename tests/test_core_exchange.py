@@ -3,11 +3,7 @@
 import pytest
 
 from repro.core.editlog import PublishDelta
-from repro.core.exchange import (
-    STRATEGY_INCREMENTAL,
-    ExchangeError,
-    ExchangeSystem,
-)
+from repro.core.exchange import STRATEGY_UNIFIED, ExchangeError, ExchangeSystem
 from repro.datalog.planner import CostBasedPlanner, PreparedPlanner
 from repro.provenance import ENCODING_PER_RULE, TrustCondition, TrustPolicy
 from repro.schema import InternalSchema, PeerSchema, RelationSchema, SchemaMapping
@@ -94,10 +90,10 @@ class TestApplyDelta:
             local_deletes={"R": {(1,)}},
             rejection_inserts={"S": {(2,)}},
         )
-        report = system.apply_delta(delta, STRATEGY_INCREMENTAL)
+        report = system.apply_delta(delta, STRATEGY_UNIFIED)
         assert system.instance("R") == {(2,), (3,)}
         assert system.instance("S") == {(3,)}
-        assert report.strategy == STRATEGY_INCREMENTAL
+        assert report.strategy == STRATEGY_UNIFIED
         assert system.is_consistent()
 
     def test_unrejection_delta(self):
@@ -107,7 +103,7 @@ class TestApplyDelta:
         system.recompute()
         assert system.instance("S") == frozenset()
         delta = PublishDelta(rejection_deletes={"S": {(1,)}})
-        system.apply_delta(delta, STRATEGY_INCREMENTAL)
+        system.apply_delta(delta, STRATEGY_UNIFIED)
         assert system.instance("S") == {(1,)}
         assert system.is_consistent()
 
@@ -116,7 +112,7 @@ class TestApplyDelta:
         system.db["R__l"].insert((1,))
         system.recompute()
         before = system.db.snapshot()
-        system.apply_delta(PublishDelta(), STRATEGY_INCREMENTAL)
+        system.apply_delta(PublishDelta(), STRATEGY_UNIFIED)
         assert system.db.snapshot() == before
 
 
@@ -198,6 +194,6 @@ class TestPerspectives:
         )
         system.recompute()
         delta = PublishDelta(local_inserts={"R": {(1,), (2,)}})
-        system.apply_delta(delta, STRATEGY_INCREMENTAL)
+        system.apply_delta(delta, STRATEGY_UNIFIED)
         assert system.instance("T") == {(2,)}
         assert system.is_consistent()

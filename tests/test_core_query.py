@@ -3,7 +3,7 @@
 import pytest
 
 from repro import CDSS
-from repro.core.query import QueryError, answer_query, certain_rows
+from repro.api.query import QueryError, certain_rows
 from repro.datalog.ast import SkolemValue
 
 
@@ -12,10 +12,10 @@ def cdss_with_nulls() -> CDSS:
     cdss.add_peer("P1", {"B": ("id", "nam")})
     cdss.add_peer("P2", {"U": ("nam", "can")})
     cdss.add_mapping("m3", "B(i, n) -> exists c . U(n, c)")
-    cdss.insert("B", (1, "x"))
-    cdss.insert("B", (2, "x"))
-    cdss.insert("B", (3, "y"))
-    cdss.insert("U", ("y", "canon"))
+    cdss.peer("P1").batch().insert_many(
+        "B", [(1, "x"), (2, "x"), (3, "y")]
+    ).commit()
+    cdss.peer("P2").insert("U", ("y", "canon"))
     cdss.update_exchange()
     return cdss
 
@@ -67,9 +67,8 @@ class TestCertainAnswers:
 
     def test_empty_body_rejected(self):
         cdss = cdss_with_nulls()
-        system = cdss.system()
         with pytest.raises(QueryError):
-            answer_query("ans(1)", system.db, system.internal)
+            cdss.prepare("ans(1)")
 
     def test_unsafe_query_rejected(self):
         cdss = cdss_with_nulls()
@@ -83,7 +82,7 @@ class TestCertainAnswers:
 
     def test_certain_instance_vs_instance(self):
         cdss = cdss_with_nulls()
-        full = cdss.instance("U")
-        certain = cdss.certain_instance("U")
+        full = cdss.relation("U").to_rows()
+        certain = cdss.relation("U").certain().to_rows()
         assert certain < full
         assert certain == {("y", "canon")}

@@ -1,9 +1,11 @@
 """Tests for recursive datalog queries over peer instances."""
 
+import importlib
+
 import pytest
 
 from repro import CDSS
-from repro.core.query import QueryError
+from repro.api.query import QueryError
 
 
 def synonym_cdss() -> CDSS:
@@ -12,9 +14,10 @@ def synonym_cdss() -> CDSS:
     cdss.add_peer("PGUS", {"G": ("a", "b")})
     cdss.add_peer("PuBio", {"U": ("a", "b")})
     cdss.add_mapping("m", "G(a, b) -> U(a, b)")
-    for edge in [(1, 2), (2, 3), (3, 4), (10, 11)]:
-        cdss.insert("G", edge)
-    cdss.insert("U", (4, 5))
+    cdss.peer("PGUS").batch().insert_many(
+        "G", [(1, 2), (2, 3), (3, 4), (10, 11)]
+    ).commit()
+    cdss.peer("PuBio").insert("U", (4, 5))
     cdss.update_exchange()
     return cdss
 
@@ -74,7 +77,7 @@ class TestQueryPrograms:
         cdss.add_peer("P1", {"B": ("i", "n")})
         cdss.add_peer("P2", {"U": ("n", "c")})
         cdss.add_mapping("m3", "B(i, n) -> exists c . U(n, c)")
-        cdss.insert("B", (1, 7))
+        cdss.peer("P1").insert("B", (1, 7))
         cdss.update_exchange()
         program = """
             Pair(n, c) :- U(n, c)
@@ -110,7 +113,7 @@ class TestQueryPrograms:
 
     def test_program_over_updated_instance(self):
         cdss = synonym_cdss()
-        cdss.delete("U", (2, 3))  # reject the imported link
+        cdss.peer("PuBio").delete("U", (2, 3))  # reject the imported link
         cdss.update_exchange()
         answers = cdss.query_program(
             """
@@ -204,13 +207,16 @@ class TestPreparedPrograms:
         assert (1, 6) in prepared.execute().certain()
 
     def test_answer_program_shim_is_deprecated_and_agrees(self):
-        from repro.core.query import answer_program
+        # The one-shot shim and its module are gone; the prepared program
+        # is the only route, and query_program agrees with it.
+        import repro.core
 
+        assert not hasattr(repro.core, "answer_program")
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module("repro.core.query")
         cdss = synonym_cdss()
-        system = cdss.system()
-        with pytest.warns(DeprecationWarning, match="answer_program"):
-            legacy = answer_program(self.REACH, system.db, system.internal)
-        assert legacy == cdss.query_program(self.REACH)
+        prepared = cdss.prepare_program(self.REACH)
+        assert prepared.execute().certain() == cdss.query_program(self.REACH)
 
     def test_unsafe_parameterized_program_rejected_at_prepare(self):
         from repro.datalog.ast import SafetyError

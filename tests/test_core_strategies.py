@@ -1,7 +1,8 @@
-"""Cross-strategy equivalence: incremental == DRed == full recomputation.
+"""Cross-strategy equivalence: incremental maintenance == full recomputation.
 
-The paper's central correctness claim for Section 4.2 is that all three
-maintenance strategies compute the same consistent state (Definition 3.1).
+The paper's central correctness claim for Section 4.2 is that incremental
+maintenance computes the same consistent state (Definition 3.1) as
+recomputing from the edbs.
 These tests check it on the paper's example, on adversarial cyclic-support
 cases, and property-based over random workloads.
 """
@@ -11,11 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import CDSS
-from repro.core import (
-    STRATEGY_DRED,
-    STRATEGY_INCREMENTAL,
-    STRATEGY_RECOMPUTE,
-)
+from repro.core import STRATEGIES, STRATEGY_UNIFIED
 from repro.core.editlog import PublishDelta
 from repro.core.exchange import ExchangeSystem
 from repro.schema import InternalSchema, PeerSchema, RelationSchema, SchemaMapping
@@ -37,13 +34,9 @@ def cyclic_internal() -> InternalSchema:
 
 def run_all_strategies(internal, base, delta):
     """Apply ``delta`` with every strategy on identical initial states;
-    return the three output snapshots."""
+    return the (unified, recompute) output snapshots."""
     snapshots = []
-    for strategy in (
-        STRATEGY_INCREMENTAL,
-        STRATEGY_DRED,
-        STRATEGY_RECOMPUTE,
-    ):
+    for strategy in STRATEGIES:
         system = ExchangeSystem(internal)
         for relation, rows in base.items():
             system.db[f"{relation}__l"].insert_many(rows)
@@ -69,7 +62,7 @@ class TestCyclicSupport:
         for snapshot in snapshots:
             assert snapshot["R__o"] == frozenset()
             assert snapshot["S__o"] == frozenset()
-        assert snapshots[0] == snapshots[1] == snapshots[2]
+        assert snapshots[0] == snapshots[1]
 
     def test_partial_deletion_keeps_other_tuples(self):
         internal = cyclic_internal()
@@ -80,7 +73,7 @@ class TestCyclicSupport:
         for snapshot in snapshots:
             assert snapshot["R__o"] == {(3, 4), (5, 6)}
             assert snapshot["S__o"] == {(3, 4), (5, 6)}
-        assert snapshots[0] == snapshots[1] == snapshots[2]
+        assert snapshots[0] == snapshots[1]
 
     def test_tuple_locally_contributed_at_both_peers(self):
         """Deleting one peer's contribution keeps the tuple alive through
@@ -102,7 +95,7 @@ class TestCyclicSupport:
             # S rejects the tuple; R keeps it (local contribution).
             assert snapshot["S__o"] == frozenset()
             assert snapshot["R__o"] == {(1, 2)}
-        assert snapshots[0] == snapshots[1] == snapshots[2]
+        assert snapshots[0] == snapshots[1]
 
 
 class TestThreePeerChainDeletions:
@@ -114,21 +107,19 @@ class TestThreePeerChainDeletions:
         cdss.add_mapping("mab", "A(k, v) -> B2(k, v)")
         cdss.add_mapping("mbc", "B2(k, v) -> C(k, v)")
         for i in range(10):
-            cdss.insert("A", (i, i * 10))
-        cdss.insert("B2", (100, 1))
+            cdss.peer("P1").insert("A", (i, i * 10))
+        cdss.peer("P2").insert("B2", (100, 1))
         cdss.update_exchange()
         return cdss
 
-    @pytest.mark.parametrize(
-        "strategy", [STRATEGY_INCREMENTAL, STRATEGY_DRED, STRATEGY_RECOMPUTE]
-    )
+    @pytest.mark.parametrize("strategy", STRATEGIES)
     def test_chain_deletion_cascades(self, strategy):
         cdss = self._cdss(strategy)
         for i in range(5):
-            cdss.delete("A", (i, i * 10))
+            cdss.peer("P1").delete("A", (i, i * 10))
         cdss.update_exchange()
-        assert cdss.instance("A") == {(i, i * 10) for i in range(5, 10)}
-        assert cdss.instance("C") == {(i, i * 10) for i in range(5, 10)} | {
+        assert cdss.relation("A").to_rows() == {(i, i * 10) for i in range(5, 10)}
+        assert cdss.relation("C").to_rows() == {(i, i * 10) for i in range(5, 10)} | {
             (100, 1)
         }
         assert cdss.system().is_consistent()
@@ -141,33 +132,30 @@ class TestThreePeerChainDeletions:
             for i in range(200, 500):
                 tx.delete("A", (i, i % 7))
         cdss.update_exchange()
-        assert cdss.instance("C") == {(i, i * 10) for i in range(5, 10)} | {
+        assert cdss.relation("C").to_rows() == {(i, i * 10) for i in range(5, 10)} | {
             (100, 1)
         } | {(i, i % 7) for i in range(500, 600)}
         assert cdss.system().is_consistent()
 
-    @pytest.mark.parametrize(
-        "strategy", [STRATEGY_INCREMENTAL, STRATEGY_DRED]
-    )
+    @pytest.mark.parametrize("strategy", STRATEGIES)
     def test_mixed_insert_delete_batch(self, strategy):
         cdss = self._cdss(strategy)
-        cdss.delete("A", (0, 0))
-        cdss.insert("A", (50, 500))
-        cdss.delete("B2", (3, 30))  # rejection of imported data
+        cdss.peer("P1").delete("A", (0, 0))
+        cdss.peer("P1").insert("A", (50, 500))
+        cdss.peer("P2").delete("B2", (3, 30))  # rejection of imported data
         cdss.update_exchange()
-        assert (0, 0) not in cdss.instance("C")
-        assert (50, 500) in cdss.instance("C")
-        assert (3, 30) not in cdss.instance("B2")
-        assert (3, 30) not in cdss.instance("C")  # rejection blocks the flow
-        assert (3, 30) in cdss.instance("A")  # source unaffected
+        assert (0, 0) not in cdss.relation("C").to_rows()
+        assert (50, 500) in cdss.relation("C").to_rows()
+        assert (3, 30) not in cdss.relation("B2").to_rows()
+        assert (3, 30) not in cdss.relation("C").to_rows()  # rejection blocks the flow
+        assert (3, 30) in cdss.relation("A").to_rows()  # source unaffected
         assert cdss.system().is_consistent()
 
 
 class TestMultiAtomBodies:
     """Regression: a peer with several relations makes mapping bodies
     multi-atom joins; deleting both join sides in one batch must still
-    propagate (DRed's delta rules must join against the pre-deletion
-    state)."""
+    propagate."""
 
     def _internal(self):
         return InternalSchema(
@@ -196,7 +184,7 @@ class TestMultiAtomBodies:
         )
         for snapshot in snapshots:
             assert snapshot["B1__o"] == {(2, "x2", "y2")}
-        assert snapshots[0] == snapshots[1] == snapshots[2]
+        assert snapshots[0] == snapshots[1]
         # The provenance row is doomed through both join sides; the
         # bulk retraction counts its effective deletion once.
         system = ExchangeSystem(internal)
@@ -218,7 +206,7 @@ class TestMultiAtomBodies:
             assert snapshot["B1__o"] == {(2, "x2", "y2")}
             # A2's row survives (it is a local contribution).
             assert snapshot["A2__o"] == {(1, "y1"), (2, "y2")}
-        assert snapshots[0] == snapshots[1] == snapshots[2]
+        assert snapshots[0] == snapshots[1]
 
 
 @st.composite
@@ -235,9 +223,9 @@ def chain_workload(draw):
 @settings(max_examples=40, deadline=None)
 @given(workload=chain_workload())
 def test_property_strategies_agree_on_random_workloads(workload):
-    """Property: for random base data and random mixed update batches, all
-    three strategies produce identical databases (including provenance
-    tables), each equal to a fresh recomputation."""
+    """Property: for random base data and random mixed update batches,
+    incremental maintenance produces the same database (including
+    provenance tables) as a fresh recomputation."""
     base, deletions, rejections, insertions = workload
     internal = InternalSchema(
         (
@@ -258,26 +246,25 @@ def test_property_strategies_agree_on_random_workloads(workload):
     )
     snapshots = run_all_strategies(internal, {"R": {(x,) for x in base}}, delta)
     assert snapshots[0] == snapshots[1]
-    assert snapshots[1] == snapshots[2]
 
 
 @settings(max_examples=25, deadline=None)
 @given(workload=chain_workload())
 def test_property_incremental_stays_consistent_over_two_batches(workload):
     base, deletions, rejections, insertions = workload
-    cdss = CDSS(strategy=STRATEGY_INCREMENTAL)
+    cdss = CDSS(strategy=STRATEGY_UNIFIED)
     cdss.add_peer("P1", {"R": ("a",)})
     cdss.add_peer("P2", {"S": ("a",)})
     cdss.add_mapping("m_rs", "R(x) -> S(x)")
     cdss.add_mapping("m_sr", "S(x) -> R(x)")
     for x in base:
-        cdss.insert("R", (x,))
+        cdss.peer("P1").insert("R", (x,))
     cdss.update_exchange()
     for x in deletions:
-        cdss.delete("R", (x,))
+        cdss.peer("P1").delete("R", (x,))
     for x in rejections:
-        cdss.delete("S", (x,))  # rejection (imported at S)
+        cdss.peer("P2").delete("S", (x,))  # rejection (imported at S)
     for x in insertions:
-        cdss.insert("R", (x,))
+        cdss.peer("P1").insert("R", (x,))
     cdss.update_exchange()
     assert cdss.system().is_consistent()

@@ -446,6 +446,7 @@ class TestServeRecovery:
                 proc.wait()
         assert after == before
         assert durability["recovered"]
+        assert "wal_seq" not in durability and durability["wal_last_seq"] > 0
         # WAL-tail replay, not recompute: both the seed publish and the
         # client's publish came back from the log.
         assert durability["replayed_publish_records"] == 2

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.incremental import _strip_output
+from repro.core.weighted import _strip_output
 from repro.datalog import (
     CostBasedPlanner,
     DatalogError,

@@ -3,14 +3,13 @@
 Scrapes ``GET /metrics`` from a live server around (and concurrently
 with) a publish, asserting the Prometheus exposition parses, all
 instrumented layer families are present, and counters are monotonic.
-Also covers the normalized ``/stats`` schema and the stats-key shims.
+Also covers the ``/stats`` schema.
 """
 
+import importlib
 import threading
 
 import pytest
-
-from repro.obs.schema import LEGACY_KEYS, normalize
 
 from test_serve import ServerThread, ServeClient, paper_cdss
 
@@ -130,32 +129,26 @@ class TestStatsSchema:
         cdss = paper_cdss()
         with ServerThread(cdss) as node, ServeClient(port=node.port) as client:
             stats = client.stats()
-            # Legacy top-level keys survive (deprecation shims) ...
-            assert "requests" in stats
-            # ... alongside the normalized blocks.
-            assert stats["server"]["requests"] == stats["requests"]
+            assert stats["server"]["requests"] >= 1
             assert stats["server"]["uptime_seconds"] >= 0
             assert "rounds" in stats["engine"]
             assert "eval_cpu_seconds" in stats["engine"]
             assert stats["indexes"]["relations"] > 0
             assert "parallel" not in stats
-            admission = stats["admission"]
-            assert admission["timeout_seconds"] == admission["timeout"]
+            assert stats["admission"]["timeout_seconds"] > 0
 
     def test_normalize_rewrites_legacy_spellings(self):
-        stats = {
-            "requests": 3,
-            "server": {"requests": 3},
-            "durability": {"wal_seq": 9},
-            "admission": {"timeout": 30.0},
-        }
-        normalized = normalize(stats)
-        assert normalized["durability"]["wal_last_seq"] == 9
-        assert normalized["admission"]["timeout_seconds"] == 30.0
-        # Legacy spellings are folded away by normalize().
-        assert "wal_seq" not in normalized["durability"]
-        assert "timeout" not in normalized["admission"]
-        assert all(legacy in LEGACY_KEYS for legacy in ("wal_seq", "timeout"))
+        # The legacy spellings are no longer emitted, so there is nothing
+        # left to normalize: the module is gone and /stats has one schema.
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module("repro.obs.schema")
+        cdss = paper_cdss()
+        with ServerThread(cdss) as node, ServeClient(port=node.port) as client:
+            stats = client.stats()
+        for legacy in ("requests", "errors", "publishes", "pending_edits"):
+            assert legacy not in stats
+            assert legacy in stats["server"]
+        assert "timeout" not in stats["admission"]
 
     def test_exchange_report_phases(self):
         cdss = paper_cdss()

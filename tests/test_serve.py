@@ -20,7 +20,7 @@ from pathlib import Path
 import pytest
 
 from repro import CDSS
-from repro.core.query import QueryError
+from repro.api.query import QueryError
 from repro.schema.internal import output_name
 from repro.serve import (
     AdmissionController,
@@ -200,8 +200,8 @@ class _ExchangePauser:
         self._resume.set()
 
 
-@pytest.mark.parametrize("strategy", ["incremental", "dred"])
-def test_snapshot_isolated_mid_exchange(strategy):
+@pytest.mark.parametrize("edit", ["insert", "delete"])
+def test_snapshot_isolated_mid_exchange(edit):
     """A snapshot pinned before publish() serves byte-identical answers
     while the exchange is mid-flight (live tables torn) and after it
     completes, for insertions and deletions."""
@@ -213,7 +213,7 @@ def test_snapshot_isolated_mid_exchange(strategy):
     query_before = json.dumps(sorted(prepared.execute_at(snapshot)))
     program_before = json.dumps(sorted(program.execute_at(snapshot)))
 
-    if strategy == "dred":
+    if edit == "delete":
         cdss.peer("PGUS").delete("G", (1, 2, 3))
     else:
         cdss.peer("PGUS").insert("G", (10, 20, 30))
@@ -225,7 +225,7 @@ def test_snapshot_isolated_mid_exchange(strategy):
 
     def exchange():
         try:
-            cdss.update_exchange(strategy=strategy)
+            cdss.update_exchange()
         except Exception as error:  # pragma: no cover - failure path
             failure.append(error)
 
@@ -344,7 +344,7 @@ class TestServerEndToEnd:
             assert after["pinned_version"] != before["pinned_version"]
             stats = client.stats()
             assert stats["snapshot"]["refreshes"] == 1
-            assert stats["publishes"] == 1
+            assert stats["server"]["publishes"] == 1
 
     def test_change_stream(self):
         cdss = paper_cdss()

@@ -355,7 +355,7 @@ class TestExchangePolicies:
         cdss.update_exchange()
         return cdss
 
-    @pytest.mark.parametrize("strategy", ("incremental", "dred"))
+    @pytest.mark.parametrize("strategy", ("unified", "recompute"))
     def test_policies_reach_identical_state(self, strategy):
         results = {}
         for policy in POLICIES:

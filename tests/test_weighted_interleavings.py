@@ -11,13 +11,12 @@ change stream rides along: every exchange's captured ``R__o`` Z-set must
 equal the diff of the output instances around it.
 
 The grid covers two topologies, both index-maintenance policies (eager /
-deferred) and the legacy strategy shims ("incremental" / "dred"), which
-must route through the very same weighted pass as the "unified" default.
+deferred) and both strategies: under "recompute" the fingerprint check is
+trivial, but the change stream must still equal the output diff.
 Deterministic tests at the end pin the derivability test on cycles and
 its one-probe-per-row, linear-slice behaviour on a long chain.
 """
 
-import warnings
 from collections import Counter
 
 import pytest
@@ -25,17 +24,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import CDSS
-from repro.core import weighted
+from repro.core import STRATEGIES, weighted
 from repro.core.derivation import DerivationTest
 from repro.provenance.relations import ProvenanceTable
 from repro.storage import ZSet
 
 
 def new_cdss(name, strategy="unified", index_policy=None):
-    with warnings.catch_warnings():
-        # Legacy strategy names warn by design; that is not under test here.
-        warnings.simplefilter("ignore", DeprecationWarning)
-        return CDSS(name, strategy=strategy, index_policy=index_policy)
+    return CDSS(name, strategy=strategy, index_policy=index_policy)
 
 
 def build_cdss(strategy, index_policy, trust_threshold=None):
@@ -186,17 +182,15 @@ def check_against_recompute(topology, strategy, index_policy, data):
 
 
 @pytest.mark.parametrize("index_policy", ["eager", "deferred"])
-@pytest.mark.parametrize("strategy", ["unified", "incremental", "dred"])
+@pytest.mark.parametrize("strategy", STRATEGIES)
 @settings(max_examples=10, deadline=None)
 @given(data=interleavings())
 def test_interleavings_match_recompute(strategy, index_policy, data):
     check_against_recompute("chain-nulls", strategy, index_policy, data)
 
 
-# Legacy strategy names warn on every exchange by design; not under test.
-@pytest.mark.filterwarnings("ignore:strategy=:DeprecationWarning")
 @pytest.mark.parametrize("index_policy", ["eager", "deferred"])
-@pytest.mark.parametrize("strategy", ["unified", "incremental", "dred"])
+@pytest.mark.parametrize("strategy", STRATEGIES)
 @settings(max_examples=10, deadline=None)
 @given(data=interleavings())
 def test_cycle_interleavings_match_recompute(strategy, index_policy, data):

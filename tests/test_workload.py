@@ -212,7 +212,7 @@ class TestEndToEnd:
         last = gen.layouts[-1]
         # Entries inserted at peer0 must surface at the last chain peer.
         relation = last.relation_name(0)
-        instance = cdss.instance(relation)
+        instance = cdss.relation(relation).to_rows()
         peer0_keys = {
             u.key for u in gen.inserted_entries[first.name]
         }
@@ -302,7 +302,7 @@ class TestEndToEnd:
         nulls = 0
         for layout in gen.layouts:
             for schema in layout.relation_schemas():
-                for row in cdss.instance(schema.name):
+                for row in cdss.relation(schema.name):
                     if tuple_has_labeled_null(row):
                         nulls += 1
         assert nulls > 0
