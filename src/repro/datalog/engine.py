@@ -244,6 +244,12 @@ class SemiNaiveEngine:
         self._plan_cache: dict[
             tuple[int, int | None], tuple[Rule, RulePlan, object]
         ] = {}
+        # Programs are frozen, so their validation is memoized the same
+        # way: id-keyed, with the program stored to pin its id.
+        # id(program) -> (program, stratification)
+        self._validated: dict[int, tuple[Program, Stratification]] = {}
+        # (id(program), delta predicates) -> program, once found sound
+        self._sound: dict[tuple[int, frozenset[str]], Program] = {}
         # Persistent per-predicate delta relations, reused across rounds and
         # runs so their probe indexes stay warm.
         self._delta_pool = DeltaPool()
@@ -362,12 +368,23 @@ class SemiNaiveEngine:
 
     # -- full evaluation -----------------------------------------------------
 
-    def run(self, program: Program, db: Database) -> EvaluationResult:
-        """Evaluate ``program`` to fixpoint over ``db`` (inserting tuples)."""
+    def _validate(self, program: Program) -> Stratification:
+        """Safety, arity and stratification checks, once per program."""
+        entry = self._validated.get(id(program))
+        if entry is not None and entry[0] is program:
+            return entry[1]
         program.check_safety()
         _check_head_arities(program)
-        ensure_idb_relations(program, db)
         stratification = stratify(program)
+        if len(self._validated) >= _PLAN_CACHE_LIMIT:
+            self._validated.clear()
+        self._validated[id(program)] = (program, stratification)
+        return stratification
+
+    def run(self, program: Program, db: Database) -> EvaluationResult:
+        """Evaluate ``program`` to fixpoint over ``db`` (inserting tuples)."""
+        stratification = self._validate(program)
+        ensure_idb_relations(program, db)
         result = EvaluationResult()
         for stratum in stratification.strata:
             self._run_stratum(list(stratum), db, result, seed=None)
@@ -387,11 +404,14 @@ class SemiNaiveEngine:
         :class:`IncrementalUnsoundError` if the deltas could reach a negated
         atom occurrence (see class docstring).
         """
-        program.check_safety()
-        _check_head_arities(program)
+        stratification = self._validate(program)
         ensure_idb_relations(program, db)
-        stratification = stratify(program)
-        self._check_insertion_soundness(program, set(inserted))
+        key = (id(program), frozenset(inserted))
+        if self._sound.get(key) is not program:
+            self._check_insertion_soundness(program, set(inserted))
+            if len(self._sound) >= _PLAN_CACHE_LIMIT:
+                self._sound.clear()
+            self._sound[key] = program
 
         all_new: dict[str, set[Row]] = {
             pred: set(map(tuple, rows)) for pred, rows in inserted.items()

@@ -114,5 +114,14 @@ def bootstrap_default_metrics(registry: MetricsRegistry = REGISTRY) -> None:
         "repro_snapshot_version",
         "Database version of the currently served snapshot",
     )
+    counter(
+        "repro_snapshot_full_pins_total",
+        "Snapshot replicas rebuilt by a full copy",
+        labels=("reason",),
+    )
+    counter(
+        "repro_snapshot_delta_rows_total",
+        "Rows patched into snapshot replicas from the change log",
+    )
     if registry is REGISTRY:
         _BOOTSTRAPPED = True

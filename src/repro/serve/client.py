@@ -11,6 +11,14 @@ import http.client
 import json
 from typing import Mapping, Sequence
 
+#: The errors of a keep-alive connection the server closed while idle —
+#: the only failures after which re-sending a request is safe.
+_STALE_CONNECTION = (
+    http.client.RemoteDisconnected,
+    BrokenPipeError,
+    ConnectionResetError,
+)
+
 
 class ServeHTTPError(Exception):
     """A non-2xx response; carries the status and the decoded payload."""
@@ -65,6 +73,35 @@ class ServeClient:
 
     # -- transport ---------------------------------------------------------
 
+    def _roundtrip(
+        self, method: str, path: str, body: bytes | None, headers: dict
+    ) -> tuple[int, bytes]:
+        """Send one request; ``(status, body bytes)``.
+
+        Retries once, and only when the server had already dropped the
+        idle keep-alive connection — the request never reached it.  Any
+        other failure (a timeout above all) propagates: the server may
+        have acted on the request, and re-sending a POST would apply it
+        twice.  The connection is closed either way, so the next call
+        starts on a fresh one.
+        """
+        try:
+            try:
+                return self._send(method, path, body, headers)
+            except _STALE_CONNECTION:
+                self._conn.close()
+                return self._send(method, path, body, headers)
+        except BaseException:
+            self._conn.close()
+            raise
+
+    def _send(
+        self, method: str, path: str, body: bytes | None, headers: dict
+    ) -> tuple[int, bytes]:
+        self._conn.request(method, path, body=body, headers=headers)
+        response = self._conn.getresponse()
+        return response.status, response.read()
+
     def request(
         self, method: str, path: str, payload: Mapping | None = None
     ) -> dict:
@@ -73,40 +110,24 @@ class ServeClient:
         if payload is not None:
             body = json.dumps(payload).encode()
             headers["Content-Type"] = "application/json"
-        try:
-            self._conn.request(method, path, body=body, headers=headers)
-            response = self._conn.getresponse()
-            raw = response.read()
-        except (http.client.HTTPException, ConnectionError, OSError):
-            # One transparent retry on a dropped keep-alive connection.
-            self._conn.close()
-            self._conn.request(method, path, body=body, headers=headers)
-            response = self._conn.getresponse()
-            raw = response.read()
+        status, raw = self._roundtrip(method, path, body, headers)
         decoded = json.loads(raw) if raw else {}
-        if response.status >= 300:
-            raise ServeHTTPError(response.status, decoded)
+        if status >= 300:
+            raise ServeHTTPError(status, decoded)
         return decoded
 
     def request_text(self, method: str, path: str) -> str:
         """Like :meth:`request` but for text/plain routes (``/metrics``)."""
-        headers = {"Connection": "keep-alive"}
-        try:
-            self._conn.request(method, path, headers=headers)
-            response = self._conn.getresponse()
-            raw = response.read()
-        except (http.client.HTTPException, ConnectionError, OSError):
-            self._conn.close()
-            self._conn.request(method, path, headers=headers)
-            response = self._conn.getresponse()
-            raw = response.read()
+        status, raw = self._roundtrip(
+            method, path, None, {"Connection": "keep-alive"}
+        )
         text = raw.decode("utf-8", errors="replace")
-        if response.status >= 300:
+        if status >= 300:
             try:
                 payload: object = json.loads(text)
             except ValueError:
                 payload = {"error": "error", "message": text}
-            raise ServeHTTPError(response.status, payload)
+            raise ServeHTTPError(status, payload)
         return text
 
     # -- API surface -------------------------------------------------------

@@ -152,23 +152,28 @@ class Statement:
             raise ServeError(
                 f"unknown answer mode {mode!r}; expected one of {ANSWER_MODES}"
             )
+        execute = (
+            self._run_query if self.kind == KIND_QUERY else self._run_program
+        )
         try:
-            if self.kind == KIND_QUERY:
-                payload = self._run_query(
-                    bindings, snapshot, mode, order, limit, offset
-                )
+            if snapshot is None:
+                payload = execute(bindings, None, mode, order, limit, offset)
+                pinned_version = None
             else:
-                payload = self._run_program(
-                    bindings, snapshot, mode, order, limit, offset
-                )
+                # The version is read under the lock the rows were read
+                # under: a standing replica may be patched forward (and
+                # its version moved) as soon as the lock is released.
+                with snapshot.lock:
+                    payload = execute(
+                        bindings, snapshot, mode, order, limit, offset
+                    )
+                    pinned_version = snapshot.version
         except QueryError as exc:
             raise ServeError(str(exc), status=400, code="query_error") from exc
         self.executions += 1
         payload["statement"] = self.id
         payload["mode"] = mode
-        payload["pinned_version"] = (
-            None if snapshot is None else snapshot.version
-        )
+        payload["pinned_version"] = pinned_version
         payload["elapsed"] = time.perf_counter() - started
         return payload
 

@@ -9,10 +9,11 @@ concurrency architecture (the whole point of the tier) in four rules:
    fixpoint.  They take the admission semaphore, never the exchange lock.
 2. **Writes serialize behind the exchange lock.**  Edits, publishes, and
    statement preparation run on a single writer thread under an
-   :class:`asyncio.Lock`; a publish pins a fresh snapshot *before*
-   releasing the lock (copy-on-publish), so the next read — even one
-   admitted mid-publish — sees either the old fixpoint or the new one,
-   never anything in between.
+   :class:`asyncio.Lock`; a publish brings the idle snapshot replica
+   forward by its change batches and swaps it in *before* releasing the
+   lock (delta-on-publish), so the next read — even one admitted
+   mid-publish — sees either the old fixpoint or the new one, never
+   anything in between.
 3. **Degradation is graceful.**  Beyond ``max_inflight`` executions +
    ``max_queue`` waiters a request is rejected immediately with 503;
    per-request timeouts return 504.  Counters for all of it live under
@@ -213,6 +214,7 @@ class ReproServer:
         self._readers.shutdown(wait=True)
         self._writer.shutdown(wait=True)
         self._subscription.close()
+        self.snapshots.close()
         if self.node is not None:
             # Graceful shutdown = final checkpoint; the next open() replays
             # an empty WAL tail.
@@ -673,8 +675,9 @@ class ReproServer:
                     report = self.cdss.update_exchange(
                         peers=peers, strategy=strategy
                     )
-                # Copy-on-publish: pin the new fixpoint while the exchange
-                # lock is still held, so no later write can tear the copy.
+                # Delta-on-publish: bring the idle replica to the new
+                # fixpoint while the exchange lock is still held, so no
+                # later write can interleave with the patch.
                 snapshot = self.snapshots.refresh()
             except BaseException:
                 if span is not None:

@@ -51,6 +51,42 @@ class TestPlanCache:
         assert second.plan_cache_misses == 0
         assert second.plan_cache_hit_rate == 1.0
 
+    def test_program_validated_once_across_insertion_passes(
+        self, monkeypatch
+    ):
+        from repro.datalog import engine as engine_module
+
+        calls = {"stratify": 0, "sound": 0}
+        original_stratify = engine_module.stratify
+        original_sound = SemiNaiveEngine._check_insertion_soundness
+
+        def counting_stratify(program):
+            calls["stratify"] += 1
+            return original_stratify(program)
+
+        def counting_sound(self, program, delta_preds):
+            calls["sound"] += 1
+            return original_sound(self, program, delta_preds)
+
+        monkeypatch.setattr(engine_module, "stratify", counting_stratify)
+        monkeypatch.setattr(
+            SemiNaiveEngine, "_check_insertion_soundness", counting_sound
+        )
+        db = make_db({"E": (2, [(1, 2)])})
+        engine = SemiNaiveEngine()
+        prog = parse_program(TC_PROGRAM)
+        engine.run(prog, db)
+        for value in range(3, 8):
+            db["E"].insert((value - 1, value))
+            engine.run_insertions(prog, db, {"E": {(value - 1, value)}})
+        assert calls == {"stratify": 1, "sound": 1}
+        assert (1, 7) in db["T"]
+        # A different delta-predicate set is its own soundness question,
+        # and a structurally equal but distinct program is validated anew.
+        engine.run_insertions(prog, db, {"T": set()})
+        engine.run_insertions(parse_program(TC_PROGRAM), db, {"E": set()})
+        assert calls == {"stratify": 2, "sound": 3}
+
     def test_cost_based_planner_replans_when_data_changes(self):
         db = make_db({"E": (2, [(1, 2), (2, 3), (3, 4)])})
         engine = SemiNaiveEngine(CostBasedPlanner())

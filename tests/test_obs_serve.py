@@ -150,6 +150,37 @@ class TestStatsSchema:
             assert legacy in stats["server"]
         assert "timeout" not in stats["admission"]
 
+    def test_snapshot_upkeep_is_delta_after_boot(self):
+        """Publishes patch the standing replicas from the change log: the
+        two boot pins are the only full copies, in /stats and /metrics."""
+        cdss = paper_cdss()
+        with ServerThread(cdss) as node, ServeClient(port=node.port) as client:
+            before = client.stats()["snapshot"]
+            assert before["full_pins"] == {
+                "boot": 2,
+                "system": 0,
+                "relations": 0,
+                "log_gap": 0,
+                "row_count": 0,
+            }
+            assert before["delta_applies"] == before["delta_rows"] == 0
+            for row in range(3):
+                client.insert("G", (400 + row, 1, 2))
+                client.publish()
+            after = client.stats()["snapshot"]
+            assert after["full_pins"] == before["full_pins"]
+            assert after["delta_applies"] == after["refreshes"] == 3
+            assert after["delta_rows"] > 0
+            assert after["last_refresh_seconds"] > 0
+            series = parse_exposition(client.metrics())
+            # Collectors sum across every live manager in the process.
+            assert series['repro_snapshot_full_pins_total{reason="boot"}'] >= 2
+            assert "repro_snapshot_full_pins_total" in client.metrics()
+            assert (
+                series["repro_snapshot_delta_rows_total"]
+                >= after["delta_rows"]
+            )
+
     def test_exchange_report_phases(self):
         cdss = paper_cdss()
         with cdss.batch() as tx:
