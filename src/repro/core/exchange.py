@@ -178,7 +178,7 @@ class ExchangeReport:
     cpu_seconds: float = 0.0
     #: Per-phase timing: ``{"evaluate" | "index_settle":
     #: {"wall_seconds": float, "cpu_seconds": float}}``.  ``evaluate``
-    #: is stratum fixpoint evaluation, ``index_settle`` deferred index
+    #: is rule evaluation to fixpoint, ``index_settle`` deferred index
     #: catch-up.  Always populated — sourced from the layers'
     #: always-on phase clocks, not from opt-in tracing.
     phases: dict[str, dict[str, float]] = field(default_factory=dict)
@@ -433,7 +433,7 @@ class ExchangeSystem:
         start = time.perf_counter()
         cpu_start = time.process_time()
         stats_before = self.engine.stats.counters()
-        settle_before = self._settle_clock()
+        settle_before = self.db.settle_seconds()
         span = (
             _tracing.start(
                 "exchange", strategy=strategy, perspective=self.perspective
@@ -479,7 +479,7 @@ class ExchangeSystem:
                 _tracing.finish(span)
             raise
         evaluation = report.details.get("evaluation", {})
-        settle_after = self._settle_clock()
+        settle_after = self.db.settle_seconds()
         report.phases = {
             "evaluate": {
                 "wall_seconds": evaluation.get("eval_wall_seconds", 0.0),
@@ -497,14 +497,6 @@ class ExchangeSystem:
         report.seconds = time.perf_counter() - start
         report.cpu_seconds = time.process_time() - cpu_start
         return report
-
-    def _settle_clock(self) -> tuple[float, float]:
-        """Cumulative (wall, cpu) seconds of deferred index settling."""
-        stats = self.db.index_stats()
-        return (
-            stats["settle_wall_seconds"],
-            stats["settle_cpu_seconds"],
-        )
 
     def _apply_by_recompute(self, delta: PublishDelta) -> ExchangeReport:
         with self.db.defer_maintenance():

@@ -1,10 +1,12 @@
-"""Stratified semi-naive datalog evaluation with Skolem functions.
+"""Component-ordered semi-naive datalog evaluation with Skolem functions.
 
 This is the fixpoint engine at the heart of update exchange (Section 4.1.1:
 "This basic methodology produces a program for recomputing CDSS instances,
 given a datalog engine with fixpoint capabilities").  It supports:
 
 * stratified safe negation (needed by the internal mappings of Section 3.1),
+  with rules evaluated one strongly connected component at a time, in
+  topological order (fixpoint rounds only inside recursive components),
 * Skolem terms in rule heads producing labeled nulls (Section 4.1.1),
 * per-rule head filters, which is how trust conditions are enforced during
   derivation (Sections 3.3 and 4.2),
@@ -33,7 +35,7 @@ from ..storage.instance import Instance
 from .ast import Atom, DatalogError, Program, Rule
 from .plan import Row, RowSource, RulePlan, run_plan
 from .planner import Planner, PreparedPlanner
-from .stratify import Stratification, stratify
+from .stratify import Component, stratify
 
 HeadFilter = Callable[[Row], bool]
 """Predicate over a derived head row; False rejects the derivation."""
@@ -56,10 +58,11 @@ class IncrementalUnsoundError(DatalogError):
 class EvaluationResult:
     """Statistics from one engine run.
 
-    ``rounds`` counts rule-evaluation passes actually performed: for a full
-    evaluation, the initial naive pass plus every delta-driven pass; for an
-    incremental run, only the delta-driven passes (a stratum whose rules are
-    untouched by the seed contributes zero rounds).
+    ``rounds`` counts evaluation passes actually performed: one per
+    non-recursive component evaluated, and one per naive or Δ-driven pass
+    inside a recursive component (a component untouched by an incremental
+    run's seed contributes zero).  It is not a cost proxy —
+    ``rule_applications`` is.
     """
 
     rounds: int = 0
@@ -67,8 +70,8 @@ class EvaluationResult:
     rule_applications: int = 0
     plan_cache_hits: int = 0
     plan_cache_misses: int = 0
-    # Always-on stratum-evaluation clocks (cheap: two perf_counter and
-    # two process_time calls per stratum, not per round or rule).
+    # Always-on evaluation clocks (cheap: two perf_counter and two
+    # process_time calls per run, not per component, round or rule).
     eval_wall_seconds: float = 0.0
     eval_cpu_seconds: float = 0.0
 
@@ -200,7 +203,9 @@ class DeltaPool:
     Contents are replaced diff-wise (:meth:`Instance.replace_contents`)
     so materialized probe indexes are maintained incrementally instead of
     rebuilt every round.  Shared by the engine and the weighted
-    maintainer (via :meth:`SemiNaiveEngine.delta_instance`).
+    maintainer (via :meth:`SemiNaiveEngine.delta_instance`); the engine
+    empties the pool at the end of every run (:meth:`release`), so no Δ
+    outlives the run that built it.
     """
 
     __slots__ = ("_instances",)
@@ -220,9 +225,15 @@ class DeltaPool:
             delta.replace_contents(rows)
         return delta
 
+    def release(self) -> None:
+        """Empty every pooled Δ-instance, keeping its index definitions."""
+        for delta in self._instances.values():
+            if len(delta):
+                delta.replace_contents(())
+
 
 class SemiNaiveEngine:
-    """Stratified semi-naive fixpoint evaluator."""
+    """Component-ordered semi-naive fixpoint evaluator."""
 
     def __init__(
         self,
@@ -246,8 +257,8 @@ class SemiNaiveEngine:
         ] = {}
         # Programs are frozen, so their validation is memoized the same
         # way: id-keyed, with the program stored to pin its id.
-        # id(program) -> (program, stratification)
-        self._validated: dict[int, tuple[Program, Stratification]] = {}
+        # id(program) -> (program, components in evaluation order)
+        self._validated: dict[int, tuple[Program, tuple[Component, ...]]] = {}
         # (id(program), delta predicates) -> program, once found sound
         self._sound: dict[tuple[int, frozenset[str]], Program] = {}
         # Persistent per-predicate delta relations, reused across rounds and
@@ -368,26 +379,26 @@ class SemiNaiveEngine:
 
     # -- full evaluation -----------------------------------------------------
 
-    def _validate(self, program: Program) -> Stratification:
-        """Safety, arity and stratification checks, once per program."""
+    def _validate(self, program: Program) -> tuple[Component, ...]:
+        """Safety, arity and stratification checks, once per program;
+        returns the program's components in evaluation order."""
         entry = self._validated.get(id(program))
         if entry is not None and entry[0] is program:
             return entry[1]
         program.check_safety()
         _check_head_arities(program)
-        stratification = stratify(program)
+        components = stratify(program).components
         if len(self._validated) >= _PLAN_CACHE_LIMIT:
             self._validated.clear()
-        self._validated[id(program)] = (program, stratification)
-        return stratification
+        self._validated[id(program)] = (program, components)
+        return components
 
     def run(self, program: Program, db: Database) -> EvaluationResult:
         """Evaluate ``program`` to fixpoint over ``db`` (inserting tuples)."""
-        stratification = self._validate(program)
+        components = self._validate(program)
         ensure_idb_relations(program, db)
         result = EvaluationResult()
-        for stratum in stratification.strata:
-            self._run_stratum(list(stratum), db, result, seed=None)
+        self._run_components(components, db, result, None)
         return self._finish(result)
 
     def run_insertions(
@@ -404,203 +415,182 @@ class SemiNaiveEngine:
         :class:`IncrementalUnsoundError` if the deltas could reach a negated
         atom occurrence (see class docstring).
         """
-        stratification = self._validate(program)
+        components = self._validate(program)
         ensure_idb_relations(program, db)
         key = (id(program), frozenset(inserted))
         if self._sound.get(key) is not program:
-            self._check_insertion_soundness(program, set(inserted))
+            self._check_insertion_soundness(components, set(inserted))
             if len(self._sound) >= _PLAN_CACHE_LIMIT:
                 self._sound.clear()
             self._sound[key] = program
 
-        all_new: dict[str, set[Row]] = {
-            pred: set(map(tuple, rows)) for pred, rows in inserted.items()
-        }
-        derived: dict[str, set[Row]] = {}
+        seed = {pred: set(map(tuple, rows)) for pred, rows in inserted.items()}
         result = EvaluationResult()
-        for stratum in stratification.strata:
-            seed = {pred: set(rows) for pred, rows in all_new.items() if rows}
-            new_in_stratum = self._run_stratum(
-                list(stratum), db, result, seed=seed
-            )
-            for pred, rows in new_in_stratum.items():
-                all_new.setdefault(pred, set()).update(rows)
-                derived.setdefault(pred, set()).update(rows)
+        derived = self._run_components(components, db, result, seed)
         self._finish(result)
         return derived
 
     def _check_insertion_soundness(
-        self, program: Program, delta_preds: set[str]
+        self, components: tuple[Component, ...], delta_preds: set[str]
     ) -> None:
-        # Predicates transitively derivable from the deltas.
+        # Predicates transitively derivable from the deltas: components
+        # arrive in topological order, so one pass settles reachability.
         reachable = set(delta_preds)
-        changed = True
-        while changed:
-            changed = False
-            for rule in program:
-                if rule.head.predicate in reachable:
-                    continue
-                if any(
-                    not atom.negated and atom.predicate in reachable
-                    for atom in rule.body
-                ):
-                    reachable.add(rule.head.predicate)
-                    changed = True
-        for rule in program:
-            for atom in rule.body:
-                if atom.negated and atom.predicate in reachable:
-                    raise IncrementalUnsoundError(
-                        f"insertion delta reaches negated atom {atom!r} in "
-                        f"rule {rule!r}; route this change through the "
-                        "deletion machinery instead"
-                    )
+        for component in components:
+            if not reachable.isdisjoint(component.inputs):
+                reachable |= component.predicates
+        for component in components:
+            for rule in component.rules:
+                for atom in rule.body:
+                    if atom.negated and atom.predicate in reachable:
+                        raise IncrementalUnsoundError(
+                            f"insertion delta reaches negated atom {atom!r} "
+                            f"in rule {rule!r}; route this change through "
+                            "the deletion machinery instead"
+                        )
 
-    # -- stratum loop ---------------------------------------------------------
+    # -- component loop -------------------------------------------------------
 
-    def _run_stratum(
+    def _run_components(
         self,
-        rules: list[Rule],
+        components: tuple[Component, ...],
         db: Database,
         result: EvaluationResult,
         seed: dict[str, set[Row]] | None,
     ) -> dict[str, set[Row]]:
-        """Run one stratum to fixpoint.
+        """Evaluate every component once, in topological order.
 
-        ``seed=None`` means full evaluation (a naive first pass seeds the
-        deltas); otherwise ``seed`` supplies the initial deltas and only
-        delta-driven derivations run.  Returns all rows newly inserted by
-        this stratum.
-
-        Round accounting is exact: the initial naive pass counts as one
-        round, and each delta-driven pass as one more.  Deltas for
-        predicates no rule body in this stratum reads are dropped up front,
-        so a stratum untouched by the seed contributes zero rounds.
-
-        The whole stratum runs inside one index-maintenance deferral scope
-        (a no-op under the eager policy): derived-table inserts only append
-        maintenance runs, indexes the stratum actually probes catch up in
-        batched passes, and the scope exit is the flush barrier — so the
-        database leaves every stratum with fully synchronized indexes.
+        ``seed=None`` is full evaluation: each component starts with a
+        naive pass.  Otherwise ``seed`` holds rows already in ``db``, only
+        Δ-driven evaluations run, and a component none of whose inputs has
+        a Δ is skipped.  Components below the running one are final, so
+        each predicate's final Δ-instance is built once per run and shared
+        by every reader.  The run is one index-maintenance deferral scope,
+        and the pooled Δ-instances are emptied when it ends.  Returns every
+        row the run inserted, per predicate.
         """
+        new = {pred: rows for pred, rows in (seed or {}).items() if rows}
+        derived: dict[str, set[Row]] = {}
+        finals: dict[str, Instance] = {}
         wall0 = time.perf_counter()
         cpu0 = time.process_time()
+        try:
+            with db.defer_maintenance():
+                for component in components:
+                    deltas = None
+                    if seed is not None:
+                        if new.keys().isdisjoint(component.inputs):
+                            continue
+                        deltas = {}
+                        for pred in component.inputs & new.keys():
+                            if pred not in finals:
+                                finals[pred] = self.delta_instance(
+                                    pred, db[pred].arity, new[pred]
+                                )
+                            deltas[pred] = finals[pred]
+                    added = self._run_component(component, db, result, deltas)
+                    for pred, rows in added.items():
+                        # A recursive component swapped its own Δ-instances.
+                        finals.pop(pred, None)
+                        derived[pred] = rows
+                        if pred in new:
+                            new[pred] |= rows
+                        else:
+                            new[pred] = rows
+        finally:
+            self._delta_pool.release()
+            result.eval_wall_seconds += time.perf_counter() - wall0
+            result.eval_cpu_seconds += time.process_time() - cpu0
+        for pred, rows in derived.items():
+            result._record(pred, len(rows))
+        return derived
+
+    def _run_component(
+        self,
+        component: Component,
+        db: Database,
+        result: EvaluationResult,
+        deltas: dict[str, Instance] | None,
+    ) -> dict[str, set[Row]]:
+        """Evaluate one component; return the rows it inserted.
+
+        The first pass is naive (``deltas=None``) or runs one evaluation
+        per (rule, Δ-carrying positive occurrence).  That is all a
+        non-recursive component needs: no fixpoint test, no Δ swaps.  A
+        recursive one runs semi-naive rounds over its own Δ until a round
+        adds nothing; ``round`` spans exist only there.
+        """
+        recursive = component.recursive
         span = (
-            _tracing.start("stratum", rules=len(rules))
+            _tracing.start(
+                "component", recursive=recursive, rules=len(component.rules)
+            )
             if _tracing.ENABLED
             else None
         )
-        try:
-            with db.defer_maintenance():
-                new_total = self._run_stratum_deferred(
-                    rules, db, result, seed
-                )
-            if span is not None:
-                span.rows = sum(len(rows) for rows in new_total.values())
-            return new_total
-        finally:
-            if span is not None:
-                _tracing.finish(span)
-            result.eval_wall_seconds += time.perf_counter() - wall0
-            result.eval_cpu_seconds += time.process_time() - cpu0
-
-    def _run_stratum_deferred(
-        self,
-        rules: list[Rule],
-        db: Database,
-        result: EvaluationResult,
-        seed: dict[str, set[Row]] | None,
-    ) -> dict[str, set[Row]]:
-        new_total: dict[str, set[Row]] = {}
-        delta_sets: dict[str, set[Row]] = {}
-        body_preds = {
-            atom.predicate
-            for rule in rules
-            for atom in rule.body
-            if not atom.negated
-        }
-
-        def stratum_relevant(
-            deltas: dict[str, set[Row]]
-        ) -> dict[str, set[Row]]:
-            return {
-                pred: rows
-                for pred, rows in deltas.items()
-                if rows and pred in body_preds
-            }
-
-        rounds = 0
-        if seed is None:
-            rounds = 1 if rules else 0
-            for rule in rules:
-                rows = self._evaluate_rule(rule, db, None, None, result)
-                added = db[rule.head.predicate].insert_new(rows)
-                if added:
-                    delta_sets.setdefault(
-                        rule.head.predicate, set()
-                    ).update(added)
-            for pred, rows in delta_sets.items():
-                new_total.setdefault(pred, set()).update(rows)
-            delta_sets = stratum_relevant(delta_sets)
-        else:
-            delta_sets = stratum_relevant(
-                {pred: set(rows) for pred, rows in seed.items()}
-            )
-
-        while delta_sets:
-            rounds += 1
+        total: dict[str, set[Row]] = {}
+        number = 0
+        while True:
+            number += 1
             round_span = (
-                _tracing.start("round", number=rounds)
-                if _tracing.ENABLED
+                _tracing.start("round", number=number)
+                if recursive and span is not None
                 else None
             )
-            next_deltas = self._run_round(rules, db, delta_sets, result)
+            added = self._pass(component.rules, db, result, deltas)
+            result.rounds += 1
             if round_span is not None:
-                round_span.rows = sum(
-                    len(rows) for rows in next_deltas.values()
-                )
+                round_span.rows = sum(map(len, added.values()))
                 _tracing.finish(round_span)
-            for pred, rows in next_deltas.items():
-                new_total.setdefault(pred, set()).update(rows)
-            delta_sets = stratum_relevant(next_deltas)
+            for pred, rows in added.items():
+                if pred in total:
+                    total[pred] |= rows
+                else:
+                    total[pred] = rows
+            if not (recursive and added):
+                break
+            deltas = {
+                pred: self.delta_instance(pred, db[pred].arity, rows)
+                for pred, rows in added.items()
+            }
+        if span is not None:
+            span.rows = sum(map(len, total.values()))
+            _tracing.finish(span)
+        return total
 
-        result.rounds += rounds
-        for pred, rows in new_total.items():
-            result._record(pred, len(rows))
-        return new_total
-
-    def _run_round(
+    def _pass(
         self,
-        rules: list[Rule],
+        rules: tuple[Rule, ...],
         db: Database,
-        delta_sets: dict[str, set[Row]],
         result: EvaluationResult,
+        deltas: Mapping[str, Instance] | None,
     ) -> dict[str, set[Row]]:
-        """One delta-driven pass over the stratum's rules."""
-        deltas = {
-            pred: self.delta_instance(
-                pred,
-                db[pred].arity if pred in db else len(next(iter(rows))),
-                rows,
-            )
-            for pred, rows in delta_sets.items()
-        }
-        next_deltas: dict[str, set[Row]] = {}
+        """One evaluation of ``rules``, inserting what it derives: naive
+        when ``deltas`` is None, else once per positive occurrence whose
+        predicate ``deltas`` carries.  Returns the genuinely new rows per
+        head predicate."""
+        added: dict[str, set[Row]] = {}
         for rule in rules:
-            for index, atom in enumerate(rule.body):
-                if atom.negated:
-                    continue
-                delta_source = deltas.get(atom.predicate)
-                if delta_source is None:
-                    continue
-                rows = self._evaluate_rule(
-                    rule, db, index, delta_source, result
+            if deltas is None:
+                occurrences: Iterable[tuple] = ((None, None),)
+            else:
+                occurrences = [
+                    (index, deltas[atom.predicate])
+                    for index, atom in enumerate(rule.body)
+                    if not atom.negated and atom.predicate in deltas
+                ]
+            head = rule.head.predicate
+            for index, delta in occurrences:
+                fresh = db[head].insert_new(
+                    self._evaluate_rule(rule, db, index, delta, result)
                 )
-                added = db[rule.head.predicate].insert_new(rows)
-                if added:
-                    next_deltas.setdefault(
-                        rule.head.predicate, set()
-                    ).update(added)
-        return next_deltas
+                if not fresh:
+                    continue
+                if head in added:
+                    added[head] |= fresh
+                else:
+                    added[head] = fresh
+        return added
 
 
 class NaiveEngine:

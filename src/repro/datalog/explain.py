@@ -4,8 +4,8 @@ The paper's Section 5.1 experience — "the query optimizer occasionally
 chose poor plans in executing the rules" and required "extensive tuning" —
 is exactly the situation where an operator needs to *see* the plan.  This
 module renders rule plans as bind-join pipelines (with the probe columns
-each step will use) and whole programs with their stratification, both as
-plain text.
+each step will use) and whole programs with their components and
+strata, both as plain text.
 """
 
 from __future__ import annotations
@@ -65,17 +65,27 @@ def explain_program(
     db: Database | None = None,
     planner: Planner | None = None,
 ) -> str:
-    """Render a whole program: strata, rules, and each rule's plan."""
+    """Render a whole program: its components in evaluation order (each
+    with its stratum and recursive flag), rules, and each rule's plan."""
     planner = planner or PreparedPlanner()
     scratch = db if db is not None else Database()
     stratification = stratify(program)
+    components = stratification.components
+    recursive = sum(component.recursive for component in components)
     lines = [
         f"program {program.name or '(anonymous)'}: "
-        f"{len(program)} rules, {len(stratification)} strata"
+        f"{len(program)} rules, {len(stratification)} strata, "
+        f"{len(components)} components ({recursive} recursive)"
     ]
-    for number, stratum in enumerate(stratification.strata):
-        lines.append(f"stratum {number}:")
-        for rule in stratum:
+    for number, component in enumerate(components):
+        members = sorted(component.predicates)
+        stratum = stratification.predicate_stratum[members[0]]
+        kind = "recursive" if component.recursive else "non-recursive"
+        lines.append(
+            f"component {number} (stratum {stratum}, {kind}): "
+            + ", ".join(members)
+        )
+        for rule in component.rules:
             plan = planner.plan(rule, scratch, None)
             plan_text = explain_plan(plan, db)
             lines.extend("  " + line for line in plan_text.splitlines())

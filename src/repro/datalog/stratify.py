@@ -11,7 +11,8 @@ stratification: an ordered partition of the IDB predicates such that
 Programs where a predicate depends negatively on itself through a cycle are
 rejected with :class:`StratificationError`.  Strongly connected components
 are found with Tarjan's algorithm (iterative, to avoid recursion limits on
-large mapping networks).
+large mapping networks); they are also the engine's unit of evaluation
+(:attr:`Stratification.components`).
 """
 
 from __future__ import annotations
@@ -26,11 +27,27 @@ class StratificationError(DatalogError):
 
 
 @dataclass(frozen=True)
+class Component:
+    """One strongly connected component of the predicate graph.
+
+    ``recursive`` is true for a cycle of two or more predicates or a
+    predicate that reads itself; ``inputs`` are the predicates its rules
+    read positively (its own included)."""
+
+    predicates: frozenset[str]
+    rules: tuple[Rule, ...]
+    recursive: bool
+    inputs: frozenset[str]
+
+
+@dataclass(frozen=True)
 class Stratification:
-    """An ordered partition of a program's rules into strata."""
+    """An ordered partition of a program's rules into strata, plus the
+    strongly connected components in topological (evaluation) order."""
 
     strata: tuple[tuple[Rule, ...], ...]
     predicate_stratum: dict[str, int]
+    components: tuple[Component, ...]
 
     def __len__(self) -> int:
         return len(self.strata)
@@ -160,9 +177,28 @@ def stratify(program: Program) -> Stratification:
     else:
         count = 0
     buckets: list[list[Rule]] = [[] for _ in range(count)]
+    by_component: list[list[Rule]] = [[] for _ in sccs]
     for rule in program:
         buckets[predicate_stratum[rule.head.predicate]].append(rule)
+        by_component[component_of[rule.head.predicate]].append(rule)
+    # Tarjan emits a component after every component it depends on, so
+    # ``sccs`` is already an evaluation order.
+    components = tuple(
+        Component(
+            predicates=frozenset(members),
+            rules=tuple(rules),
+            recursive=len(members) > 1 or (members[0], members[0]) in positive,
+            inputs=frozenset(
+                atom.predicate
+                for rule in rules
+                for atom in rule.body
+                if not atom.negated
+            ),
+        )
+        for members, rules in zip(sccs, by_component)
+    )
     return Stratification(
         strata=tuple(tuple(bucket) for bucket in buckets),
         predicate_stratum=predicate_stratum,
+        components=components,
     )

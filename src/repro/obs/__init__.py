@@ -61,7 +61,7 @@ def bootstrap_default_metrics(registry: MetricsRegistry = REGISTRY) -> None:
     )
     counter(
         "repro_engine_eval_seconds_total",
-        "Wall-clock seconds spent in stratum evaluation",
+        "Wall-clock seconds spent in rule evaluation",
     )
     # admission control
     counter("repro_admission_admitted_total", "Requests admitted")

@@ -1,7 +1,7 @@
 """Structured tracing of update exchange.
 
 A *trace* is the tree of spans produced by one top-level operation
-(normally one publish): ``exchange → stratum → round →
+(normally one publish): ``exchange → component → round →
 rule-evaluation``, with ``merge`` / ``index-settle`` / ``wal-append`` /
 ``snapshot-refresh`` spans hanging off wherever those phases run.
 Each span records wall + CPU time, a row count, and parent/child span

@@ -205,6 +205,16 @@ class Database:
         totals["policy"] = policy if policy is not None else self.index_policy
         return totals
 
+    def settle_seconds(self) -> tuple[float, float]:
+        """Cumulative (wall, cpu) seconds of deferred index settling across
+        every relation: the two :meth:`index_stats` readings the exchange
+        report takes around each publish, without building the whole dict."""
+        wall = cpu = 0.0
+        for instance in self._relations.values():
+            wall += instance._indexes.settle_wall_seconds
+            cpu += instance._indexes.settle_cpu_seconds
+        return wall, cpu
+
     def pin(self, names: Iterable[str] | None = None):
         """Capture a version-pinned, immutable snapshot of ``names``.
 

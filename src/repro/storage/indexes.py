@@ -34,7 +34,8 @@ done, never *what* a probe returns.
 from __future__ import annotations
 
 import time
-from typing import Iterable, Sequence
+from operator import itemgetter
+from typing import Collection, Sequence
 
 from ..obs import tracing as _tracing
 
@@ -77,6 +78,9 @@ class IndexSet:
     """
 
     policy = "abstract"
+    # Settle clocks (see DeferredIndexSet); eager maintenance never settles.
+    settle_wall_seconds = 0.0
+    settle_cpu_seconds = 0.0
 
     __slots__ = ("_rows", "_by_cols")
 
@@ -155,11 +159,11 @@ class IndexSet:
 
     @staticmethod
     def _patch_one_insert(
-        index: dict[Row, set[Row]], cols: tuple[int, ...], added: Iterable[Row]
+        index: dict[Row, set[Row]], cols: tuple[int, ...], added: Collection[Row]
     ) -> None:
         # ``get`` + literal-set creation beats ``setdefault(key, set())``,
-        # which allocates a throwaway set on every hit; single-column
-        # indexes (key joins, serving lookups) skip the per-row generator.
+        # which allocates a throwaway set on every hit; multi-column keys
+        # come from one ``itemgetter`` per batch, not a per-row generator.
         get = index.get
         if len(cols) == 1:
             c = cols[0]
@@ -171,8 +175,7 @@ class IndexSet:
                 else:
                     bucket.add(row)
         else:
-            for row in added:
-                key = tuple(row[c] for c in cols)
+            for row, key in zip(added, map(itemgetter(*cols), added)):
                 bucket = get(key)
                 if bucket is None:
                     index[key] = {row}
@@ -187,15 +190,14 @@ class IndexSet:
     def _patch_one_delete(
         index: dict[Row, set[Row]],
         cols: tuple[int, ...],
-        removed: Iterable[Row],
+        removed: Collection[Row],
     ) -> None:
-        single = cols[0] if len(cols) == 1 else None
-        for row in removed:
-            key = (
-                (row[single],)
-                if single is not None
-                else tuple(row[c] for c in cols)
-            )
+        if len(cols) == 1:
+            c = cols[0]
+            keys = [(row[c],) for row in removed]
+        else:
+            keys = map(itemgetter(*cols), removed)
+        for row, key in zip(removed, keys):
             bucket = index.get(key)
             if bucket is not None:
                 bucket.discard(row)

@@ -153,37 +153,28 @@ class Instance:
         """
         return len(self.insert_new(rows))
 
-    def insert_new(self, rows: Iterable[Sequence[object]]) -> list[Row]:
+    def insert_new(self, rows: Iterable[Sequence[object]]) -> set[Row]:
         """Bulk insert; return the rows that were genuinely new.
 
         Semantics match :meth:`insert_many` (one version bump, bulk index
-        maintenance); the returned list is what semi-naive evaluation needs
-        to seed the next delta round without per-row ``insert`` calls.
+        maintenance); the returned set — in no particular order — is what
+        semi-naive evaluation needs to seed the next delta round without
+        per-row ``insert`` calls.
         """
-        # Two-phase for exception safety: validate and collect first, then
-        # mutate — a bad row mid-batch must not leave rows in ``_rows``
-        # that the indexes have never seen.
-        existing = self._rows
-        arity = self.arity
-        added: list[Row] = []
-        batch: set[Row] = set()
-        record = added.append
-        seen = batch.add
-        for row in rows:
-            row = tuple(row)
-            if row in existing or row in batch:
-                continue
-            if len(row) != arity:
+        # Set-at-a-time and two-phase for exception safety: the fresh rows
+        # are computed and arity-checked before anything mutates, so a bad
+        # row mid-batch cannot leave rows the indexes have never seen.
+        fresh = set(map(tuple, rows)) - self._rows
+        if not fresh:
+            return fresh
+        if any(map(self.arity.__ne__, map(len, fresh))):
+            for row in fresh:
                 self._check_arity(row)
-            seen(row)
-            record(row)
-        if not added:
-            return added
-        existing.update(batch)
+        self._rows |= fresh
         self._bump()
         if self._indexes._by_cols:
-            self._indexes.insert_rows(added)
-        return added
+            self._indexes.insert_rows(fresh)
+        return fresh
 
     def delete(self, row: Sequence[object]) -> bool:
         """Delete ``row``; return True if it was present."""
@@ -297,6 +288,11 @@ class Instance:
             # Not on the executor hot path (it snapshots full scans), so
             # return a safe frozen copy rather than the mutable row set.
             return self.rows()
+        if len(cols) == self.arity and cols == tuple(range(self.arity)):
+            # The whole row, in order: a membership test, answered from
+            # the row set without building an index.
+            key = tuple(values)
+            return frozenset((key,)) if key in self._rows else frozenset()
         try:
             return self._indexes.probe(cols, tuple(values))
         except KeyError:
@@ -314,7 +310,8 @@ class Instance:
         environment loop).
         """
         cols = tuple(columns)
-        if cols:
+        if cols and cols != tuple(range(self.arity)):
+            # (A whole-row probe is a membership test: no index to sync.)
             self.ensure_index(cols)
             self._indexes.sync(cols)
 

@@ -171,6 +171,20 @@ class TestExplain:
         assert "stratum 0" in text and "stratum 1" in text
         assert "2 rules" in text
 
+    def test_explain_program_lists_components_in_evaluation_order(self):
+        program = parse_program(
+            """
+            C(x) :- T(x, x)
+            T(x, y) :- E(x, y)
+            T(x, z) :- T(x, y), E(y, z)
+            """
+        )
+        text = explain_program(program)
+        assert "2 components (1 recursive)" in text
+        assert "component 0 (stratum 0, recursive): T" in text
+        assert "component 1 (stratum 0, non-recursive): C" in text
+        assert text.index("component 0") < text.index("component 1")
+
     def test_explain_with_cost_based_planner(self):
         db = Database()
         db.create("Big", 2, [(i, i) for i in range(50)])

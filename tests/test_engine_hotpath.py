@@ -15,8 +15,10 @@ from repro.datalog import (
     SemiNaiveEngine,
     parse_program,
 )
+from repro.datalog import stratify
 from repro.datalog.plan import run_plan
 from repro.storage import Database, Instance
+from repro.workload.generator import CDSSWorkloadGenerator, WorkloadConfig
 
 TC_PROGRAM = """
     T(x, y) :- E(x, y)
@@ -171,6 +173,62 @@ class TestRoundAccounting:
         derived = engine.run_insertions(prog, db, {"F": {(6,)}})
         assert derived == {}
         assert engine.last_result.rounds == 0
+
+
+class TestComponentOrder:
+    def test_chain_publish_pays_each_hop_once(self):
+        """On an acyclic 10-peer chain every predicate is its own
+        non-recursive component: a publish evaluates each (rule,
+        Δ-carrying occurrence) pair exactly once and runs one pass per
+        touched component — no fixpoint rounds."""
+        generator = CDSSWorkloadGenerator(
+            WorkloadConfig(peers=10, dataset="integer")
+        )
+        cdss = generator.build_cdss()
+        generator.populate(cdss, 10)
+        system = cdss.system()
+        components = stratify(system.program).components
+        assert not any(component.recursive for component in components)
+        sizes = {name: len(system.db[name]) for name in system.db.relation_names()}
+
+        generator.record_insertions(cdss, generator.insertions(per_peer=2))
+        report = cdss.update_exchange()
+        # The predicates with a non-empty Δ: every relation that grew.
+        grown = {
+            name
+            for name, size in sizes.items()
+            if len(system.db[name]) > size
+        }
+        pairs = sum(
+            1
+            for component in components
+            for rule in component.rules
+            for atom in rule.body
+            if not atom.negated and atom.predicate in grown
+        )
+        touched = sum(
+            1 for component in components if component.inputs & grown
+        )
+        evaluation = report.details["evaluation"]
+        assert evaluation["rule_applications"] == pairs
+        assert evaluation["rounds"] == touched
+        assert touched > 10
+
+    def test_delta_pool_holds_no_rows_after_a_run(self):
+        db = make_db({"E": (2, [(1, 2), (2, 3), (3, 4)])})
+        prog = parse_program(TC_PROGRAM + "C(x) :- T(x, x)")
+        engine = SemiNaiveEngine()
+
+        def pooled_rows():
+            return sum(map(len, engine._delta_pool._instances.values()))
+
+        engine.run(prog, db)
+        assert engine._delta_pool._instances
+        assert pooled_rows() == 0
+        db["E"].insert((4, 1))
+        engine.run_insertions(prog, db, {"E": {(4, 1)}})
+        assert (1,) in db["C"]
+        assert pooled_rows() == 0
 
 
 class TestPersistentDeltas:
@@ -339,3 +397,92 @@ def test_property_cached_engine_agrees_with_naive(edges, extra):
         reference,
     )
     assert db["T"].rows() == reference["T"].rows()
+
+
+@st.composite
+def layered_programs(draw):
+    """Random programs mixing chains, a recursive component fed by the
+    chain (none, self-recursive or mutually recursive), components fed by
+    that one, and negation across strata.  ``full`` adds a rule negating a
+    predicate derived from ``E``, which only full evaluation may run; the
+    ``insert`` program negates only ``W`` (derived from ``V``/``Z``, never
+    seeded), so insertions on ``E`` stay sound."""
+    rules = ["W(x) :- V(x), not Z(x)"]
+    previous = "E"
+    for number in range(draw(st.integers(1, 3))):
+        if draw(st.booleans()):
+            rules.append(f"C{number}(x, y) :- {previous}(x, y)")
+        else:
+            rules.append(f"C{number}(x, z) :- {previous}(x, y), E(y, z)")
+        previous = f"C{number}"
+    kind = draw(st.sampled_from(["none", "self", "mutual"]))
+    top = previous
+    if kind == "self":
+        rules += [
+            f"T(x, y) :- {previous}(x, y)",
+            f"T(x, z) :- T(x, y), {previous}(y, z)",
+        ]
+        top = "T"
+    elif kind == "mutual":
+        rules += [
+            f"T(x, y) :- {previous}(x, y)",
+            "T(x, z) :- U(x, y), E(y, z)",
+            "U(x, y) :- T(x, y)",
+        ]
+        top = "T"
+    rules.append(f"D(x, y) :- {top}(x, y), not W(y)")
+    if draw(st.booleans()):
+        # Two Δ-carrying occurrences in one non-recursive rule.
+        rules.append(f"K(x) :- D(x, y), {top}(y, x)")
+    insert = "\n".join(rules)
+    full = insert + f"\nSafe(x) :- V(x), not {top}(x, x)"
+    return full, insert
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    programs=layered_programs(),
+    edges=random_edges(),
+    extra=random_edges(),
+    excluded=st.sets(st.integers(0, 6), max_size=3),
+)
+def test_property_component_order_agrees_with_naive(
+    programs, edges, extra, excluded
+):
+    """Component-ordered evaluation reaches the naive fixpoint on random
+    layered programs, for both ``run`` and ``run_insertions``."""
+    full_text, insert_text = programs
+    nodes = {x for e in edges | extra for x in e} | excluded
+
+    def fresh_db(edge_rows):
+        db = Database()
+        db.create("E", 2, edge_rows)
+        db.create("V", 1, [(x,) for x in nodes])
+        db.create("Z", 1, [(x,) for x in excluded])
+        return db
+
+    def naive(text, edge_rows):
+        db = fresh_db(edge_rows)
+        NaiveEngine().run(parse_program(text), db)
+        return db
+
+    def idb(db, text):
+        program = parse_program(text)
+        return {
+            pred: db[pred].rows() for pred in program.idb_predicates()
+        }
+
+    engine = SemiNaiveEngine()
+    db = fresh_db(edges)
+    engine.run(parse_program(full_text), db)
+    assert idb(db, full_text) == idb(naive(full_text, edges), full_text)
+
+    # A warm incremental pass over the insertion program.
+    db = fresh_db(edges)
+    insert = parse_program(insert_text)
+    engine.run(insert, db)
+    new_edges = extra - edges
+    db["E"].insert_many(new_edges)
+    engine.run_insertions(insert, db, {"E": new_edges})
+    reference = naive(insert_text, edges | extra)
+    assert idb(db, insert_text) == idb(reference, insert_text)

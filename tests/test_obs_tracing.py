@@ -90,12 +90,32 @@ class TestPublishTrace:
     def test_span_taxonomy_and_rows(self):
         trace = self._publish_trace()
         names = {span["name"] for span in trace}
-        assert {"exchange", "stratum", "round", "rule-evaluation"} <= names
+        assert {"exchange", "component", "round", "rule-evaluation"} <= names
+        assert "stratum" not in names
         root = next(s for s in trace if s["parent_id"] is None)
         assert root["rows"] > 0
         assert root["attrs"]["strategy"]
+        by_id = {span["span_id"]: span for span in trace}
+        components = [s for s in trace if s["name"] == "component"]
+        assert all(
+            {"recursive", "rules"} <= s["attrs"].keys() for s in components
+        )
+        assert {s["attrs"]["recursive"] for s in components} == {True, False}
+        # Rounds exist only inside recursive components; a non-recursive
+        # component's rule evaluations hang off the component itself.
         rounds = [s for s in trace if s["name"] == "round"]
         assert all("number" in s["attrs"] for s in rounds)
+        for span in rounds:
+            parent = by_id[span["parent_id"]]
+            assert parent["name"] == "component"
+            assert parent["attrs"]["recursive"] is True
+        for span in trace:
+            if span["name"] == "rule-evaluation":
+                parent = by_id[span["parent_id"]]
+                if parent["name"] == "component":
+                    assert parent["attrs"]["recursive"] is False
+                else:
+                    assert parent["name"] == "round"
 
     def test_deletion_publish_nests_retraction_phases(self):
         cdss = paper_cdss()

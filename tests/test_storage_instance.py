@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.storage.indexes import INDEX_POLICIES
 from repro.storage.instance import ArityError, Instance
 
 
@@ -39,10 +40,10 @@ class TestInsertDelete:
     def test_insert_many_counts_new_rows_only(self):
         inst = Instance("R", 1, [(1,)])
         assert inst.insert_many([(1,), (2,), (3,)]) == 2
-        # insert_new returns the effective rows: in input order, without
-        # rows already present or repeated within the batch.
-        assert inst.insert_new([[4], (3,), (5,), (4,)]) == [(4,), (5,)]
-        assert inst.insert_new([(1,), (5,)]) == []
+        # insert_new returns the effective rows (in no particular order),
+        # without rows already present or repeated within the batch.
+        assert inst.insert_new([[4], (3,), (5,), (4,)]) == {(4,), (5,)}
+        assert not inst.insert_new([(1,), (5,)])
 
     def test_delete_many_counts_removed_rows_only(self):
         inst = Instance("R", 1, [(1,), (2,)])
@@ -69,6 +70,67 @@ class TestInsertDelete:
         assert set(inst) == {(5,)}
         inst.clear()
         assert len(inst) == 0
+
+
+class TestInsertNew:
+    @pytest.mark.parametrize("policy", INDEX_POLICIES)
+    def test_batch_duplicates_and_list_rows(self, policy):
+        inst = Instance("R", 3, [(1, "a", 10)], index_policy=policy)
+        inst.ensure_index([0])
+        inst.ensure_index([1, 2])
+        fresh = inst.insert_new(
+            [[2, "b", 20], (2, "b", 20), (1, "a", 10), [3, "b", 20]]
+        )
+        assert fresh == {(2, "b", 20), (3, "b", 20)}
+        assert len(inst) == 3
+        assert set(inst.lookup([1, 2], ("b", 20))) == fresh
+        assert set(inst.lookup([0], (3,))) == {(3, "b", 20)}
+
+    @pytest.mark.parametrize("policy", INDEX_POLICIES)
+    def test_arity_error_mid_batch_changes_nothing(self, policy):
+        inst = Instance("R", 3, [(1, "a", 10)], index_policy=policy)
+        inst.ensure_index([0])
+        inst.ensure_index([1, 2])
+        version = inst.version
+        with pytest.raises(ArityError):
+            inst.insert_new([(4, "d", 40), (5, "e"), [6, "f", 60]])
+        assert inst.rows() == {(1, "a", 10)}
+        assert inst.version == version
+        assert not inst.lookup([0], (4,))
+        assert not inst.lookup([1, 2], ("f", 60))
+        assert inst.pending_index_ops() == 0
+
+
+class TestFullWidthProbe:
+    def test_membership_probe_matches_index_and_builds_none(self):
+        rows = [(1, "a", 10), (1, "b", 20), (2, "a", 10)]
+        inst = Instance("R", 3, rows)
+        for probe in rows + [(9, "z", 0)]:
+            inst.prepare_probe((0, 1, 2))
+            answer = set(inst.lookup((0, 1, 2), probe))
+            assert (0, 1, 2) not in inst.indexed_columns()
+            # The same question through a (permuted) materialized index.
+            indexed = set(inst.lookup((2, 1, 0), probe[::-1]))
+            assert answer == indexed == ({probe} & set(rows))
+        assert inst.indexed_columns() == ((2, 1, 0),)
+
+    def test_exchange_builds_no_full_width_index(self):
+        from repro import CDSS
+
+        cdss = CDSS()
+        cdss.add_peer("P", {"R": ("k", "v")})
+        cdss.add_peer("Q", {"S": ("k", "v")})
+        cdss.add_mapping("m", "R(k, v) -> S(k, v)")
+        with cdss.batch() as tx:
+            tx.insert("R", (1, 2))
+            tx.insert("R", (3, 4))
+        cdss.update_exchange()
+        with cdss.batch() as tx:
+            tx.delete("R", (1, 2))
+        cdss.update_exchange()
+        assert cdss.relation("S").to_rows() == {(3, 4)}
+        for inst in cdss.system().db:
+            assert tuple(range(inst.arity)) not in inst.indexed_columns()
 
 
 class TestIndexes:
