@@ -63,13 +63,16 @@ def bench_recompute_50pct(benchmark):
 def bench_fig4_full_series(benchmark):
     """Regenerate the full Figure 4 series and check its qualitative shape.
 
-    Timings are medians of three rounds, and only the trends that hold at
-    default scale are asserted: recomputation gets cheaper as more is
-    deleted, incremental deletion gets dearer.  The paper's crossover
-    (incremental wins below ~80 %) is printed but not asserted: since full
-    evaluation runs non-recursive components in one pass, recomputation of
-    this acyclic 5-peer chain costs about as much as incremental deletion
-    at 10 % and less from 30 % up, even at 4x scale.
+    Timings are medians of three rounds.  Asserted: recomputation gets
+    cheaper as more is deleted, incremental deletion gets dearer, and
+    incremental deletion beats recomputation at 10 %.  Outside recursive
+    components retraction reads R__i / R__t membership off the remaining
+    support with no derivability test, so on this acyclic 5-peer chain
+    the crossover sits between 30 % and 50 % deleted; the paper's ~80 %
+    is printed, not asserted.  Medians on a 2-CPU x86-64 host, unified
+    vs recompute: at default scale 4.8 / 9.4 ms at 10 %, 6.3 / 8.0 at
+    30 %, 8.1 / 7.1 at 50 %; at 4x scale 20.0 / 45.1 ms at 10 %,
+    24.7 / 36.7 at 30 %, 45.2 / 26.9 at 50 %.
     """
     results = []
 
@@ -94,4 +97,7 @@ def bench_fig4_full_series(benchmark):
     )
     assert t(STRATEGY_UNIFIED, 0.1) < t(STRATEGY_UNIFIED, 0.9), (
         "incremental deletion should get dearer as more is deleted"
+    )
+    assert t(STRATEGY_UNIFIED, 0.1) < t(STRATEGY_RECOMPUTE, 0.1), (
+        "incremental deletion should beat recomputation at 10 %"
     )

@@ -1,55 +1,53 @@
 """The unified weighted-delta maintenance core.
 
-One maintainer now serves every update-exchange edit — insertions,
+One maintainer serves every update-exchange edit — insertions,
 deletions, and trust revocations — by feeding **signed Z-set deltas**
-(:class:`repro.storage.zset.ZSet`) through the same compiled plan
-pipeline (``repro.datalog.plan``) the insertion fast path has always
-used.  This replaces the two separate machines the repository grew up
-with: the per-row PropagateDelete interpretation in the old
-``core/incremental.py`` and the DRed over-delete/re-derive baseline in
-``core/dred.py`` (both remain as thin shims over this class).
+(:class:`repro.storage.zset.ZSet`) through one pass: the retraction side
+first, then re-admissions and insertions on the engine's compiled
+insertion pipeline (``repro.datalog.plan``).
 
-How retraction reuses the insertion machinery
----------------------------------------------
+How retraction works
+--------------------
 
-Insertion delta rules evaluate a rule with one body atom pinned to a
-Δ-relation; the compiled probe template is *sign-agnostic* — it joins
-whatever rows the Δ carries.  For a negative output delta ``ΔR__o⁻``,
-the affected provenance rows of table ``P`` with an ``R__o`` occurrence
-at body index ``i`` are exactly the semijoin ``P ⋉ ΔR__o⁻`` on the
-occurrence's columns, which this module expresses as a synthetic delta
-rule::
+Retraction runs in rounds, one per negative ``R__o`` delta, and every
+step of a round is set-at-a-time over the compiled inverse rules of
+:class:`~repro.provenance.relations.ProvenanceTable` (Section 4.1.3):
 
-    P(vars) :- R__o(terms_i), P(vars)      (Δ pinned at body index 0)
+* **semijoin** — the provenance rows that joined a retracted ``R__o``
+  row at some body occurrence (``P ⋉ ΔR__o⁻``) are doomed, found by one
+  key intersection per occurrence (:meth:`ProvenanceTable.doomed_rows`)
+  and removed in one bulk retraction per table;
+* **recount** — every head tuple of a doomed row is re-judged.  A
+  tuple's *weight* is its number of surviving derivations, and outside
+  recursive components of the program "weight 0 ⇔ gone" is exact: its
+  ``R__i`` membership is "some head still derives it" and its ``R__t``
+  membership "some head whose trust condition passes still derives it",
+  one key intersection per head (:meth:`ProvenanceTable.supported`);
+* **derivability** — inside a recursive component cyclic support is
+  weight a count cannot tell from a live derivation, so those tuples go
+  through the goal-directed :class:`~repro.core.derivation.DerivationTest`;
+* **apply** — one bulk removal per internal table, then ``distinct`` at
+  the output boundary: a row is in ``R__o`` iff it is a surviving local
+  contribution or trusted and not rejected.
 
-compiled and cached through the engine's plan cache exactly like an
-insertion delta rule — so retraction probes run on the same warm plans
-and probe indexes.
-
-Weights and ``distinct``
-------------------------
-
-The stored relations are sets, so a derived row's *weight* is its number
-of surviving derivations: the provenance rows supporting it.  After the
-semijoin pass deletes doomed provenance rows, each affected row's weight
-is recounted from the remaining support; rows whose weight reached zero
-are deleted outright, and rows with remaining support are checked for
-*groundedness* with the goal-directed derivability test (cyclic support
-must not keep a row alive — a pure count cannot see that, which is why
-:class:`~repro.core.derivation.DerivationTest` stays).  Output tables
-then normalize back to set semantics (``distinct``): a row is in
-``R__o`` iff its accumulated support is positive and it is not rejected.
+Counting is exact for non-recursive relations without ordering the
+rounds by component: a tuple kept alive by a source that dies in a later
+round is judged again in the round after, when the semijoin dooms the
+provenance row that joined that source.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import repeat
 from typing import Iterable, Mapping
 
-from ..datalog.ast import Atom, DatalogError, Program, Rule
+from ..datalog.ast import Program
 from ..datalog.engine import SemiNaiveEngine
+from ..datalog.stratify import stratify
 from ..obs import tracing as _tracing
-from ..datalog.plan import run_plan
 from ..provenance.relations import ProvenanceEncoding, ProvenanceTable
 from ..provenance.semiring import Token
 from ..schema.internal import (
@@ -121,24 +119,13 @@ class WeightedMaintainer:
         self.encoding = encoding
         self.program = program
         self.engine = engine
-        # user relation -> [(provenance table, synthetic semijoin rule)]
-        # per R__o body occurrence.  The rule objects are held for the
-        # life of the maintainer: the engine's plan cache is keyed by
-        # rule identity, so every retraction round after the first runs
-        # on memoized compiled plans.
-        self._deletion_rules: dict[
-            str, list[tuple[ProvenanceTable, Rule]]
-        ] = {}
+        # user relation -> the provenance tables whose body reads it
+        self._readers: dict[str, list[ProvenanceTable]] = {}
         self._table_by_name: dict[str, ProvenanceTable] = {}
         for table in encoding.tables:
             self._table_by_name[table.relation] = table
-            prov_atom = Atom(table.relation, table.variables)
-            for _, atom in table.positive_body_atoms():
-                user_rel = _strip_output(atom.predicate)
-                rule = Rule(prov_atom, (atom, prov_atom))
-                self._deletion_rules.setdefault(user_rel, []).append(
-                    (table, rule)
-                )
+            for relation in table.source_relations:
+                self._readers.setdefault(relation, []).append(table)
         self._output_relations = {
             output_name(relation): relation
             for relation in encoding.internal.relation_names()
@@ -300,18 +287,20 @@ class WeightedMaintainer:
         rejection_inserts: Rows | None,
     ) -> DeletionReport:
         report = DeletionReport()
-        output_deltas: dict[str, ZSet] = {}
-        pending_affected: set[Token] = set()
+        # user relation -> the R__o rows removed (the negative R__o delta)
+        output_deltas: dict[str, set[Row]] = {}
+        # user relation -> the rows to judge this round
+        affected: dict[str, set[Row]] = defaultdict(set)
 
         # Phase 0: fold the curation changes into the edbs and compute the
         # initial negative R__o delta.  A deleted local contribution may
-        # leave its tuple apparently supported through R__t, but that
-        # support can be circular — so such tuples join the affected set
-        # and go through the derivability machinery rather than being
-        # trusted blindly.
+        # leave its tuple supported through R__t, so such tuples join the
+        # affected set and are judged like any other rather than being
+        # trusted blindly (that support can be circular).
         for relation, rows in (local_deletes or {}).items():
             gone = self._delete(report, local_name(relation), rows)
-            pending_affected.update((relation, row) for row in gone)
+            if gone:
+                affected[relation] |= gone
         for relation, rows in (rejection_inserts or {}).items():
             # Rejection removes the R__o row directly (rule (tR)); R__t
             # itself is unaffected, so no derivability check.
@@ -321,75 +310,102 @@ class WeightedMaintainer:
 
         # Main loop: one round per negative-delta stratum, mirroring the
         # insertion rounds' shape.  Every step is set-at-a-time over the
-        # round's whole affected set; none runs per row.
-        while any(output_deltas.values()) or pending_affected:
+        # round's whole affected set; only rows of recursive components
+        # are probed one at a time.
+        while any(output_deltas.values()) or affected:
             report.iterations += 1
-            affected = pending_affected
-            pending_affected = set()
 
-            # Semijoin pass: evaluate every (provenance table, occurrence)
-            # delta rule against the round's negative R__o delta — the
-            # compiled probe templates are the insertion machinery, fed a
-            # negative delta.  All probes read the pre-deletion state (a
-            # provenance row doomed through one occurrence must still be
-            # visible to the others), then the doomed rows leave in one
-            # bulk retraction per table.
+            # Semijoin pass: every provenance row that joined a row of
+            # the round's negative R__o delta, through the compiled
+            # body-occurrence inverse rules.  All probes read the
+            # pre-deletion state (a provenance row doomed through one
+            # occurrence must still be visible to the others), then the
+            # doomed rows leave in one bulk retraction per table.
             span = _start("retraction.semijoin")
             removed = self._retract_doomed_provenance_rows(output_deltas)
             for name, rows in removed.items():
                 table = self._table_by_name[name]
                 report.provenance_rows_deleted += len(rows)
                 for head in table.heads:
-                    relation = head.user_relation
-                    affected.update(
-                        (relation, table.head_row(head, prow)) for prow in rows
+                    affected[head.user_relation].update(
+                        map(table.head_row, repeat(head), rows)
                     )
             _finish(span)
 
-            # Weight bookkeeping: probe each affected row's remaining
-            # direct support once.  Weight zero -> the row is gone
-            # outright; positive weight -> groundedness check (cyclic
-            # support is weight a count cannot distinguish from live
-            # derivations), which starts from the support found here.
+            # Weight bookkeeping.  Outside recursive components weight 0
+            # <=> gone is exact, so R__i / R__t membership is read off the
+            # remaining support, one key intersection per head.  Inside
+            # them each affected row's support is probed once and feeds
+            # the groundedness check (cyclic support is weight a count
+            # cannot distinguish from live derivations).
             span = _start("retraction.recount")
+            kept: dict[str, set[Row]] = defaultdict(set)
+            trusted: dict[str, set[Row]] = defaultdict(set)
             tester = DerivationTest(self.db, self.encoding, self.head_filters)
-            by_relation: dict[str, list[Row]] = {}
-            for relation, row in affected:
-                by_relation.setdefault(relation, []).append(row)
-            support = {
-                node: tester.direct_support(*node) for node in affected
-            }
-            to_check = [node for node, entries in support.items() if entries]
+            support: dict[Token, list] = {}
+            for relation, rows in affected.items():
+                if relation in self._recursive:
+                    for row in rows:
+                        entries = tester.direct_support(relation, row)
+                        if entries:
+                            support[(relation, row)] = entries
+                else:
+                    kept[relation], trusted[relation] = self._supported(
+                        relation, rows
+                    )
             _finish(span)
 
             span = _start("retraction.derivability")
-            verdicts = tester.derivable(to_check, support) if to_check else {}
-            report.derivability_checks += len(to_check)
+            if support:
+                verdicts = tester.derivable(list(support), support)
+                report.derivability_checks += len(support)
+                for (relation, row), verdict in verdicts.items():
+                    if verdict.any:
+                        kept[relation].add(row)
+                    if verdict.trusted:
+                        trusted[relation].add(row)
             _finish(span)
 
             # Apply the verdicts, one bulk removal per internal table.
             span = _start("retraction.apply")
             output_deltas = {}
-            for relation, rows in by_relation.items():
-                lost_input: list[Row] = []
-                lost_trust: list[Row] = []
-                for row in rows:
-                    verdict = verdicts.get((relation, row))
-                    if verdict is None or not verdict.trusted:
-                        lost_trust.append(row)
-                        if verdict is None or not verdict.any:
-                            lost_input.append(row)
-                self._delete(report, input_name(relation), lost_input)
-                self._delete(report, trusted_name(relation), lost_trust)
+            for relation, rows in affected.items():
+                for name, keep in ((input_name, kept), (trusted_name, trusted)):
+                    self._delete(report, name(relation), rows - keep[relation])
                 self._drop_outputs(relation, rows, output_deltas)
             self._record_output_deltas(report, output_deltas)
+            affected = defaultdict(set)
             _finish(span)
 
         return report
 
+    @cached_property
+    def _recursive(self) -> frozenset[str]:
+        """User relations whose ``R__o`` lies in a recursive component."""
+        return frozenset(
+            self._output_relations[name]
+            for component in stratify(self.program).components
+            if component.recursive
+            for name in component.predicates & self._output_relations.keys()
+        )
+
+    def _supported(
+        self, relation: str, rows: set[Row]
+    ) -> tuple[set[Row], set[Row]]:
+        """The ``rows`` some head still derives, and those some head whose
+        trust condition passes still derives."""
+        kept: set[Row] = set()
+        trusted: set[Row] = set()
+        for table, head in self.encoding.targets_for_relation(relation):
+            live = table.supported(self.db, head, rows)
+            kept |= live
+            condition = self.head_filters.get(head.trust_label)
+            trusted.update(filter(condition, live) if condition else live)
+        return kept, trusted
+
     def _delete(
         self, report: DeletionReport, name: str, rows: Iterable[Row]
-    ) -> list[Row]:
+    ) -> set[Row]:
         """One bulk removal from internal table ``name``, counted."""
         gone = self.db[name].delete_existing(rows)
         if gone:
@@ -397,46 +413,44 @@ class WeightedMaintainer:
         return gone
 
     def _drop_outputs(
-        self, relation: str, rows: Iterable[Row], deltas: dict[str, ZSet]
+        self, relation: str, rows: set[Row], deltas: dict[str, set[Row]]
     ) -> None:
         """Remove from ``R__o`` the ``rows`` that lost their membership;
-        accumulate ``-1`` for each.
+        record them in ``deltas`` and accumulate ``-1`` for each into the
+        change stream.
 
         This is the ``distinct`` normalization at the output boundary:
         membership is "accumulated support is positive" (a surviving
         local contribution, or trusted-and-not-rejected), never a
-        multiplicity."""
-        local = self.db[local_name(relation)]
+        multiplicity.  Each membership test is one full-width
+        ``keys_present``: an intersection with the table's row set."""
+        out = self.db[output_name(relation)]
+        whole = range(out.arity)
+        keep = self.db[trusted_name(relation)].keys_present(whole, rows)
+        keep -= self.db[rejection_name(relation)].keys_present(whole, keep)
+        local = self.db[local_name(relation)].keys_present(whole, rows)
         local_filter = self.head_filters.get(LOCAL_RULE_PREFIX + relation)
-        trusted = self.db[trusted_name(relation)]
-        rejected = self.db[rejection_name(relation)]
-        gone = self.db[output_name(relation)].delete_existing(
-            row
-            for row in rows
-            if not (
-                row in local and (local_filter is None or local_filter(row))
-            )
-            and (row not in trusted or row in rejected)
-        )
+        keep.update(filter(local_filter, local) if local_filter else local)
+        gone = out.delete_existing(rows - keep)
         if gone:
-            for zsets in (deltas, self._changes):
-                if zsets is not None:
-                    zset = zsets.setdefault(relation, ZSet())
-                    for row in gone:
-                        zset.add(row, -1)
+            deltas[relation] = gone
+            if self._changes is not None:
+                zset = self._changes.setdefault(relation, ZSet())
+                for row in gone:
+                    zset.add(row, -1)
 
     def _record_output_deltas(
-        self, report: DeletionReport, output_deltas: dict[str, ZSet]
+        self, report: DeletionReport, output_deltas: dict[str, set[Row]]
     ) -> None:
-        for relation, zset in output_deltas.items():
-            n = len(zset.negative())
+        for relation, rows in output_deltas.items():
+            n = len(rows)
             report._count(output_name(relation), n)
             report.output_deletions[relation] = (
                 report.output_deletions.get(relation, 0) + n
             )
 
     def _retract_doomed_provenance_rows(
-        self, output_deltas: dict[str, ZSet]
+        self, output_deltas: dict[str, set[Row]]
     ) -> dict[str, set[Row]]:
         """Evaluate and apply the retraction semijoins for one round.
 
@@ -447,38 +461,17 @@ class WeightedMaintainer:
         <repro.storage.instance.Instance.delete_existing>` call.
         """
         doomed: dict[str, set[Row]] = {}
-        for relation, zset in output_deltas.items():
-            rows = zset.negative()
-            if not rows:
-                continue
-            for table, rule in self._deletion_rules.get(relation, ()):
-                matched = self._run_deletion_rule(rule, rows)
+        for relation, rows in output_deltas.items():
+            for table in self._readers.get(relation, ()):
+                matched = table.doomed_rows(self.db, relation, rows)
                 if matched:
                     doomed.setdefault(table.relation, set()).update(matched)
         removed: dict[str, set[Row]] = {}
         for name, rows in doomed.items():
             gone = self.db[name].delete_existing(rows)
             if gone:
-                removed[name] = set(gone)
+                removed[name] = gone
         return removed
-
-    def _run_deletion_rule(self, rule: Rule, delta_rows: list[Row]) -> list[Row]:
-        """One semijoin evaluation: the rule's Δ atom (body index 0) pinned
-        to the negative delta, everything else resolved from the live db —
-        the same memoized plan + pooled Δ-instance path insertion delta
-        rules run on."""
-        delta_atom = rule.body[0]
-        delta_source = self.engine.delta_instance(
-            delta_atom.predicate, delta_atom.arity, delta_rows
-        )
-        plan = self.engine.cached_plan(rule, self.db, 0)
-
-        def resolve(index: int, atom: Atom):
-            if index == 0:
-                return delta_source
-            return self.db[atom.predicate]
-
-        return run_plan(plan, resolve)
 
 
 def _start(name: str) -> _tracing.Span | None:
@@ -490,12 +483,3 @@ def _finish(span: _tracing.Span | None) -> None:
     if span is not None:
         _tracing.finish(span)
 
-
-def _strip_output(internal_rel: str) -> str:
-    # A real error, not an assert: this guards the deletion delta rules'
-    # relation naming and must hold under ``python -O`` too.
-    if not internal_rel.endswith("__o"):
-        raise DatalogError(
-            f"expected an output relation (R__o), got {internal_rel!r}"
-        )
-    return internal_rel[: -len("__o")]

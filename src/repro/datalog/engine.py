@@ -202,10 +202,8 @@ class DeltaPool:
 
     Contents are replaced diff-wise (:meth:`Instance.replace_contents`)
     so materialized probe indexes are maintained incrementally instead of
-    rebuilt every round.  Shared by the engine and the weighted
-    maintainer (via :meth:`SemiNaiveEngine.delta_instance`); the engine
-    empties the pool at the end of every run (:meth:`release`), so no Δ
-    outlives the run that built it.
+    rebuilt every round.  The engine empties the pool at the end of every
+    run (:meth:`release`), so no Δ outlives the run that built it.
     """
 
     __slots__ = ("_instances",)
@@ -317,23 +315,15 @@ class SemiNaiveEngine:
     ) -> RulePlan:
         """Public entry to the engine-level plan cache.
 
-        Used by the prepared-query subsystem and the weighted maintainer,
-        which plan outside a full engine run; cache hits/misses accrue directly to
-        the engine's cumulative :attr:`stats`.
+        Used by the prepared-query subsystem, which plans outside a full
+        engine run; cache hits/misses accrue directly to the engine's
+        cumulative :attr:`stats`.
         """
         result = EvaluationResult()
         plan = self._plan_for(rule, db, delta_index, result, params)
         self.stats.plan_cache_hits += result.plan_cache_hits
         self.stats.plan_cache_misses += result.plan_cache_misses
         return plan
-
-    def delta_instance(
-        self, predicate: str, arity: int, rows: set[Row]
-    ) -> Instance:
-        """The reusable Δ-relation for ``predicate``, swapped to ``rows``
-        (see :class:`DeltaPool`).  Public so the weighted maintainer shares
-        the same persistent Δ pool."""
-        return self._delta_pool.instance(predicate, arity, rows)
 
     def _finish(self, result: EvaluationResult) -> EvaluationResult:
         self.last_result = result
@@ -484,7 +474,7 @@ class SemiNaiveEngine:
                         deltas = {}
                         for pred in component.inputs & new.keys():
                             if pred not in finals:
-                                finals[pred] = self.delta_instance(
+                                finals[pred] = self._delta_pool.instance(
                                     pred, db[pred].arity, new[pred]
                                 )
                             deltas[pred] = finals[pred]
@@ -550,7 +540,7 @@ class SemiNaiveEngine:
             if not (recursive and added):
                 break
             deltas = {
-                pred: self.delta_instance(pred, db[pred].arity, rows)
+                pred: self._delta_pool.instance(pred, db[pred].arity, rows)
                 for pred, rows in added.items()
             }
         if span is not None:

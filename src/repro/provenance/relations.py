@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import AbstractSet, Callable, Iterator
+from typing import AbstractSet, Callable, Collection, Iterable, Iterator
 
 from ..datalog.ast import Atom, Program, Rule, Variable
 from ..datalog.plan import _compile_pattern, _match_pattern, _tuple_getter
@@ -50,12 +50,18 @@ PROV_RULE_PREFIX = "prov:"
 PROJ_RULE_PREFIX = "proj:"
 TRUST_RULE_PREFIX = "trust:"
 
-OUTPUT_SUFFIX_LEN = len("__o")
+OUTPUT_SUFFIX = "__o"
 
 
 def _user_relation_of_internal(internal_rel: str) -> str:
-    """Strip the ``__o`` / ``__i`` suffix from an internal relation name."""
-    return internal_rel[:-OUTPUT_SUFFIX_LEN]
+    """Strip the ``__o`` suffix from a mapping body's relation name."""
+    # A real error, not an assert: the inverse rules are keyed by the
+    # stripped name, so this must hold under ``python -O`` too.
+    if not internal_rel.endswith(OUTPUT_SUFFIX):
+        raise ProvenanceError(
+            f"expected an output relation (R__o), got {internal_rel!r}"
+        )
+    return internal_rel[: -len(OUTPUT_SUFFIX)]
 
 
 def trust_label(mapping_name: str, head_index: int) -> str:
@@ -80,15 +86,16 @@ class HeadTarget:
         return trust_label(self.mapping, self.index)
 
 
-#: A compiled inverse rule: the provenance columns a head pins, and a
-#: matcher turning a target row into their probe values (None on a
-#: constant, repeated-variable or Skolem mismatch).  A None matcher means
-#: the head is distinct variables, so the target row *is* the probe key.
+#: A compiled inverse rule: the provenance columns an atom (a head or a
+#: body occurrence) pins, and a matcher turning one of its rows into
+#: their probe values (None on a constant, repeated-variable or Skolem
+#: mismatch).  A None matcher means the atom is distinct variables, so
+#: its row *is* the probe key.
 InverseRule = tuple[tuple[int, ...], Callable[[Row], Row | None] | None]
 
 
-def _inverse_rule(head: Atom, var_index: dict[Variable, int]) -> InverseRule:
-    terms = head.terms
+def _inverse_rule(atom: Atom, var_index: dict[Variable, int]) -> InverseRule:
+    terms = atom.terms
     distinct = len(set(terms)) == len(terms)
     if distinct and all(isinstance(t, Variable) for t in terms):
         return tuple(var_index[t] for t in terms), None
@@ -112,9 +119,12 @@ class ProvenanceTable:
     """One provenance relation: its schema, defining body, and head targets.
 
     The forward rules (``head_row``, ``source_tuples``) and the inverse
-    rules of Section 4.1.3 (``supporting_rows``) are compiled once per
-    head here — the treatment ``repro.datalog.plan`` gives mapping rules —
-    so the deletion path never interprets a term per row.
+    rules of Section 4.1.3 are compiled once per head and per positive
+    body occurrence here — the treatment ``repro.datalog.plan`` gives
+    mapping rules — so the deletion path never interprets a term per row.
+    A head's inverse rule answers "which rows derive this tuple"
+    (``supporting_rows``, ``supported``); a body occurrence's answers
+    "which rows joined this tuple" (``doomed_rows``).
     """
 
     mapping: str
@@ -126,8 +136,8 @@ class ProvenanceTable:
     _compiled: dict[int, tuple[Callable[[Row], Row], InverseRule]] = field(
         default=None, compare=False, repr=False
     )  # type: ignore[assignment]
-    # (user relation, tuple getter) per positive body atom
-    _sources: tuple[tuple[str, Callable[[Row], Row]], ...] = field(
+    # (user relation, tuple getter, inverse rule) per positive body atom
+    _sources: tuple[tuple[str, Callable[[Row], Row], InverseRule], ...] = field(
         default=None, compare=False, repr=False
     )  # type: ignore[assignment]
 
@@ -151,6 +161,7 @@ class ProvenanceTable:
                 (
                     _user_relation_of_internal(atom.predicate),
                     _tuple_getter(atom.terms, var_index),
+                    _inverse_rule(atom, var_index),
                 )
                 for atom in self.body
                 if not atom.negated
@@ -174,7 +185,14 @@ class ProvenanceTable:
         """The user-level (relation, tuple) pairs joined by this instantiation
         (positive body atoms only — these are the provenance-graph arcs *into*
         the mapping node)."""
-        return tuple([(relation, get(row)) for relation, get in self._sources])
+        return tuple(
+            [(relation, get(row)) for relation, get, _ in self._sources]
+        )
+
+    @property
+    def source_relations(self) -> frozenset[str]:
+        """The user relations the positive body atoms read."""
+        return frozenset(relation for relation, _, _ in self._sources)
 
     def positive_body_atoms(self) -> tuple[tuple[int, Atom], ...]:
         """(index, atom) pairs for the positive body atoms."""
@@ -205,6 +223,34 @@ class ProvenanceTable:
             if target_row is None:
                 return frozenset()
         return db[self.relation].lookup(columns, target_row)
+
+    def supported(
+        self, db: Database, head: HeadTarget, rows: Iterable[Row]
+    ) -> set[Row]:
+        """The ``rows`` (target tuples of ``head``) that some row of this
+        table still derives: :meth:`supporting_rows` set-at-a-time, one
+        key intersection with the head columns' index."""
+        columns, match = self._compiled[head.index][1]
+        table = db[self.relation]
+        if match is None:
+            return table.keys_present(columns, rows)
+        by_key = {key: row for row in rows if (key := match(row)) is not None}
+        return {by_key[key] for key in table.keys_present(columns, by_key)}
+
+    def doomed_rows(
+        self, db: Database, relation: str, rows: Collection[Row]
+    ) -> set[Row]:
+        """This table's rows that joined one of ``rows`` (tuples of user
+        relation ``relation``) at some positive body occurrence — the
+        semijoin ``P ⋉ ΔR__o⁻``, one key intersection per occurrence."""
+        doomed: set[Row] = set()
+        for source, _, (columns, match) in self._sources:
+            if source == relation:
+                keys = rows if match is None else [
+                    key for key in map(match, rows) if key is not None
+                ]
+                doomed |= db[self.relation].matching(columns, keys)
+        return doomed
 
     # -- rule generation ------------------------------------------------------
 

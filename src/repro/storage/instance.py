@@ -195,27 +195,20 @@ class Instance:
         """
         return len(self.delete_existing(rows))
 
-    def delete_existing(self, rows: Iterable[Sequence[object]]) -> list[Row]:
+    def delete_existing(self, rows: Iterable[Sequence[object]]) -> set[Row]:
         """Bulk delete; return the rows that were genuinely removed.
 
-        The deletion mirror of :meth:`insert_new`: one version bump, one
-        bulk index-maintenance run, and the effective rows back to the
-        caller — what the deletion-propagation algorithms need to seed
-        their next frontier without per-row ``delete`` calls.
+        The set mirror of :meth:`insert_new`: one version bump, one bulk
+        index-maintenance run, and the effective rows (in no particular
+        order) back to the caller — what retraction needs to seed its
+        next frontier without per-row ``delete`` calls.
         """
-        # Two-phase like insert_new: collect first, then mutate, so an
-        # unhashable/bad row mid-batch cannot desynchronize the indexes.
-        existing = self._rows
-        removed: list[Row] = []
-        batch: set[Row] = set()
-        for row in rows:
-            row = tuple(row)
-            if row in existing and row not in batch:
-                batch.add(row)
-                removed.append(row)
+        # Two-phase like insert_new: an unhashable row fails the
+        # intersection before anything mutates.
+        removed = self._rows.intersection(map(tuple, rows))
         if not removed:
             return removed
-        existing.difference_update(batch)
+        self._rows -= removed
         self._bump()
         if self._indexes._by_cols:
             self._indexes.delete_rows(removed)
@@ -299,6 +292,39 @@ class Instance:
             # One-time miss: validate the columns and build the index.
             self.ensure_index(cols)
             return self._indexes.probe(cols, tuple(values))
+
+    def matching(
+        self, columns: Sequence[int], keys: Iterable[Row]
+    ) -> set[Row]:
+        """The rows whose projection on ``columns`` is one of ``keys``.
+
+        Set-at-a-time :meth:`lookup`: one intersection of ``keys`` with
+        the synchronized index's key view (with the row set for a
+        full-width probe), then the union of the hit buckets.
+        """
+        cols = tuple(columns)
+        if cols == tuple(range(self.arity)):
+            return self._rows.intersection(keys)
+        index = self._key_index(cols)
+        return set().union(*[index[key] for key in index.keys() & keys])
+
+    def keys_present(
+        self, columns: Sequence[int], keys: Iterable[Row]
+    ) -> set[Row]:
+        """The ``keys`` some row still projects to on ``columns``: one
+        intersection, as :meth:`matching`.  Empty buckets are dropped
+        eagerly, so a key in the index view always has a row."""
+        cols = tuple(columns)
+        if cols == tuple(range(self.arity)):
+            return self._rows.intersection(keys)
+        return self._key_index(cols).keys() & keys
+
+    def _key_index(self, cols: tuple[int, ...]) -> dict[Row, set[Row]]:
+        """The synchronized ``key -> bucket`` index on ``cols``."""
+        if not cols:  # every row projects to the empty key
+            return {(): self._rows} if self._rows else {}
+        self.prepare_probe(cols)
+        return self._indexes._by_cols[cols]
 
     def prepare_probe(self, columns: Sequence[int]) -> None:
         """Make the index on ``columns`` current ahead of a probe loop.

@@ -6,10 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.weighted import _strip_output
 from repro.datalog import (
     CostBasedPlanner,
-    DatalogError,
     NaiveEngine,
     PreparedPlanner,
     SemiNaiveEngine,
@@ -301,14 +299,6 @@ class TestBulkIndexMaintenance:
         inst.insert((1, "b"))
         # Zero-copy: the view reflects the mutation (it is the live bucket).
         assert set(view) == {(1, "a"), (1, "b")}
-
-
-class TestStripOutputUnderO:
-    def test_strip_output_raises_real_error(self):
-        # Must raise even under ``python -O`` (it used to be an assert).
-        assert _strip_output("R__o") == "R"
-        with pytest.raises(DatalogError):
-            _strip_output("R__t")
 
 
 class TestExecutorSubstitutions:

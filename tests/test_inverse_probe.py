@@ -14,6 +14,8 @@ import pytest
 from repro import CDSS
 from repro.datalog.ast import SkolemValue
 from repro.provenance import ENCODING_COMPOSITE, ENCODING_PER_RULE
+from repro.provenance.expression import ProvenanceError
+from repro.provenance.relations import _user_relation_of_internal
 
 STYLES = [ENCODING_COMPOSITE, ENCODING_PER_RULE]
 
@@ -120,3 +122,73 @@ def test_crafted_misses_have_no_support(style):
     for table, head, row in misses:
         assert table.supporting_rows(system.db, head, row) == frozenset()
         assert oracle(system.db, table, head, row) == set()
+
+
+def body_shapes_cdss(style: str) -> CDSS:
+    """Body occurrences with a constant, a repeated variable, a relation
+    read twice, a join, and no variable at all; a head of constants only
+    (both probe the empty column list)."""
+    cdss = CDSS("body-shapes", encoding_style=style)
+    cdss.add_peer("P1", {"A": ("k", "v"), "B": ("a", "b", "c")})
+    cdss.add_peer("P2", {"R": ("x", "y"), "S": ("x",), "K": ("c",)})
+    cdss.add_mapping("mconst", "B(k, k, 'x') -> S(k)")
+    cdss.add_mapping("mjoin", "A(k, v), A(v, w) -> R(k, w)")
+    cdss.add_mapping("mpair", "A(k, v), B(k, v, c) -> R(v, c)")
+    cdss.add_mapping("mground", "A(k, v), B(1, 1, 'x') -> S(v)")
+    cdss.add_mapping("mflag", "A(k, v) -> K('c')")
+    with cdss.batch() as tx:
+        for k, v in [(1, 2), (2, 2), (2, 3), (3, 1), (4, 4)]:
+            tx.insert("A", (k, v))
+        for row in [(1, 1, "x"), (2, 2, "y"), (2, 3, "x"), (3, 3, "x")]:
+            tx.insert("B", row)
+    cdss.update_exchange()
+    return cdss
+
+
+@pytest.mark.parametrize("style", STYLES)
+@pytest.mark.parametrize("build", [shapes_cdss, paper_cdss, body_shapes_cdss])
+def test_supported_is_the_per_row_probe_at_a_time(build, style):
+    system = build(style).system()
+    misses = [(1, 1, "y"), (2, 1), ("plain", 2), (99, 99), ("d",)]
+    for table, head in system.encoding.iter_heads():
+        arity = len(head.atom.terms)
+        rows = set(system.db[f"{head.user_relation}__i"]) | {
+            row for row in misses if len(row) == arity
+        }
+        expected = {
+            row for row in rows if table.supporting_rows(system.db, head, row)
+        }
+        assert table.supported(system.db, head, rows) == expected
+        assert expected, f"{head.atom} supports nothing; the check is vacuous"
+
+
+@pytest.mark.parametrize("style", STYLES)
+@pytest.mark.parametrize("build", [body_shapes_cdss, paper_cdss])
+def test_doomed_rows_match_the_forward_oracle(build, style):
+    """A provenance row is doomed by a source tuple exactly when one of
+    its positive body occurrences instantiates to that tuple."""
+    system = build(style).system()
+    for table in system.encoding.tables:
+        for relation in table.source_relations:
+            rows = set(system.db[f"{relation}__o"])
+            misses = {(9, 9), (9, 9, "x"), (1, 1, "y")}
+            for probe in [rows, set(list(rows)[::2]), misses]:
+                expected = {
+                    prow
+                    for prow in system.db[table.relation]
+                    if any(
+                        (relation, row) in table.source_tuples(prow)
+                        for row in probe
+                    )
+                }
+                found = table.doomed_rows(system.db, relation, probe)
+                assert found == expected, (table.relation, relation, probe)
+            assert table.doomed_rows(system.db, relation, rows)
+
+
+def test_user_relation_of_internal_raises_real_error():
+    # Must raise even under ``python -O``: the inverse rules are keyed by
+    # the stripped name.
+    assert _user_relation_of_internal("R__o") == "R"
+    with pytest.raises(ProvenanceError):
+        _user_relation_of_internal("R__t")

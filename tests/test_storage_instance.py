@@ -1,6 +1,8 @@
 """Unit tests for repro.storage.instance."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.storage.indexes import INDEX_POLICIES
 from repro.storage.instance import ArityError, Instance
@@ -48,11 +50,12 @@ class TestInsertDelete:
     def test_delete_many_counts_removed_rows_only(self):
         inst = Instance("R", 1, [(1,), (2,)])
         assert inst.delete_many([(1,), (9,)]) == 1
-        # delete_existing returns the effective rows: absent and repeated
-        # rows drop out, so the result is exactly what left the relation.
+        # delete_existing returns the effective rows (in no particular
+        # order): absent and repeated rows drop out, so the result is
+        # exactly what left the relation.
         inst.insert_many([(3,), (4,)])
-        assert inst.delete_existing([[4], (9,), (2,), (4,)]) == [(4,), (2,)]
-        assert inst.delete_existing([(2,)]) == []
+        assert inst.delete_existing([[4], (9,), (2,), (4,)]) == {(4,), (2,)}
+        assert not inst.delete_existing([(2,)])
         assert set(inst) == {(3,)}
 
     def test_version_bumps_on_mutation(self):
@@ -99,6 +102,77 @@ class TestInsertNew:
         assert not inst.lookup([0], (4,))
         assert not inst.lookup([1, 2], ("f", 60))
         assert inst.pending_index_ops() == 0
+
+
+class TestDeleteExisting:
+    @pytest.mark.parametrize("policy", INDEX_POLICIES)
+    def test_duplicates_and_absent_rows_leave_state_exact(self, policy):
+        rows = {(1, "a", 10), (1, "b", 20), (2, "a", 10), (3, "c", 30)}
+        inst = Instance("R", 3, rows, index_policy=policy)
+        inst.ensure_index([0])
+        inst.ensure_index([1, 2])
+        version = inst.version
+        with inst.defer_maintenance():
+            gone = inst.delete_existing(
+                [(1, "a", 10), [1, "a", 10], (9, "z", 0), (2, "a", 10)]
+            )
+            assert gone == {(1, "a", 10), (2, "a", 10)}
+            assert inst.version == version + 1
+            # Nothing present: no mutation, no version bump, no log run.
+            pending = inst.pending_index_ops()
+            assert not inst.delete_existing([(9, "z", 0), (1, "a", 10)])
+            assert inst.version == version + 1
+            assert inst.pending_index_ops() == pending
+            assert set(inst.lookup([1, 2], ("a", 10))) == set()
+        assert inst.rows() == rows - gone
+        assert set(inst.lookup([0], (1,))) == {(1, "b", 20)}
+        assert not inst.lookup([0], (2,))
+        assert inst.index_key_count([0]) == 2
+        assert inst.index_key_count([1, 2]) == 2
+        assert inst.pending_index_ops() == 0
+
+
+ROWS = st.sets(
+    st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(0, 2)),
+    max_size=20,
+)
+
+
+class TestSetProbes:
+    """``matching`` / ``keys_present`` against a brute-force filter, on
+    single-column, multi-column and full-width columns, inside a deferral
+    scope whose pending delete runs the probed index must apply first."""
+
+    @pytest.mark.parametrize("policy", INDEX_POLICIES)
+    @pytest.mark.parametrize("columns", [(1,), (2, 0), (0, 1, 2)])
+    @settings(max_examples=40, deadline=None)
+    @given(
+        rows=ROWS,
+        deleted=ROWS,
+        keys=st.lists(
+            st.tuples(st.integers(0, 4), st.integers(0, 4), st.integers(0, 4))
+        ),
+    )
+    def test_matches_brute_force(self, policy, columns, rows, deleted, keys):
+        inst = Instance("R", 3, rows, index_policy=policy)
+        inst.ensure_index(columns)
+        inst.ensure_index([0])
+        keys = {key[: len(columns)] for key in keys}
+        with inst.defer_maintenance():
+            inst.delete_existing(deleted)
+            inst.insert_new(deleted - rows)  # a pending insert run too
+            live = (rows - deleted) | (deleted - rows)
+
+            def project(row):
+                return tuple(row[c] for c in columns)
+
+            assert inst.matching(columns, keys) == {
+                row for row in live if project(row) in keys
+            }
+            assert inst.keys_present(columns, keys) == {
+                key for key in keys if any(project(r) == key for r in live)
+            }
+        assert set(inst) == live
 
 
 class TestFullWidthProbe:

@@ -10,11 +10,14 @@ order edits arrive in, the maintained fixpoint is *the* fixpoint.  The
 change stream rides along: every exchange's captured ``R__o`` Z-set must
 equal the diff of the output instances around it.
 
-The grid covers two topologies, both index-maintenance policies (eager /
-deferred) and both strategies: under "recompute" the fingerprint check is
-trivial, but the change stream must still equal the output diff.
-Deterministic tests at the end pin the derivability test on cycles and
-its one-probe-per-row, linear-slice behaviour on a long chain.
+The grid covers three topologies (a chain closing into a cycle, a
+2-cycle, and an acyclic diamond mixing trusted and untrusted support for
+one row), both index-maintenance policies (eager / deferred) and both
+strategies: under "recompute" the fingerprint check is trivial, but the
+change stream must still equal the output diff.  Deterministic tests at
+the end pin where the derivability test runs — never outside recursive
+components, still on cycles — and its one-probe-per-row, linear-slice
+behaviour on a long chain.
 """
 
 from collections import Counter
@@ -71,11 +74,32 @@ def build_cycle_cdss(strategy, index_policy, trust_threshold=None):
     return cdss
 
 
+def build_diamond_cdss(strategy, index_policy, trust_threshold=None):
+    """An acyclic diamond: every D row is derived through B2 and through
+    C, and the trust condition on the C side leaves rows with one trusted
+    and one untrusted derivation."""
+    cdss = new_cdss("zset-diamond", strategy, index_policy)
+    peers = (("P1", "A"), ("P2", "B2"), ("P3", "C"), ("P4", "D"))
+    for peer, relation in peers:
+        cdss.add_peer(peer, {relation: ("k", "v")})
+    cdss.add_mapping("mab", "A(k, v) -> B2(k, v)")
+    cdss.add_mapping("mac", "A(k, v) -> C(k, v)")
+    cdss.add_mapping("mbd", "B2(k, v) -> D(k, v)")
+    cdss.add_mapping("mcd", "C(k, v) -> D(k, v)")
+    if trust_threshold is not None:
+        cdss.peer("P4").trust().condition(
+            "mcd", lambda row: row[0] < trust_threshold,
+            description="threshold",
+        )
+    return cdss
+
+
 # topology -> (builder, curated relation, its row for a key): revocations
 # delete that row and every row with the key; un-revocations insert it.
 TOPOLOGIES = {
     "chain-nulls": (build_cdss, "C", lambda k: (k,)),
     "cycle-shapes": (build_cycle_cdss, "B2", lambda k: (k, k % 4)),
+    "diamond-trust": (build_diamond_cdss, "B2", lambda k: (k, k % 4)),
 }
 
 
@@ -195,6 +219,107 @@ def test_interleavings_match_recompute(strategy, index_policy, data):
 @given(data=interleavings())
 def test_cycle_interleavings_match_recompute(strategy, index_policy, data):
     check_against_recompute("cycle-shapes", strategy, index_policy, data)
+
+
+@pytest.mark.parametrize("index_policy", ["eager", "deferred"])
+@pytest.mark.parametrize("strategy", STRATEGIES)
+@settings(max_examples=10, deadline=None)
+@given(data=interleavings())
+def test_diamond_interleavings_match_recompute(strategy, index_policy, data):
+    check_against_recompute("diamond-trust", strategy, index_policy, data)
+
+
+def _deletion(cdss):
+    return cdss.update_exchange().details["deletion"]
+
+
+def _matches_recompute(system) -> bool:
+    maintained = state_fingerprint(system)
+    system.recompute()
+    return state_fingerprint(system) == maintained
+
+
+def test_acyclic_retraction_runs_no_derivability_test():
+    """Outside recursive components weight 0 <=> gone is exact: a row that
+    keeps support after losing its local contribution or one of its two
+    derivations is kept by the count alone."""
+    cdss = build_diamond_cdss("unified", None, trust_threshold=5)
+    with cdss.batch() as tx:
+        tx.insert("A", (1, 1))
+        tx.insert("A", (7, 2))
+        tx.insert("D", (1, 1))
+    cdss.update_exchange()
+    # D(1, 1): local, via B2 (trusted) and via C (trusted, 1 < 5).
+    with cdss.batch() as tx:
+        tx.delete("D", (1, 1))
+    deletion = _deletion(cdss)
+    assert deletion.derivability_checks == 0
+    assert (1, 1) in set(cdss.relation("D"))
+    # One of the two derivations goes: a trust revocation of B2(1, 1).
+    with cdss.batch() as tx:
+        tx.delete("B2", (1, 1))
+    deletion = _deletion(cdss)
+    assert deletion.derivability_checks == 0
+    assert deletion.provenance_rows_deleted == 1
+    assert (1, 1) in set(cdss.relation("D"))
+    # D(7, 2) via B2 (trusted) and via C (untrusted: 7 >= 5); revoking
+    # B2(7, 2) leaves it an input, but no longer trusted.
+    with cdss.batch() as tx:
+        tx.delete("B2", (7, 2))
+    deletion = _deletion(cdss)
+    assert deletion.derivability_checks == 0
+    assert (7, 2) not in set(cdss.relation("D"))
+    assert (7, 2) in cdss.system().input_instance("D")
+    assert (7, 2) not in cdss.system().trusted_instance("D")
+    assert _matches_recompute(cdss.system())
+
+
+def _workload(topology):
+    from repro.workload import (
+        DATASET_INTEGER,
+        CDSSWorkloadGenerator,
+        WorkloadConfig,
+    )
+
+    generator = CDSSWorkloadGenerator(
+        WorkloadConfig(peers=10, topology=topology, dataset=DATASET_INTEGER)
+    )
+    cdss = generator.build_cdss()
+    generator.populate(cdss, 4)
+    return generator, cdss
+
+
+def test_chain_retraction_probes_no_support_row_by_row(monkeypatch):
+    generator, cdss = _workload("chain")
+    probes = Counter()
+    probe = ProvenanceTable.supporting_rows
+
+    def counting_probe(self, db, head, row):
+        probes[head.user_relation] += 1
+        return probe(self, db, head, row)
+
+    monkeypatch.setattr(ProvenanceTable, "supporting_rows", counting_probe)
+    generator.record_deletions(cdss, generator.deletions(2))
+    deletion = _deletion(cdss)
+    assert deletion.provenance_rows_deleted > 0
+    assert deletion.derivability_checks == 0
+    assert not probes
+    assert _matches_recompute(cdss.system())
+
+
+def test_pairs_cycles_still_collect_mutual_support():
+    """In the bidirectional chain every relation is in one recursive
+    component: retraction keeps the derivability test, which is what
+    garbage-collects rows that now only support each other."""
+    generator, cdss = _workload("pairs")
+    deleted = generator.deletions(2)
+    generator.record_deletions(cdss, deleted)
+    deletion = _deletion(cdss)
+    assert deletion.derivability_checks > 0
+    keys = {update.key for update in deleted}
+    for relation in cdss.system().internal.relation_names():
+        assert not {row for row in cdss.relation(relation) if row[0] in keys}
+    assert _matches_recompute(cdss.system())
 
 
 def test_deleting_the_only_local_contribution_of_a_cycle_empties_it():
