@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Debugging derivations: trees, inverse rules, EXPLAIN, checkpoints.
+"""Debugging derivations: trees, derivability, EXPLAIN, checkpoints.
 
 A curator asking "why is this tuple here, and would it survive if I deleted
 that source?" needs more than instances.  This example tours the
@@ -7,8 +7,7 @@ introspection toolkit:
 
 * **derivation trees** — every summand of a provenance expression as an
   explicit proof tree (Section 3.2);
-* **goal-directed derivability** — the Section 4.1.3 test, both the direct
-  implementation and the literal inverse-rule datalog program;
+* **goal-directed derivability** — the Section 4.1.3 test;
 * **EXPLAIN** — the bind-join plans the engine actually runs (the paper's
   Section 5.1 tuning pains, made visible), including a prepared query's
   pipeline with its parameter slots pre-bound;
@@ -21,7 +20,6 @@ Run:  python examples/derivation_debugging.py
 
 from repro import CDSS
 from repro.core.derivation import DerivationTest
-from repro.core.inverse_rules import derivable_by_inverse_rules
 from repro.datalog.explain import explain_program
 from repro.storage import checkpoint, restore
 
@@ -60,12 +58,7 @@ def what_if_analysis(cdss: CDSS) -> None:
     # the goal-directed derivability test of Section 4.1.3.
     system.db["G__l"].delete((3, 5, 2))
     tester = DerivationTest(system.db, system.encoding, system.head_filters)
-    direct = tester.is_derivable("B", (3, 2))
-    via_program = derivable_by_inverse_rules(
-        system.db, system.encoding, [("B", (3, 2))], system.head_filters
-    )[("B", (3, 2))]
-    print(f"direct implementation : {direct}")
-    print(f"inverse-rule program  : {via_program}")
+    print(f"derivable: {tester.is_derivable('B', (3, 2))}")
     print(
         "(True — the m4 derivation from B(3,5) and U(2,5) still grounds it;"
     )

@@ -64,50 +64,6 @@ def efficiency_snapshot() -> dict[str, object]:
     }
 
 
-def rows_per_cpu_second(rows: float, cpu_seconds: float) -> float:
-    """Rows of useful output per CPU second (0 when unmeasurably fast)."""
-    return rows / cpu_seconds if cpu_seconds > 0 else 0.0
-
-
-def phase_efficiency_table(
-    phases: dict[str, dict[str, float]], title: str = "phase efficiency"
-) -> str:
-    """Per-phase work-per-resource summary as an aligned ASCII table.
-
-    ``phases`` maps phase name to a dict with ``rows`` and
-    ``cpu_seconds`` (``wall_seconds`` optional); the table adds the
-    derived ``rows_per_cpu_s`` column.  Benchmarks print this at the end
-    of a run so every series closes with a resource-efficiency readout.
-    """
-    headers = ("phase", "rows", "wall_s", "cpu_s", "rows_per_cpu_s")
-    rows = []
-    for phase, values in phases.items():
-        count = float(values.get("rows", 0.0))
-        cpu = float(values.get("cpu_seconds", 0.0))
-        wall = float(values.get("wall_seconds", 0.0))
-        rows.append(
-            (
-                phase,
-                f"{count:.0f}",
-                f"{wall:.4f}",
-                f"{cpu:.4f}",
-                f"{rows_per_cpu_second(count, cpu):.0f}",
-            )
-        )
-    widths = [
-        max(len(headers[i]), *(len(r[i]) for r in rows)) if rows else len(headers[i])
-        for i in range(len(headers))
-    ]
-    lines = [
-        f"== {title} ==",
-        "  ".join(h.ljust(w) for h, w in zip(headers, widths)),
-        "  ".join("-" * w for w in widths),
-    ]
-    for row in rows:
-        lines.append("  ".join(c.ljust(w) for c, w in zip(row, widths)))
-    return "\n".join(lines)
-
-
 def efficiency_footer() -> str:
     """One-line cumulative resource readout for the end of a bench run."""
     snapshot = efficiency_snapshot()
@@ -229,10 +185,22 @@ class ExperimentResult:
 
 
 def timed(fn: Callable[[], object]) -> tuple[object, float]:
-    """Run ``fn`` once, returning (result, wall seconds)."""
-    start = time.perf_counter()
-    result = fn()
-    return result, time.perf_counter() - start
+    """Run ``fn`` once, returning (result, wall seconds).
+
+    The collector runs to completion first and stays off inside the timed
+    call: a full collection landing in one configuration's run costs
+    several times a small join and would decide a figure's shape.
+    """
+    gc.collect()
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        start = time.perf_counter()
+        result = fn()
+        return result, time.perf_counter() - start
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def monotone_nondecreasing(values: Iterable[float], slack: float = 0.0) -> bool:

@@ -35,7 +35,7 @@ from ..storage.instance import Instance
 from .ast import Atom, DatalogError, Program, Rule
 from .plan import Row, RowSource, RulePlan, run_plan
 from .planner import Planner, PreparedPlanner
-from .stratify import Component, stratify
+from .stratify import Component, stratify, twin_groups
 
 HeadFilter = Callable[[Row], bool]
 """Predicate over a derived head row; False rejects the derivation."""
@@ -255,13 +255,16 @@ class SemiNaiveEngine:
         ] = {}
         # Programs are frozen, so their validation is memoized the same
         # way: id-keyed, with the program stored to pin its id.
-        # id(program) -> (program, components in evaluation order)
-        self._validated: dict[int, tuple[Program, tuple[Component, ...]]] = {}
+        # id(program) -> (program, components in order, twin groups)
+        self._validated: dict[int, tuple] = {}
         # (id(program), delta predicates) -> program, once found sound
         self._sound: dict[tuple[int, frozenset[str]], Program] = {}
         # Persistent per-predicate delta relations, reused across rounds and
         # runs so their probe indexes stay warm.
         self._delta_pool = DeltaPool()
+        # Each twin group's unfiltered head rows per Δ occurrence, kept for
+        # the current run only (emptied when it ends, like the pool).
+        self._shared: dict[tuple, set[Row]] = {}
         #: Cumulative statistics across every run of this engine.
         self.stats = EvaluationResult()
         #: The :class:`EvaluationResult` of the most recent run.
@@ -342,9 +345,10 @@ class SemiNaiveEngine:
         delta_index: int | None,
         delta_source: RowSource | None,
         result: EvaluationResult,
+        row_filter: HeadFilter | None,
     ) -> list[Row]:
         """Evaluate one rule (optionally with a delta occurrence), returning
-        the fully materialized list of derived head rows."""
+        the fully materialized list of head rows that pass ``row_filter``."""
         plan = self._plan_for(rule, db, delta_index, result)
         result.rule_applications += 1
 
@@ -356,39 +360,42 @@ class SemiNaiveEngine:
             return _EMPTY_SOURCE
 
         if not _tracing.ENABLED:
-            return run_plan(plan, resolve, self._filter_for(rule))
+            return run_plan(plan, resolve, row_filter)
         span = _tracing.start(
             "rule-evaluation",
             head=rule.head.predicate,
             delta_index=delta_index,
         )
-        rows = run_plan(plan, resolve, self._filter_for(rule))
+        rows = run_plan(plan, resolve, row_filter)
         span.rows = len(rows)
         _tracing.finish(span)
         return rows
 
     # -- full evaluation -----------------------------------------------------
 
-    def _validate(self, program: Program) -> tuple[Component, ...]:
+    def _validate(
+        self, program: Program
+    ) -> tuple[tuple[Component, ...], dict[int, Rule]]:
         """Safety, arity and stratification checks, once per program;
-        returns the program's components in evaluation order."""
+        returns its components in evaluation order and its twin groups."""
         entry = self._validated.get(id(program))
         if entry is not None and entry[0] is program:
-            return entry[1]
+            return entry[1:]
         program.check_safety()
         _check_head_arities(program)
         components = stratify(program).components
         if len(self._validated) >= _PLAN_CACHE_LIMIT:
             self._validated.clear()
-        self._validated[id(program)] = (program, components)
-        return components
+        entry = (program, components, twin_groups(components))
+        self._validated[id(program)] = entry
+        return entry[1:]
 
     def run(self, program: Program, db: Database) -> EvaluationResult:
         """Evaluate ``program`` to fixpoint over ``db`` (inserting tuples)."""
-        components = self._validate(program)
+        components, twins = self._validate(program)
         ensure_idb_relations(program, db)
         result = EvaluationResult()
-        self._run_components(components, db, result, None)
+        self._run_components(components, twins, db, result, None)
         return self._finish(result)
 
     def run_insertions(
@@ -405,7 +412,7 @@ class SemiNaiveEngine:
         :class:`IncrementalUnsoundError` if the deltas could reach a negated
         atom occurrence (see class docstring).
         """
-        components = self._validate(program)
+        components, twins = self._validate(program)
         ensure_idb_relations(program, db)
         key = (id(program), frozenset(inserted))
         if self._sound.get(key) is not program:
@@ -416,7 +423,7 @@ class SemiNaiveEngine:
 
         seed = {pred: set(map(tuple, rows)) for pred, rows in inserted.items()}
         result = EvaluationResult()
-        derived = self._run_components(components, db, result, seed)
+        derived = self._run_components(components, twins, db, result, seed)
         self._finish(result)
         return derived
 
@@ -444,6 +451,7 @@ class SemiNaiveEngine:
     def _run_components(
         self,
         components: tuple[Component, ...],
+        twins: dict[int, Rule],
         db: Database,
         result: EvaluationResult,
         seed: dict[str, set[Row]] | None,
@@ -455,9 +463,10 @@ class SemiNaiveEngine:
         Δ-driven evaluations run, and a component none of whose inputs has
         a Δ is skipped.  Components below the running one are final, so
         each predicate's final Δ-instance is built once per run and shared
-        by every reader.  The run is one index-maintenance deferral scope,
-        and the pooled Δ-instances are emptied when it ends.  Returns every
-        row the run inserted, per predicate.
+        by every reader, and each twin group runs one plan per Δ
+        occurrence.  The run is one index-maintenance deferral scope, and
+        the pooled Δ-instances and shared head rows are emptied when it
+        ends.  Returns every row the run inserted, per predicate.
         """
         new = {pred: rows for pred, rows in (seed or {}).items() if rows}
         derived: dict[str, set[Row]] = {}
@@ -478,7 +487,9 @@ class SemiNaiveEngine:
                                     pred, db[pred].arity, new[pred]
                                 )
                             deltas[pred] = finals[pred]
-                    added = self._run_component(component, db, result, deltas)
+                    added = self._run_component(
+                        component, twins, db, result, deltas
+                    )
                     for pred, rows in added.items():
                         # A recursive component swapped its own Δ-instances.
                         finals.pop(pred, None)
@@ -489,6 +500,7 @@ class SemiNaiveEngine:
                             new[pred] = rows
         finally:
             self._delta_pool.release()
+            self._shared.clear()
             result.eval_wall_seconds += time.perf_counter() - wall0
             result.eval_cpu_seconds += time.process_time() - cpu0
         for pred, rows in derived.items():
@@ -498,6 +510,7 @@ class SemiNaiveEngine:
     def _run_component(
         self,
         component: Component,
+        twins: dict[int, Rule],
         db: Database,
         result: EvaluationResult,
         deltas: dict[str, Instance] | None,
@@ -527,7 +540,7 @@ class SemiNaiveEngine:
                 if recursive and span is not None
                 else None
             )
-            added = self._pass(component.rules, db, result, deltas)
+            added = self._pass(component.rules, twins, db, result, deltas)
             result.rounds += 1
             if round_span is not None:
                 round_span.rows = sum(map(len, added.values()))
@@ -551,14 +564,16 @@ class SemiNaiveEngine:
     def _pass(
         self,
         rules: tuple[Rule, ...],
+        twins: dict[int, Rule],
         db: Database,
         result: EvaluationResult,
         deltas: Mapping[str, Instance] | None,
     ) -> dict[str, set[Row]]:
         """One evaluation of ``rules``, inserting what it derives: naive
         when ``deltas`` is None, else once per positive occurrence whose
-        predicate ``deltas`` carries.  Returns the genuinely new rows per
-        head predicate."""
+        predicate ``deltas`` carries.  A rule with ``twins`` reuses their
+        head rows when one has run, and applies only its own head filter.
+        Returns the genuinely new rows per head predicate."""
         added: dict[str, set[Row]] = {}
         for rule in rules:
             if deltas is None:
@@ -570,10 +585,25 @@ class SemiNaiveEngine:
                     if not atom.negated and atom.predicate in deltas
                 ]
             head = rule.head.predicate
+            row_filter = self._filter_for(rule)
+            leader = twins.get(id(rule))
             for index, delta in occurrences:
-                fresh = db[head].insert_new(
-                    self._evaluate_rule(rule, db, index, delta, result)
-                )
+                if leader is None:
+                    rows = self._evaluate_rule(
+                        rule, db, index, delta, result, row_filter
+                    )
+                else:
+                    key = (id(leader), index)
+                    rows = self._shared.get(key)
+                    if rows is None:
+                        rows = self._shared[key] = set(
+                            self._evaluate_rule(
+                                rule, db, index, delta, result, None
+                            )
+                        )
+                    if row_filter is not None:
+                        rows = set(filter(row_filter, rows))
+                fresh = db[head].insert_new(rows)
                 if not fresh:
                     continue
                 if head in added:
@@ -611,7 +641,8 @@ class NaiveEngine:
                 result.rounds += 1
                 for rule in rules:
                     rows = self._inner._evaluate_rule(
-                        rule, db, None, None, result
+                        rule, db, None, None, result,
+                        self._inner._filter_for(rule),
                     )
                     target = db[rule.head.predicate]
                     for row in rows:

@@ -14,7 +14,7 @@ from ..storage.database import Database
 from .ast import Program, Rule, SkolemTerm, Variable
 from .plan import RulePlan, probe_columns
 from .planner import Planner, PreparedPlanner
-from .stratify import stratify
+from .stratify import stratify, twin_groups
 
 
 def explain_plan(plan: RulePlan, db: Database | None = None) -> str:
@@ -66,11 +66,13 @@ def explain_program(
     planner: Planner | None = None,
 ) -> str:
     """Render a whole program: its components in evaluation order (each
-    with its stratum and recursive flag), rules, and each rule's plan."""
+    with its stratum and recursive flag), rules, and each rule's plan; a
+    rule that reuses a twin's plan run names that twin."""
     planner = planner or PreparedPlanner()
     scratch = db if db is not None else Database()
     stratification = stratify(program)
     components = stratification.components
+    twins = twin_groups(components)
     recursive = sum(component.recursive for component in components)
     lines = [
         f"program {program.name or '(anonymous)'}: "
@@ -89,6 +91,9 @@ def explain_program(
             plan = planner.plan(rule, scratch, None)
             plan_text = explain_plan(plan, db)
             lines.extend("  " + line for line in plan_text.splitlines())
+            if twins.get(id(rule), rule) is not rule:
+                leader = twins[id(rule)].head.predicate
+                lines.append(f"    shares evaluation with {leader}")
     return "\n".join(lines)
 
 

@@ -202,3 +202,19 @@ def stratify(program: Program) -> Stratification:
         predicate_stratum=predicate_stratum,
         components=components,
     )
+
+
+def twin_groups(components: tuple[Component, ...]) -> dict[int, Rule]:
+    """``id(rule) -> leader`` for each rule of a non-recursive component
+    whose ``body`` and head terms another such rule repeats; the leader
+    runs first.  In the exchange program: each head's proj/trust pair."""
+    groups: dict[tuple, list[Rule]] = {}
+    for component in components:
+        for rule in () if component.recursive else component.rules:
+            groups.setdefault((rule.body, rule.head.terms), []).append(rule)
+    return {
+        id(rule): group[0]
+        for group in groups.values()
+        if len(group) > 1
+        for rule in group
+    }

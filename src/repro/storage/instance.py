@@ -28,6 +28,12 @@ from .indexes import POLICY_EAGER, IndexSet, make_index_set
 Row = tuple[object, ...]
 
 
+def _row_set(rows: Iterable[Sequence[object]]) -> set[Row]:
+    """A ``set`` as it is (set algebra reuses the hashes it stores), any
+    other iterable as a new set of tuples."""
+    return rows if isinstance(rows, set) else set(map(tuple, rows))
+
+
 class StorageError(Exception):
     """Base class for storage-layer errors."""
 
@@ -74,8 +80,7 @@ class Instance:
         self._indexes: IndexSet = make_index_set(index_policy, self._rows)
         self._version = 0
         self._watchers: tuple[Callable[[], None], ...] = ()
-        for row in rows:
-            self.insert(row)
+        self.insert_new(rows)
 
     # -- basic collection protocol ---------------------------------------
 
@@ -159,12 +164,13 @@ class Instance:
         Semantics match :meth:`insert_many` (one version bump, bulk index
         maintenance); the returned set — in no particular order — is what
         semi-naive evaluation needs to seed the next delta round without
-        per-row ``insert`` calls.
+        per-row ``insert`` calls.  A ``set`` of tuples is read in place,
+        without re-hashing; it is never kept or mutated.
         """
         # Set-at-a-time and two-phase for exception safety: the fresh rows
         # are computed and arity-checked before anything mutates, so a bad
         # row mid-batch cannot leave rows the indexes have never seen.
-        fresh = set(map(tuple, rows)) - self._rows
+        fresh = _row_set(rows) - self._rows
         if not fresh:
             return fresh
         if any(map(self.arity.__ne__, map(len, fresh))):
@@ -231,9 +237,10 @@ class Instance:
         The diff against the current contents is applied with bulk index
         maintenance, so a relation that is repeatedly refilled (the engine's
         persistent Δ-relations) keeps its probe indexes warm instead of
-        rebuilding them from scratch on every swap.
+        rebuilding them from scratch on every swap.  A ``set`` of tuples
+        is read in place, as by :meth:`insert_new`.
         """
-        new_rows = {tuple(row) for row in rows}
+        new_rows = _row_set(rows)
         stale = self._rows - new_rows
         if stale and len(stale) == len(self._rows):
             # Complete turnover (the usual case for Δ-relations: successive

@@ -1,4 +1,5 @@
-"""The inverse-rule datalog program of Section 4.1.3, as actual datalog.
+"""Test oracle: the inverse-rule datalog program of Section 4.1.3, as
+actual datalog.
 
 :mod:`repro.core.derivation` implements derivation testing directly
 (backward slice + grounding).  This module constructs the paper's
@@ -17,9 +18,10 @@ formulation *literally* — a datalog program run by the ordinary engine:
   re-derived if we run the original datalog program over the R'
   instances".
 
-The test suite cross-checks this program against the direct implementation
-on randomized workloads; the direct one is what the incremental engine
-uses (it avoids materializing the intermediate relations).
+Nothing in ``repro`` uses this program: the direct implementation is what
+the incremental engine runs (it avoids materializing the intermediate
+relations), and ``test_core_inverse_rules.py`` cross-checks it against
+this one on randomized workloads.
 """
 
 from __future__ import annotations
@@ -27,17 +29,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-from ..datalog.ast import Atom, Program, Rule, Variable
-from ..datalog.engine import HeadFilter, SemiNaiveEngine
-from ..provenance.relations import ProvenanceEncoding
-from ..provenance.semiring import Token
-from ..schema.internal import (
+from repro.datalog.ast import Atom, Program, Rule, Variable
+from repro.datalog.engine import HeadFilter, SemiNaiveEngine
+from repro.provenance.relations import ProvenanceEncoding
+from repro.provenance.semiring import Token
+from repro.schema.internal import (
     LOCAL_RULE_PREFIX,
     local_name,
     rejection_name,
 )
-from ..storage.database import Database
-from ..storage.instance import Row
+from repro.storage.database import Database
+from repro.storage.instance import Row
 
 CHECK_PREFIX = "__chk_"
 SLICE_PROV_PREFIX = "__slice_"

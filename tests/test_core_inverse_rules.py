@@ -4,12 +4,10 @@ cross-checked against the direct DerivationTest implementation."""
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracle_inverse_rules import build_inverse_program, derivable_by_inverse_rules
+
 from repro.core.derivation import DerivationTest
 from repro.core.exchange import ExchangeSystem
-from repro.core.inverse_rules import (
-    build_inverse_program,
-    derivable_by_inverse_rules,
-)
 from repro.datalog.ast import SkolemValue
 from repro.provenance import TrustCondition, TrustPolicy
 from repro.schema import InternalSchema, PeerSchema, RelationSchema, SchemaMapping

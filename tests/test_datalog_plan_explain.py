@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro import CDSS
 from repro.datalog import (
     SemiNaiveEngine,
     parse_program,
@@ -184,6 +185,30 @@ class TestExplain:
         assert "component 0 (stratum 0, recursive): T" in text
         assert "component 1 (stratum 0, non-recursive): C" in text
         assert text.index("component 0") < text.index("component 1")
+
+    def test_explain_program_marks_shared_head_evaluation(self):
+        """On a 2-peer existential program the proj/trust pair of the one
+        head shares a plan run; the listing marks the twin that reuses it
+        with the twin that evaluates."""
+        cdss = CDSS("explain-twins")
+        cdss.add_peer("P1", {"R": ("a", "b")})
+        cdss.add_peer("P2", {"S": ("a", "c")})
+        cdss.add_mapping("m", "R(x, y) -> S(x, z)")
+        system = cdss.system()
+        text = explain_program(system.program, system.db)
+        marks = [line for line in text.splitlines() if "shares" in line]
+        # One block per component, keyed by its member list.
+        blocks = {
+            block.splitlines()[0].split(": ")[1]: block
+            for block in text.split("\ncomponent ")[1:]
+        }
+        proj, trust = blocks["S__i"], blocks["S__t"]
+        assert "labeled nulls via f_m_z" in proj and "[trust:m:0]" in trust
+        # Whichever twin runs first evaluates; the other is marked.
+        leader = "S__i" if text.index(proj) < text.index(trust) else "S__t"
+        second = trust if leader == "S__i" else proj
+        assert marks == [f"    shares evaluation with {leader}"]
+        assert marks[0] in second
 
     def test_explain_with_cost_based_planner(self):
         db = Database()

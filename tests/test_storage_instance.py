@@ -104,6 +104,74 @@ class TestInsertNew:
         assert inst.pending_index_ops() == 0
 
 
+class TestBulkConstruction:
+    """``Instance(name, arity, rows)`` fills itself through ``insert_new``,
+    and a ``set`` of rows is read in place, never kept or changed."""
+
+    ROWS = [(1, "a"), (2, "b"), (1, "a"), (3, "b")]
+
+    @pytest.mark.parametrize("policy", INDEX_POLICIES)
+    @pytest.mark.parametrize("kind", [set, list, iter])
+    def test_construction_equals_per_row_insertion(self, policy, kind):
+        built = Instance("R", 2, kind(self.ROWS), index_policy=policy)
+        by_row = Instance("R", 2, index_policy=policy)
+        for row in self.ROWS:
+            by_row.insert(row)
+        assert built.rows() == by_row.rows() == {(1, "a"), (2, "b"), (3, "b")}
+        assert built.version == 1
+        for columns in ([0], [1]):
+            for row in self.ROWS:
+                key = tuple(row[c] for c in columns)
+                assert set(built.lookup(columns, key)) == set(
+                    by_row.lookup(columns, key)
+                )
+        assert built.index_key_count([1]) == by_row.index_key_count([1]) == 2
+        assert Instance("R", 2, kind([])).version == 0
+
+    @pytest.mark.parametrize("policy", INDEX_POLICIES)
+    def test_bad_arity_row_stores_nothing(self, policy):
+        with pytest.raises(ArityError):
+            Instance("R", 2, {(1, "a"), (2,)}, index_policy=policy)
+        inst = Instance("R", 2, [(1, "a")], index_policy=policy)
+        inst.ensure_index([1])
+        with pytest.raises(ArityError):
+            inst.insert_new({(4, "d"), (5, "e", 0)})
+        assert inst.rows() == {(1, "a")}
+        assert inst.version == 1
+        assert not inst.lookup([1], ("d",))
+
+    @pytest.mark.parametrize("policy", INDEX_POLICIES)
+    def test_caller_sets_are_not_aliased_or_mutated(self, policy):
+        rows = {(1, "a"), (2, "b")}
+        inst = Instance("R", 2, rows, index_policy=policy)
+        inst.insert((3, "c"))
+        rows.add((9, "z"))
+        assert rows == {(1, "a"), (2, "b"), (9, "z")}
+        assert inst.rows() == {(1, "a"), (2, "b"), (3, "c")}
+
+        batch = {(2, "b"), (4, "d")}
+        # Into an empty instance every row is fresh: still a new set.
+        fresh = Instance("R", 2, index_policy=policy).insert_new(batch)
+        assert fresh == batch and fresh is not batch
+        fresh = inst.insert_new(batch)
+        assert fresh == {(4, "d")} and fresh is not batch
+        assert batch == {(2, "b"), (4, "d")}
+        fresh.add((8, "y"))
+        inst.delete((4, "d"))
+        assert batch == {(2, "b"), (4, "d")}
+        assert (8, "y") not in inst
+
+        inst.ensure_index([1])
+        for replacement in ({(1, "a"), (5, "e")}, {(6, "f")}):
+            expected = set(replacement)
+            inst.replace_contents(replacement)
+            assert replacement == expected
+            inst.insert((7, "g"))
+            assert replacement == expected
+            assert inst.rows() == expected | {(7, "g")}
+            assert set(inst.lookup([1], ("g",))) == {(7, "g")}
+
+
 class TestDeleteExisting:
     @pytest.mark.parametrize("policy", INDEX_POLICIES)
     def test_duplicates_and_absent_rows_leave_state_exact(self, policy):

@@ -1,5 +1,7 @@
 """Unit tests for exchange_head_filters composition and misc corners."""
 
+import gc
+
 from repro.bench.harness import timed
 from repro.provenance import (
     ENCODING_COMPOSITE,
@@ -156,3 +158,8 @@ class TestHarnessTimed:
         result, seconds = timed(lambda: 42)
         assert result == 42
         assert seconds >= 0
+
+    def test_timed_keeps_the_collector_off_inside(self):
+        inside, _ = timed(gc.isenabled)
+        assert inside is False
+        assert gc.isenabled()
