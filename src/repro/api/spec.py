@@ -29,7 +29,6 @@ from typing import TYPE_CHECKING, Mapping
 
 from ..core.exchange import STRATEGY_UNIFIED, ExchangeError, check_strategy
 from ..provenance.relations import ENCODING_STYLES, ENCODING_COMPOSITE
-from ..storage.indexes import INDEX_POLICIES, POLICY_DEFERRED
 from ..schema.relation import PeerSchema, RelationSchema, SchemaError
 from ..schema.tgd import SchemaMapping
 
@@ -248,7 +247,6 @@ class SystemSpec:
     strategy: str = STRATEGY_UNIFIED
     encoding_style: str = ENCODING_COMPOSITE
     perspective: str | None = None
-    index_policy: str = POLICY_DEFERRED
     durability: DurabilitySpec | None = None
 
     def __post_init__(self) -> None:
@@ -263,11 +261,6 @@ class SystemSpec:
             raise SpecError(
                 f"unknown encoding style {self.encoding_style!r}; expected "
                 f"one of {ENCODING_STYLES}"
-            )
-        if self.index_policy not in INDEX_POLICIES:
-            raise SpecError(
-                f"unknown index policy {self.index_policy!r}; expected one "
-                f"of {INDEX_POLICIES}"
             )
 
     # -- construction ------------------------------------------------------
@@ -290,7 +283,6 @@ class SystemSpec:
             "name": self.name,
             "strategy": self.strategy,
             "encoding_style": self.encoding_style,
-            "index_policy": self.index_policy,
             "peers": [p.to_dict() for p in self.peers],
             "mappings": [m.to_dict() for m in self.mappings],
             "edits": [e.to_dict() for e in self.edits],
@@ -326,6 +318,16 @@ class SystemSpec:
                 f"workers={workers!r}: parallel evaluation was removed; "
                 "evaluation is sequential, so only workers=1 is accepted"
             )
+        # Specs written while index maintenance had two policies carry
+        # "index_policy".  Both old values load and are dropped: a policy
+        # only decided when indexes were patched, never an answer.  Any
+        # other value was never valid.
+        index_policy = document.get("index_policy", "eager")
+        if index_policy not in ("eager", "deferred"):
+            raise SpecError(
+                f"unknown index policy {index_policy!r}; only the legacy "
+                "values 'eager' and 'deferred' load (and are ignored)"
+            )
         perspective = document.get("perspective")
         durability = document.get("durability")
         if durability is not None and not isinstance(durability, Mapping):
@@ -347,7 +349,6 @@ class SystemSpec:
                 document.get("encoding_style", ENCODING_COMPOSITE)
             ),
             perspective=None if perspective is None else str(perspective),
-            index_policy=str(document.get("index_policy", POLICY_DEFERRED)),
             durability=(
                 None
                 if durability is None

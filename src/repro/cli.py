@@ -136,18 +136,6 @@ def _quickstart() -> None:
     )
 
 
-def _load_spec(path: str, index_policy: str | None):
-    """Load a SystemSpec, optionally overriding engine options."""
-    from dataclasses import replace
-
-    from .api.spec import SystemSpec
-
-    spec = SystemSpec.load(path)
-    if index_policy is not None:
-        spec = replace(spec, index_policy=index_policy)
-    return spec
-
-
 def _print_phase_table(report) -> None:
     """Render ``ExchangeReport.phases`` as a wall/CPU-seconds table."""
     print("phase          wall_s      cpu_s")
@@ -162,7 +150,6 @@ def _print_phase_table(report) -> None:
 def _run_spec(
     path: str,
     strategy: str | None,
-    index_policy: str | None,
     verbose: bool = False,
     trace: str | None = None,
 ) -> int:
@@ -176,7 +163,7 @@ def _run_spec(
 
         tracing.enable(trace)
     try:
-        cdss = CDSS.from_spec(_load_spec(path, index_policy))
+        cdss = CDSS.from_spec(path)
         # Schema validation (e.g. weak acyclicity) fires lazily on first use.
         report = cdss.update_exchange(strategy=strategy)
     except (OSError, SpecError, DatalogError, SchemaError) as error:
@@ -216,7 +203,6 @@ def _run_query(
     mode: str,
     params: list[str],
     strategy: str | None,
-    index_policy: str | None,
 ) -> int:
     """Build a CDSS from a spec, exchange, and answer one query."""
     from . import CDSS, SpecError
@@ -235,7 +221,7 @@ def _run_query(
             return 1
         bindings[name] = _parse_param_value(value)
     try:
-        cdss = CDSS.from_spec(_load_spec(path, index_policy))
+        cdss = CDSS.from_spec(path)
         cdss.update_exchange(strategy=strategy)
         prepared = cdss.prepare(text, params=tuple(bindings))
         answers = prepared.execute(**bindings)
@@ -255,7 +241,7 @@ def _run_query(
 
 def _run_serve(args: argparse.Namespace) -> int:
     """Boot the serving tier (`python -m repro serve spec.json --port N`)."""
-    from . import CDSS, SpecError
+    from . import CDSS, SpecError, SystemSpec
     from .datalog.ast import DatalogError
     from .schema import SchemaError
     from .serve import run as serve_run
@@ -266,7 +252,7 @@ def _run_serve(args: argparse.Namespace) -> int:
 
         tracing.enable(args.trace)
     try:
-        spec = _load_spec(args.spec, args.index_policy)
+        spec = SystemSpec.load(args.spec)
         durability = spec.durability
         data_dir = args.data_dir or (
             durability.path if durability is not None else None
@@ -406,12 +392,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="override the spec's maintenance strategy",
     )
     run_cmd.add_argument(
-        "--index-policy",
-        choices=("eager", "deferred"),
-        default=None,
-        help="override the spec's storage index-maintenance policy",
-    )
-    run_cmd.add_argument(
         "--verbose",
         action="store_true",
         help="print per-phase wall/CPU seconds of the exchange",
@@ -448,12 +428,6 @@ def build_parser() -> argparse.ArgumentParser:
         choices=STRATEGIES,
         default=None,
         help="override the spec's maintenance strategy",
-    )
-    query_cmd.add_argument(
-        "--index-policy",
-        choices=("eager", "deferred"),
-        default=None,
-        help="override the spec's storage index-maintenance policy",
     )
     serve_cmd = sub.add_parser(
         "serve",
@@ -540,12 +514,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="maintenance strategy for the initial exchange",
     )
     serve_cmd.add_argument(
-        "--index-policy",
-        choices=("eager", "deferred"),
-        default=None,
-        help="override the spec's storage index-maintenance policy",
-    )
-    serve_cmd.add_argument(
         "--trace",
         default=None,
         metavar="PATH",
@@ -591,7 +559,6 @@ def main(argv: list[str] | None = None) -> int:
         return _run_spec(
             args.spec,
             args.strategy,
-            args.index_policy,
             verbose=args.verbose,
             trace=args.trace,
         )
@@ -602,7 +569,6 @@ def main(argv: list[str] | None = None) -> int:
             args.mode,
             args.param,
             args.strategy,
-            args.index_policy,
         )
     if args.command == "serve":
         return _run_serve(args)

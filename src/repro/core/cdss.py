@@ -46,7 +46,6 @@ from ..provenance.trust import TrustCondition, TrustPolicy, evaluate_trust
 from ..schema.internal import InternalSchema
 from ..schema.relation import PeerSchema, RelationSchema, SchemaError
 from ..schema.tgd import SchemaMapping
-from ..storage.indexes import POLICY_DEFERRED
 from ..storage.instance import Row
 from .editlog import EditLog, PublishDelta, publish
 from .exchange import (
@@ -109,15 +108,12 @@ class CDSS:
         encoding_style: str = ENCODING_COMPOSITE,
         perspective: str | None = None,
         strategy: str | None = None,
-        index_policy: str | None = None,
     ) -> None:
         self.name = name
         self.strategy = check_strategy(strategy or STRATEGY_UNIFIED)
         self._planner = planner
         self._encoding_style = encoding_style
         self._perspective = perspective
-        # None -> the exchange system's default (deferred/batched).
-        self._index_policy = index_policy
         self._peers: dict[str, Peer] = {}
         self._mappings: dict[str, SchemaMapping] = {}
         self._relation_owner: dict[str, str] = {}
@@ -204,7 +200,6 @@ class CDSS:
             encoding_style=spec.encoding_style,
             perspective=spec.perspective,
             strategy=spec.strategy,
-            index_policy=spec.index_policy,
         )
         for peer_spec in spec.peers:
             cdss.add_peer(peer_spec.name, peer_spec.to_schemas())
@@ -271,7 +266,6 @@ class CDSS:
             strategy=self.strategy,
             encoding_style=self._encoding_style,
             perspective=self._perspective,
-            index_policy=self.index_policy,
         )
 
     # -- trust (internal entry points; public surface is TrustScope) ---------
@@ -382,7 +376,6 @@ class CDSS:
             planner=self._planner,
             encoding_style=self._encoding_style,
             perspective=self._perspective,
-            index_policy=self._index_policy,
         )
         if self._previous_system is not None:
             from ..schema.internal import local_name, rejection_name
@@ -400,16 +393,6 @@ class CDSS:
             self._previous_system = None
         self._system = system
         return system
-
-    @property
-    def index_policy(self) -> str:
-        """The storage index-maintenance policy in effect (see
-        :mod:`repro.storage.indexes`)."""
-        return (
-            self._index_policy
-            if self._index_policy is not None
-            else POLICY_DEFERRED
-        )
 
     @property
     def internal_schema(self) -> InternalSchema:

@@ -49,7 +49,6 @@ from ..schema.internal import (
     trusted_name,
 )
 from ..storage.database import Database
-from ..storage.indexes import INDEX_POLICIES, POLICY_DEFERRED
 from ..storage.instance import Row
 from ..storage.zset import ZSet
 from .editlog import PublishDelta
@@ -176,36 +175,29 @@ class ExchangeReport:
     details: dict[str, object] = field(default_factory=dict)
     #: Total CPU seconds of the operation (process-wide clock).
     cpu_seconds: float = 0.0
-    #: Per-phase timing: ``{"evaluate" | "index_settle":
-    #: {"wall_seconds": float, "cpu_seconds": float}}``.  ``evaluate``
-    #: is rule evaluation to fixpoint, ``index_settle`` deferred index
-    #: catch-up.  Always populated — sourced from the layers'
-    #: always-on phase clocks, not from opt-in tracing.
+    #: Per-phase timing: ``{"evaluate": {"wall_seconds": float,
+    #: "cpu_seconds": float}}``, rule evaluation to fixpoint.  Always
+    #: populated — sourced from the engine's always-on phase clock, not
+    #: from opt-in tracing.
     phases: dict[str, dict[str, float]] = field(default_factory=dict)
 
 
-_INDEX_METRIC_KEYS = (
-    ("repro_index_applied_runs_total", "applied_runs"),
-    ("repro_index_rebuilds_total", "rebuilds"),
-    ("repro_index_retired_total", "retired"),
-    ("repro_index_hot_settled_total", "hot_settled"),
-    ("repro_index_spills_total", "spills"),
-    ("repro_index_settle_seconds_total", "settle_wall_seconds"),
-)
-
-
 def _exchange_samples(system: "ExchangeSystem"):
-    """Metrics collector: exchange publishes + the owned database's
-    aggregate index-maintenance counters (weakref-registered, summed
-    across live systems at scrape time)."""
+    """Metrics collector: exchange publishes + the owned database's index
+    builds (weakref-registered, summed across live systems at scrape
+    time)."""
     sample = _metrics.Sample
     kind = _metrics.KIND_COUNTER
     yield sample(
         "repro_exchange_publishes_total", kind, "", (), system.publishes
     )
-    stats = system.db.index_stats()
-    for name, key in _INDEX_METRIC_KEYS:
-        yield sample(name, kind, "", (), stats[key])
+    yield sample(
+        "repro_index_rebuilds_total",
+        kind,
+        "",
+        (),
+        system.db.index_stats()["rebuilds"],
+    )
 
 
 class ExchangeSystem:
@@ -219,24 +211,7 @@ class ExchangeSystem:
         encoding_style: str = ENCODING_COMPOSITE,
         perspective: str | None = None,
         db: Database | None = None,
-        index_policy: str | None = None,
     ) -> None:
-        if index_policy is not None and index_policy not in INDEX_POLICIES:
-            raise ExchangeError(
-                f"unknown index policy {index_policy!r}; expected one of "
-                f"{INDEX_POLICIES}"
-            )
-        if (
-            db is not None
-            and index_policy is not None
-            and db.index_policy != index_policy
-        ):
-            # Silently keeping the db's policy would discard the caller's
-            # request (and with it every deferral-scope benefit).
-            raise ExchangeError(
-                f"requested index policy {index_policy!r} conflicts with "
-                f"the provided database's {db.index_policy!r}"
-            )
         self.internal = internal
         self.policies: dict[str, TrustPolicy] = dict(policies or {})
         self.perspective = perspective
@@ -246,14 +221,7 @@ class ExchangeSystem:
             internal, self.encoding, self.policies, perspective
         )
         self.engine = SemiNaiveEngine(planner, head_filters=self.head_filters)
-        if db is None:
-            db = Database(
-                index_policy=(
-                    index_policy if index_policy is not None else POLICY_DEFERRED
-                )
-            )
-        self.db = db
-        self.index_policy = self.db.index_policy
+        self.db = db if db is not None else Database()
         self.encoding.setup_database(self.db)
         self._maintainer = WeightedMaintainer(
             self.db, self.encoding, self.program, self.engine
@@ -390,18 +358,17 @@ class ExchangeSystem:
         outputs_before = (
             self.snapshot_outputs() if self._subscriptions else None
         )
-        with self.db.defer_maintenance():
-            for relation in self.internal.relation_names():
-                for derived in (
-                    input_name(relation),
-                    trusted_name(relation),
-                    output_name(relation),
-                ):
-                    self.db[derived].clear()
-            for name in self.encoding.provenance_relation_names():
-                self.db[name].clear()
-            self.engine.invalidate_plans()
-            result = self.engine.run(self.program, self.db)
+        for relation in self.internal.relation_names():
+            for derived in (
+                input_name(relation),
+                trusted_name(relation),
+                output_name(relation),
+            ):
+                self.db[derived].clear()
+        for name in self.encoding.provenance_relation_names():
+            self.db[name].clear()
+        self.engine.invalidate_plans()
+        result = self.engine.run(self.program, self.db)
         if outputs_before is not None:
             self._append_changes(self._diff_outputs(outputs_before))
         return ExchangeReport(
@@ -433,7 +400,6 @@ class ExchangeSystem:
         start = time.perf_counter()
         cpu_start = time.process_time()
         stats_before = self.engine.stats.counters()
-        settle_before = self.db.settle_seconds()
         span = (
             _tracing.start(
                 "exchange", strategy=strategy, perspective=self.perspective
@@ -450,10 +416,9 @@ class ExchangeSystem:
                 local, rejections = _publish_zsets(delta)
                 changes = {} if self._subscriptions else None
                 try:
-                    with self.db.defer_maintenance():
-                        deletion_report, unreject_report, insert_report = (
-                            self._maintainer.apply(local, rejections, changes)
-                        )
+                    deletion_report, unreject_report, insert_report = (
+                        self._maintainer.apply(local, rejections, changes)
+                    )
                 finally:
                     if changes is not None:
                         self._append_changes(
@@ -479,15 +444,10 @@ class ExchangeSystem:
                 _tracing.finish(span)
             raise
         evaluation = report.details.get("evaluation", {})
-        settle_after = self.db.settle_seconds()
         report.phases = {
             "evaluate": {
                 "wall_seconds": evaluation.get("eval_wall_seconds", 0.0),
                 "cpu_seconds": evaluation.get("eval_cpu_seconds", 0.0),
-            },
-            "index_settle": {
-                "wall_seconds": settle_after[0] - settle_before[0],
-                "cpu_seconds": settle_after[1] - settle_before[1],
             },
         }
         if span is not None:
@@ -499,15 +459,14 @@ class ExchangeSystem:
         return report
 
     def _apply_by_recompute(self, delta: PublishDelta) -> ExchangeReport:
-        with self.db.defer_maintenance():
-            for relation, rows in delta.local_deletes.items():
-                self.db[local_name(relation)].delete_many(rows)
-            for relation, rows in delta.local_inserts.items():
-                self.db[local_name(relation)].insert_many(rows)
-            for relation, rows in delta.rejection_inserts.items():
-                self.db[rejection_name(relation)].insert_many(rows)
-            for relation, rows in delta.rejection_deletes.items():
-                self.db[rejection_name(relation)].delete_many(rows)
+        for relation, rows in delta.local_deletes.items():
+            self.db[local_name(relation)].delete_many(rows)
+        for relation, rows in delta.local_inserts.items():
+            self.db[local_name(relation)].insert_many(rows)
+        for relation, rows in delta.rejection_inserts.items():
+            self.db[rejection_name(relation)].insert_many(rows)
+        for relation, rows in delta.rejection_deletes.items():
+            self.db[rejection_name(relation)].delete_many(rows)
         return self.recompute()
 
     # -- consistency (used heavily by tests) -------------------------------------------

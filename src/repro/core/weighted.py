@@ -214,21 +214,16 @@ class WeightedMaintainer:
         plus new base insertions which can be directly tested for trust").
         """
         report = InsertionReport()
-        with self.db.defer_maintenance():
-            seeds: dict[str, set[Row]] = {}
-            for relation, rows in local_inserts.items():
-                target = self.db[local_name(relation)]
-                fresh = {
-                    tuple(row) for row in rows if target.insert(tuple(row))
-                }
-                if fresh:
-                    seeds[local_name(relation)] = fresh
-            if seeds:
-                derived = self.engine.run_insertions(
-                    self.program, self.db, seeds
-                )
-                report.derived = _counts(derived)
-                self._note_derived(derived)
+        seeds: dict[str, set[Row]] = {}
+        for relation, rows in local_inserts.items():
+            target = self.db[local_name(relation)]
+            fresh = {tuple(row) for row in rows if target.insert(tuple(row))}
+            if fresh:
+                seeds[local_name(relation)] = fresh
+        if seeds:
+            derived = self.engine.run_insertions(self.program, self.db, seeds)
+            report.derived = _counts(derived)
+            self._note_derived(derived)
         return report
 
     def apply_unrejections(self, rejection_deletes: Rows) -> InsertionReport:
@@ -239,23 +234,20 @@ class WeightedMaintainer:
         and then propagate with the insertion delta rules.
         """
         report = InsertionReport()
-        with self.db.defer_maintenance():
-            seeds: dict[str, set[Row]] = {}
-            for relation, rows in rejection_deletes.items():
-                rejection = self.db[rejection_name(relation)]
-                out = self.db[output_name(relation)]
-                for row in map(tuple, rows):
-                    if not rejection.delete(row):
-                        continue
-                    if self._trusted_ok(relation, row) and out.insert(row):
-                        seeds.setdefault(output_name(relation), set()).add(row)
-                        self._note_output(relation, row, 1)
-            if seeds:
-                derived = self.engine.run_insertions(
-                    self.program, self.db, seeds
-                )
-                report.derived = _counts(derived)
-                self._note_derived(derived)
+        seeds: dict[str, set[Row]] = {}
+        for relation, rows in rejection_deletes.items():
+            rejection = self.db[rejection_name(relation)]
+            out = self.db[output_name(relation)]
+            for row in map(tuple, rows):
+                if not rejection.delete(row):
+                    continue
+                if self._trusted_ok(relation, row) and out.insert(row):
+                    seeds.setdefault(output_name(relation), set()).add(row)
+                    self._note_output(relation, row, 1)
+        if seeds:
+            derived = self.engine.run_insertions(self.program, self.db, seeds)
+            report.derived = _counts(derived)
+            self._note_derived(derived)
         return report
 
     # -- retractions (negative deltas) --------------------------------------
@@ -272,20 +264,6 @@ class WeightedMaintainer:
                 "negated LHS atoms (deletions become non-monotone); use the "
                 "full-recomputation strategy"
             )
-        # One deferral scope around the whole run: the per-row provenance
-        # and output deletions append maintenance runs instead of patching
-        # every index, and the derivability probes catch up in batched
-        # passes (see repro.storage.indexes).
-        with self.db.defer_maintenance():
-            return self._propagate_deletions_deferred(
-                local_deletes, rejection_inserts
-            )
-
-    def _propagate_deletions_deferred(
-        self,
-        local_deletes: Rows | None,
-        rejection_inserts: Rows | None,
-    ) -> DeletionReport:
         report = DeletionReport()
         # user relation -> the R__o rows removed (the negative R__o delta)
         output_deltas: dict[str, set[Row]] = {}

@@ -464,9 +464,8 @@ class SemiNaiveEngine:
         a Δ is skipped.  Components below the running one are final, so
         each predicate's final Δ-instance is built once per run and shared
         by every reader, and each twin group runs one plan per Δ
-        occurrence.  The run is one index-maintenance deferral scope, and
-        the pooled Δ-instances and shared head rows are emptied when it
-        ends.  Returns every row the run inserted, per predicate.
+        occurrence.  The pooled Δ-instances and shared head rows are
+        emptied when the run ends.  Returns every row the run inserted, per predicate.
         """
         new = {pred: rows for pred, rows in (seed or {}).items() if rows}
         derived: dict[str, set[Row]] = {}
@@ -474,30 +473,27 @@ class SemiNaiveEngine:
         wall0 = time.perf_counter()
         cpu0 = time.process_time()
         try:
-            with db.defer_maintenance():
-                for component in components:
-                    deltas = None
-                    if seed is not None:
-                        if new.keys().isdisjoint(component.inputs):
-                            continue
-                        deltas = {}
-                        for pred in component.inputs & new.keys():
-                            if pred not in finals:
-                                finals[pred] = self._delta_pool.instance(
-                                    pred, db[pred].arity, new[pred]
-                                )
-                            deltas[pred] = finals[pred]
-                    added = self._run_component(
-                        component, twins, db, result, deltas
-                    )
-                    for pred, rows in added.items():
-                        # A recursive component swapped its own Δ-instances.
-                        finals.pop(pred, None)
-                        derived[pred] = rows
-                        if pred in new:
-                            new[pred] |= rows
-                        else:
-                            new[pred] = rows
+            for component in components:
+                deltas = None
+                if seed is not None:
+                    if new.keys().isdisjoint(component.inputs):
+                        continue
+                    deltas = {}
+                    for pred in component.inputs & new.keys():
+                        if pred not in finals:
+                            finals[pred] = self._delta_pool.instance(
+                                pred, db[pred].arity, new[pred]
+                            )
+                        deltas[pred] = finals[pred]
+                added = self._run_component(component, twins, db, result, deltas)
+                for pred, rows in added.items():
+                    # A recursive component swapped its own Δ-instances.
+                    finals.pop(pred, None)
+                    derived[pred] = rows
+                    if pred in new:
+                        new[pred] |= rows
+                    else:
+                        new[pred] = rows
         finally:
             self._delta_pool.release()
             self._shared.clear()

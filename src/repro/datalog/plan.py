@@ -64,13 +64,6 @@ class RowSource(Protocol):
     ``lookup`` may return a live, read-only view of an internal bucket
     (see :meth:`repro.storage.instance.Instance.lookup`); the executor
     never mutates sources mid-iteration, so no defensive copy is taken.
-
-    Sources may additionally expose ``prepare_probe(columns)`` (see
-    :meth:`repro.storage.instance.Instance.prepare_probe`): the executor
-    calls it once per probe step so deferred-maintenance indexes apply
-    their pending runs in one batched pass *before* the environment loop,
-    instead of on the first ``lookup`` inside it.  ``lookup`` itself stays
-    snapshot-consistent either way.
     """
 
     def __iter__(self) -> Iterator[Row]: ...
@@ -495,12 +488,6 @@ def _run_pipeline(
         elif step.probe_cols:
             cols = step.probe_cols
             probe = step.probe_getter
-            # Deferred-maintenance sources catch their probe index up in
-            # one batched pass before the loop (snapshot consistency is
-            # guaranteed by lookup either way; this hoists the sync).
-            prepare = getattr(source, "prepare_probe", None)
-            if prepare is not None:
-                prepare(cols)
             lookup = source.lookup
             next_envs: list[Env] = []
             binds = step.bind_positions

@@ -71,15 +71,7 @@ def bootstrap_default_metrics(registry: MetricsRegistry = REGISTRY) -> None:
     gauge("repro_admission_in_flight", "Requests currently executing")
     gauge("repro_admission_waiting", "Requests currently queued")
     # storage / indexes
-    counter("repro_index_applied_runs_total", "Deferred index catch-up runs")
-    counter("repro_index_rebuilds_total", "Index rebuilds from base rows")
-    counter("repro_index_retired_total", "Cold indexes retired")
-    counter("repro_index_hot_settled_total", "Hot indexes settled eagerly")
-    counter("repro_index_spills_total", "Maintenance-log spill truncations")
-    counter(
-        "repro_index_settle_seconds_total",
-        "Wall-clock seconds spent settling deferred index maintenance",
-    )
+    counter("repro_index_rebuilds_total", "Index builds from the live rows")
     # durability
     counter("repro_wal_appends_total", "WAL records appended")
     counter("repro_wal_fsyncs_total", "WAL fsync barriers")

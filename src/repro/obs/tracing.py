@@ -2,8 +2,8 @@
 
 A *trace* is the tree of spans produced by one top-level operation
 (normally one publish): ``exchange → component → round →
-rule-evaluation``, with ``merge`` / ``index-settle`` / ``wal-append`` /
-``snapshot-refresh`` spans hanging off wherever those phases run.
+rule-evaluation``, with ``merge`` / ``wal-append`` / ``snapshot-refresh``
+spans hanging off wherever those phases run.
 Each span records wall + CPU time, a row count, and parent/child span
 ids.
 

@@ -23,15 +23,6 @@ from .codec import (
     loads_row,
 )
 from .database import Database, UnknownRelationError
-from .indexes import (
-    INDEX_POLICIES,
-    POLICY_DEFERRED,
-    POLICY_EAGER,
-    DeferredIndexSet,
-    EagerIndexSet,
-    IndexSet,
-    make_index_set,
-)
 from .instance import ArityError, Instance, Row, StorageError
 from .kvstore import KeyValueStore, RelationStore
 from .persistence import checkpoint, checkpoint_equal, restore
@@ -50,14 +41,8 @@ __all__ = [
     "CodecError",
     "Database",
     "DatabaseSnapshot",
-    "DeferredIndexSet",
-    "EagerIndexSet",
-    "INDEX_POLICIES",
-    "IndexSet",
     "Instance",
     "KeyValueStore",
-    "POLICY_DEFERRED",
-    "POLICY_EAGER",
     "RelationStore",
     "Row",
     "SQLiteStore",
@@ -78,7 +63,6 @@ __all__ = [
     "encode_value",
     "key_text",
     "loads_row",
-    "make_index_set",
     "open_backend",
     "pin_database",
     "restore",

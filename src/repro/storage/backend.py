@@ -1,11 +1,10 @@
 """The storage-backend protocol: named buckets behind one interface.
 
 The paper's Tukwila backend keeps peer instances and provenance tables in
-auxiliary Berkeley DB storage; our reproduction grew the same seam in two
-steps.  PR 4's ``IndexSet`` split isolated *index maintenance* policy —
-this module isolates *row storage*: everything that persists relation
-contents (checkpointing, the durable node's on-disk state) talks to a
-:class:`StorageBackend`, and the two implementations are
+auxiliary Berkeley DB storage; this module is the reproduction's seam for
+*row storage*: everything that persists relation contents (checkpointing,
+the durable node's on-disk state) talks to a :class:`StorageBackend`, and
+the two implementations are
 
 * :class:`~repro.storage.kvstore.KeyValueStore` — the historical
   in-memory B+-tree store (one tree per bucket), and

@@ -9,10 +9,8 @@ mirroring the paper's "auxiliary storage alongside the original DBMS"
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from typing import Iterable, Iterator, Mapping
 
-from .indexes import INDEX_POLICIES, POLICY_EAGER
 from .instance import Instance, Row, StorageError
 from .stats import StatisticsCache, TableStats
 
@@ -22,28 +20,12 @@ class UnknownRelationError(StorageError):
 
 
 class Database:
-    """A catalog mapping relation names to :class:`Instance` objects.
+    """A catalog mapping relation names to :class:`Instance` objects."""
 
-    ``index_policy`` (``"eager"`` / ``"deferred"``, see
-    :mod:`repro.storage.indexes`) is applied to every instance the catalog
-    creates; :meth:`defer_maintenance` opens one deferral scope across all
-    of them (relations created inside the scope are enrolled too).
-    """
-
-    def __init__(self, index_policy: str = POLICY_EAGER) -> None:
-        if index_policy not in INDEX_POLICIES:
-            raise StorageError(
-                f"unknown index policy {index_policy!r}; expected one of "
-                f"{INDEX_POLICIES}"
-            )
-        self.index_policy = index_policy
+    def __init__(self) -> None:
         self._relations: dict[str, Instance] = {}
         self._stats = StatisticsCache()
         self._version = 0
-        # Instances enrolled in each currently open deferral scope,
-        # innermost last — create/attach append to every open scope so a
-        # relation born mid-scope still flushes at the scope's barrier.
-        self._defer_scopes: list[list[Instance]] = []
 
     @property
     def version(self) -> int:
@@ -63,10 +45,9 @@ class Database:
         """Create relation ``name``; error if it already exists."""
         if name in self._relations:
             raise StorageError(f"relation {name!r} already exists")
-        instance = Instance(name, arity, index_policy=self.index_policy)
+        instance = Instance(name, arity)
         self._relations[name] = instance
         instance.add_watcher(self._mark_dirty)
-        self._enroll(instance)
         self._version += 1
         if rows:
             instance.insert_many(rows)
@@ -95,15 +76,8 @@ class Database:
             raise StorageError(f"relation {instance.name!r} already exists")
         self._relations[instance.name] = instance
         instance.add_watcher(self._mark_dirty)
-        self._enroll(instance)
         self._version += 1
         return instance
-
-    def _enroll(self, instance: Instance) -> None:
-        """Bring a newly registered instance into every open deferral scope."""
-        for scope in self._defer_scopes:
-            instance._indexes.begin_defer()
-            scope.append(instance)
 
     def drop(self, name: str) -> bool:
         self._stats.invalidate(name)
@@ -132,88 +106,19 @@ class Database:
     def __iter__(self) -> Iterator[Instance]:
         return iter(self._relations.values())
 
-    # -- deferred index maintenance -----------------------------------------
-
-    @contextmanager
-    def defer_maintenance(self):
-        """One deferral scope spanning every relation in the catalog.
-
-        Under the deferred index policy, mutations inside the scope append
-        to per-instance maintenance logs instead of patching indexes;
-        probes synchronize the index they touch, and the outermost scope
-        exit is a flush barrier.  Under the eager policy the scope is a
-        no-op, so engine layers open scopes unconditionally.  Relations
-        created (or attached) while the scope is open are enrolled in it.
-        """
-        scope = list(self._relations.values())
-        for instance in scope:
-            instance._indexes.begin_defer()
-        self._defer_scopes.append(scope)
-        try:
-            yield self
-        finally:
-            # Scopes are context managers, so exits are strictly LIFO —
-            # the scope being closed is always the innermost one.  (Not
-            # list.remove: it matches by element equality and could pop a
-            # different-but-equal scope list.)
-            popped = self._defer_scopes.pop()
-            if popped is not scope:  # pragma: no cover - defensive
-                self._defer_scopes.append(popped)
-                self._defer_scopes.remove(scope)
-            for instance in scope:
-                instance._indexes.end_defer()
-
-    def flush_indexes(self) -> None:
-        """Apply all pending index maintenance now (an explicit barrier)."""
-        for instance in self._relations.values():
-            instance.flush_indexes()
-
-    def pending_index_ops(self) -> int:
-        """Total unapplied maintenance-log entries across all relations."""
-        return sum(
-            instance.pending_index_ops()
-            for instance in self._relations.values()
-        )
-
-    def index_stats(self) -> dict[str, object]:
-        """Index-maintenance counters summed across every relation.
-
-        Per-relation breakdowns stay on :meth:`Instance.index_stats`;
-        this aggregate is what ``/stats``, ``/metrics``, and the
-        exchange report's index-settle phase read.
-        """
-        totals: dict[str, object] = {
+    def index_stats(self) -> dict[str, int]:
+        """Index counters summed across every relation: ``relations``,
+        ``indexes`` materialized now, and ``rebuilds`` (index builds from
+        the live rows).  ``/stats`` and ``/metrics`` read this."""
+        totals = {
             "relations": len(self._relations),
             "indexes": 0,
-            "pending_ops": 0,
-            "applied_runs": 0,
             "rebuilds": 0,
-            "retired": 0,
-            "hot_settled": 0,
-            "spills": 0,
-            "settle_wall_seconds": 0.0,
-            "settle_cpu_seconds": 0.0,
         }
-        policy = None
         for instance in self._relations.values():
-            stats = instance.index_stats()
-            policy = stats.get("policy", policy)
-            for key in totals:
-                value = stats.get(key)
-                if value is not None and key != "relations":
-                    totals[key] += value
-        totals["policy"] = policy if policy is not None else self.index_policy
+            for key, value in instance.index_stats().items():
+                totals[key] += value
         return totals
-
-    def settle_seconds(self) -> tuple[float, float]:
-        """Cumulative (wall, cpu) seconds of deferred index settling across
-        every relation: the two :meth:`index_stats` readings the exchange
-        report takes around each publish, without building the whole dict."""
-        wall = cpu = 0.0
-        for instance in self._relations.values():
-            wall += instance._indexes.settle_wall_seconds
-            cpu += instance._indexes.settle_cpu_seconds
-        return wall, cpu
 
     def pin(self, names: Iterable[str] | None = None):
         """Capture a version-pinned, immutable snapshot of ``names``.
@@ -263,12 +168,12 @@ class Database:
             if rows is None:
                 instance.clear()
             else:
-                instance.replace(rows)
+                instance.replace_contents(rows)
 
     def copy(self) -> "Database":
-        """A deep copy; instances carry their index definitions and policy
-        (see :meth:`Instance.copy`), so probes against the copy start warm."""
-        clone = Database(index_policy=self.index_policy)
+        """A deep copy; instances carry their index definitions (see
+        :meth:`Instance.copy`), so probes against the copy start warm."""
+        clone = Database()
         for name, instance in self._relations.items():
             copied = instance.copy()
             clone._relations[name] = copied

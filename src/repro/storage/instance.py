@@ -2,16 +2,12 @@
 
 This is the storage substrate that stands in for the RDBMS tables of the
 paper's Section 5.  An :class:`Instance` stores the extension of one relation
-as a set of fixed-arity tuples, and lazily builds hash indexes on the column
-subsets that query plans probe.
-
-*When* those indexes are maintained is a pluggable policy (see
-:mod:`repro.storage.indexes`): under the default **eager** policy every
-mutation patches every materialized index, while the **deferred** policy
-accumulates insert/delete runs inside :meth:`defer_maintenance` scopes and
-applies them in batched passes at probe time or at flush barriers.  The row
-set itself is always maintained eagerly, and every probe synchronizes the
-index it touches first — readers never observe stale index state.
+as a set of fixed-arity tuples.  A hash index on a column subset is built
+from the live rows the first time a query plan probes it; from then on every
+mutation patches every materialized index immediately — in one pass per
+batch for the set-at-a-time entry points (:meth:`Instance.insert_new`,
+:meth:`Instance.delete_existing`, :meth:`Instance.replace_contents`) — so a
+probe always reads current index state.
 
 Set semantics matches the paper: "in a set-based relational model ... a tuple
 is uniquely identified by its values" (Section 4.1.2), which is also what
@@ -20,18 +16,70 @@ makes tuples usable as their own provenance tokens.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-from typing import AbstractSet, Callable, Iterable, Iterator, Sequence
-
-from .indexes import POLICY_EAGER, IndexSet, make_index_set
+from operator import itemgetter
+from typing import (
+    AbstractSet,
+    Callable,
+    Collection,
+    Iterable,
+    Iterator,
+    Sequence,
+)
 
 Row = tuple[object, ...]
+Columns = tuple[int, ...]
+#: One hash index: key tuple (the row projected on its columns) -> rows.
+Index = dict[Row, set[Row]]
+
+_EMPTY_BUCKET: frozenset[Row] = frozenset()
 
 
 def _row_set(rows: Iterable[Sequence[object]]) -> set[Row]:
     """A ``set`` as it is (set algebra reuses the hashes it stores), any
     other iterable as a new set of tuples."""
     return rows if isinstance(rows, set) else set(map(tuple, rows))
+
+
+def _index_rows(index: Index, cols: Columns, added: Collection[Row]) -> None:
+    """Add ``added`` to the buckets of the index on ``cols``."""
+    # ``get`` + literal-set creation beats ``setdefault(key, set())``,
+    # which allocates a throwaway set on every hit; multi-column keys
+    # come from one ``itemgetter`` per batch, not a per-row generator.
+    get = index.get
+    if len(cols) == 1:
+        c = cols[0]
+        for row in added:
+            key = (row[c],)
+            bucket = get(key)
+            if bucket is None:
+                index[key] = {row}
+            else:
+                bucket.add(row)
+    else:
+        for row, key in zip(added, map(itemgetter(*cols), added)):
+            bucket = get(key)
+            if bucket is None:
+                index[key] = {row}
+            else:
+                bucket.add(row)
+
+
+def _unindex_rows(
+    index: Index, cols: Columns, removed: Collection[Row]
+) -> None:
+    """Remove ``removed`` from the index on ``cols``; a bucket that
+    empties is dropped, so every key in the index has a row."""
+    if len(cols) == 1:
+        c = cols[0]
+        keys = [(row[c],) for row in removed]
+    else:
+        keys = map(itemgetter(*cols), removed)
+    for row, key in zip(removed, keys):
+        bucket = index.get(key)
+        if bucket is not None:
+            bucket.discard(row)
+            if not bucket:
+                del index[key]
 
 
 class StorageError(Exception):
@@ -53,9 +101,6 @@ class Instance:
         Number of columns; every stored row must have exactly this length.
     rows:
         Optional initial contents.
-    index_policy:
-        Index maintenance policy (``"eager"`` or ``"deferred"``, see
-        :mod:`repro.storage.indexes`).
     """
 
     __slots__ = (
@@ -63,21 +108,20 @@ class Instance:
         "arity",
         "_rows",
         "_indexes",
+        "_builds",
         "_version",
         "_watchers",
     )
 
     def __init__(
-        self,
-        name: str,
-        arity: int,
-        rows: Iterable[Row] = (),
-        index_policy: str = POLICY_EAGER,
+        self, name: str, arity: int, rows: Iterable[Row] = ()
     ) -> None:
         self.name = name
         self.arity = arity
         self._rows: set[Row] = set()
-        self._indexes: IndexSet = make_index_set(index_policy, self._rows)
+        self._indexes: dict[Columns, Index] = {}
+        #: Indexes built from the live rows (first probes of a column set).
+        self._builds = 0
         self._version = 0
         self._watchers: tuple[Callable[[], None], ...] = ()
         self.insert_new(rows)
@@ -100,11 +144,6 @@ class Instance:
     def version(self) -> int:
         """Monotone counter bumped on every mutation (used by stats caches)."""
         return self._version
-
-    @property
-    def index_policy(self) -> str:
-        """The index maintenance policy this instance was built with."""
-        return self._indexes.policy
 
     def _bump(self) -> None:
         """Record one mutation: bump the version and notify watchers.
@@ -146,15 +185,15 @@ class Instance:
             return False
         self._rows.add(row)
         self._bump()
-        if self._indexes._by_cols:
-            self._indexes.insert_rows((row,))
+        for cols, index in self._indexes.items():
+            _index_rows(index, cols, (row,))
         return True
 
     def insert_many(self, rows: Iterable[Sequence[object]]) -> int:
         """Insert many rows; return the number actually added.
 
-        Index maintenance is bulk: the set of genuinely new rows is handed
-        to the index policy in one run, and the version bumps once.
+        Index maintenance is bulk: the set of genuinely new rows patches
+        each index in one pass, and the version bumps once.
         """
         return len(self.insert_new(rows))
 
@@ -178,8 +217,8 @@ class Instance:
                 self._check_arity(row)
         self._rows |= fresh
         self._bump()
-        if self._indexes._by_cols:
-            self._indexes.insert_rows(fresh)
+        for cols, index in self._indexes.items():
+            _index_rows(index, cols, fresh)
         return fresh
 
     def delete(self, row: Sequence[object]) -> bool:
@@ -189,15 +228,15 @@ class Instance:
             return False
         self._rows.discard(row)
         self._bump()
-        if self._indexes._by_cols:
-            self._indexes.delete_rows((row,))
+        for cols, index in self._indexes.items():
+            _unindex_rows(index, cols, (row,))
         return True
 
     def delete_many(self, rows: Iterable[Sequence[object]]) -> int:
         """Delete many rows; return the number actually removed.
 
-        Like :meth:`insert_many`, the genuinely removed rows reach the
-        index policy as one run and the version bumps once.
+        Like :meth:`insert_many`, the genuinely removed rows patch each
+        index in one pass and the version bumps once.
         """
         return len(self.delete_existing(rows))
 
@@ -205,9 +244,9 @@ class Instance:
         """Bulk delete; return the rows that were genuinely removed.
 
         The set mirror of :meth:`insert_new`: one version bump, one bulk
-        index-maintenance run, and the effective rows (in no particular
-        order) back to the caller — what retraction needs to seed its
-        next frontier without per-row ``delete`` calls.
+        pass per index, and the effective rows (in no particular order)
+        back to the caller — what retraction needs to seed its next
+        frontier without per-row ``delete`` calls.
         """
         # Two-phase like insert_new: an unhashable row fails the
         # intersection before anything mutates.
@@ -216,20 +255,15 @@ class Instance:
             return removed
         self._rows -= removed
         self._bump()
-        if self._indexes._by_cols:
-            self._indexes.delete_rows(removed)
+        for cols, index in self._indexes.items():
+            _unindex_rows(index, cols, removed)
         return removed
 
     def clear(self) -> None:
+        """Empty the extension and drop every index definition."""
         self._rows.clear()
-        self._indexes.drop_all()
+        self._indexes.clear()
         self._bump()
-
-    def replace(self, rows: Iterable[Sequence[object]]) -> None:
-        """Replace the whole extension (drops indexes)."""
-        self.clear()
-        for row in rows:
-            self.insert(row)
 
     def replace_contents(self, rows: Iterable[Sequence[object]]) -> None:
         """Replace the extension, *keeping* materialized indexes.
@@ -244,10 +278,11 @@ class Instance:
         stale = self._rows - new_rows
         if stale and len(stale) == len(self._rows):
             # Complete turnover (the usual case for Δ-relations: successive
-            # rounds are disjoint): keep the index structures but skip the
-            # pointless per-row removals.
+            # rounds are disjoint): keep the index dicts (their capacity
+            # stays warm) but skip the pointless per-row removals.
             self._rows.clear()
-            self._indexes.turnover()
+            for index in self._indexes.values():
+                index.clear()
             self._bump()
             self.insert_many(new_rows)
             return
@@ -267,7 +302,11 @@ class Instance:
                 raise StorageError(
                     f"index column {c} out of range for {self.name}/{self.arity}"
                 )
-        self._indexes.ensure(cols)
+        if cols not in self._indexes:
+            index: Index = {}
+            _index_rows(index, cols, self._rows)
+            self._indexes[cols] = index
+            self._builds += 1
 
     def lookup(
         self, columns: Sequence[int], values: Sequence[object]
@@ -278,10 +317,6 @@ class Instance:
         copy is made.  Treat the result as ephemeral: do not mutate this
         instance while iterating it, and materialize (``tuple(...)``) before
         any interleaved mutation.  Use :meth:`rows` for a stable snapshot.
-
-        Probes are snapshot-consistent under every index policy: a deferred
-        index is synchronized with its pending runs before the bucket is
-        read, so the result always reflects the current row set.
         """
         cols = tuple(columns)
         if not cols:
@@ -293,12 +328,12 @@ class Instance:
             # the row set without building an index.
             key = tuple(values)
             return frozenset((key,)) if key in self._rows else frozenset()
-        try:
-            return self._indexes.probe(cols, tuple(values))
-        except KeyError:
+        index = self._indexes.get(cols)
+        if index is None:
             # One-time miss: validate the columns and build the index.
             self.ensure_index(cols)
-            return self._indexes.probe(cols, tuple(values))
+            index = self._indexes[cols]
+        return index.get(tuple(values), _EMPTY_BUCKET)
 
     def matching(
         self, columns: Sequence[int], keys: Iterable[Row]
@@ -306,7 +341,7 @@ class Instance:
         """The rows whose projection on ``columns`` is one of ``keys``.
 
         Set-at-a-time :meth:`lookup`: one intersection of ``keys`` with
-        the synchronized index's key view (with the row set for a
+        the index's key view (with the row set for a
         full-width probe), then the union of the hit buckets.
         """
         cols = tuple(columns)
@@ -326,73 +361,26 @@ class Instance:
             return self._rows.intersection(keys)
         return self._key_index(cols).keys() & keys
 
-    def _key_index(self, cols: tuple[int, ...]) -> dict[Row, set[Row]]:
-        """The synchronized ``key -> bucket`` index on ``cols``."""
+    def _key_index(self, cols: Columns) -> Index:
+        """The ``key -> bucket`` index on ``cols``."""
         if not cols:  # every row projects to the empty key
             return {(): self._rows} if self._rows else {}
-        self.prepare_probe(cols)
-        return self._indexes._by_cols[cols]
-
-    def prepare_probe(self, columns: Sequence[int]) -> None:
-        """Make the index on ``columns`` current ahead of a probe loop.
-
-        The plan executor calls this once per pipeline step, so the
-        per-probe :meth:`lookup` calls that follow hit an already
-        synchronized index (the per-call pending check still guards
-        correctness; this just hoists the batched catch-up out of the
-        environment loop).
-        """
-        cols = tuple(columns)
-        if cols and cols != tuple(range(self.arity)):
-            # (A whole-row probe is a membership test: no index to sync.)
-            self.ensure_index(cols)
-            self._indexes.sync(cols)
+        self.ensure_index(cols)
+        return self._indexes[cols]
 
     def index_key_count(self, columns: Sequence[int]) -> int:
         """Number of distinct keys in the index on ``columns``."""
         cols = tuple(columns)
         self.ensure_index(cols)
-        return self._indexes.key_count(cols)
+        return len(self._indexes[cols])
 
-    def indexed_columns(self) -> tuple[tuple[int, ...], ...]:
-        return self._indexes.columns()
+    def indexed_columns(self) -> tuple[Columns, ...]:
+        return tuple(self._indexes)
 
-    # -- deferred maintenance barriers -------------------------------------
-
-    @contextmanager
-    def defer_maintenance(self):
-        """A deferral scope: batch index maintenance until exit.
-
-        Under the deferred policy, mutations inside the scope only append
-        to the maintenance log; each index catches up when probed, and the
-        outermost scope exit is a flush barrier.  Under the eager policy
-        this is a no-op, so engine code can open scopes unconditionally.
-        """
-        self._indexes.begin_defer()
-        try:
-            yield self
-        finally:
-            self._indexes.end_defer()
-
-    def flush_indexes(self) -> None:
-        """An explicit maintenance barrier.
-
-        Pending runs are applied to every index whose debt is small; an
-        index whose debt is rebuild-scale is retired instead and lazily
-        rebuilt on its next probe (see
-        :meth:`repro.storage.indexes.DeferredIndexSet.flush`).
-        """
-        self._indexes.flush()
-
-    def pending_index_ops(self) -> int:
-        """Maintenance-log entries some index has not yet applied."""
-        return self._indexes.pending_ops
-
-    def index_stats(self) -> dict[str, object]:
-        """Maintenance statistics from the index policy (counters such as
-        ``rebuilds`` / ``retired`` / ``hot_settled`` / ``spills`` and the
-        per-index probe-hotness counts under the deferred policy)."""
-        return self._indexes.stats()
+    def index_stats(self) -> dict[str, int]:
+        """``indexes`` materialized now, and ``rebuilds``: how many index
+        builds from the live rows this instance has paid for."""
+        return {"indexes": len(self._indexes), "rebuilds": self._builds}
 
     # -- bulk helpers -----------------------------------------------------
 
@@ -404,18 +392,19 @@ class Instance:
         return frozenset(tuple(row[c] for c in cols) for row in self._rows)
 
     def copy(self, name: str | None = None) -> "Instance":
-        """A deep copy carrying the index definitions and policy.
+        """A deep copy carrying the index definitions.
 
         Indexes are copied bucket-wise (cheaper than rebuilding key
         tuples), so probes against the copy start warm.
         """
-        clone = Instance(
-            name or self.name, self.arity, index_policy=self.index_policy
-        )
+        clone = Instance(name or self.name, self.arity)
         clone._rows.update(self._rows)
         if self._rows:
             clone._version = 1
-        clone._indexes.adopt(self._indexes)
+        clone._indexes = {
+            cols: {key: set(bucket) for key, bucket in index.items()}
+            for cols, index in self._indexes.items()
+        }
         return clone
 
     def estimated_bytes(self) -> int:

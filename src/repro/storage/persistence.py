@@ -13,19 +13,20 @@ labeled nulls.
 
 The representation: one bucket per relation holding (row-key -> row), a
 catalog bucket recording relation arities, an index bucket recording each
-relation's materialized index definitions, and a meta bucket recording
-database-level settings (the index maintenance policy).  ``restore``
-mirrors the checkpoint *exactly*: relations present in the target database
-but absent from the catalog are dropped (the restore-side twin of
-``checkpoint``'s stale-bucket wipe), and recorded indexes are rebuilt so a
-recovered instance probes the same access paths the checkpointed one did.
+relation's materialized index definitions, and a meta bucket that older
+checkpoints used for database-level settings (``checkpoint`` still wipes
+it; ``restore`` ignores what it holds, such as a legacy ``index_policy``).
+``restore`` mirrors the checkpoint *exactly*: relations present in the
+target database but absent from the catalog are dropped (the restore-side
+twin of ``checkpoint``'s stale-bucket wipe), and recorded indexes are
+rebuilt so a recovered instance probes the same access paths the
+checkpointed one did.
 """
 
 from __future__ import annotations
 
 from .backend import StorageBackend
 from .database import Database
-from .indexes import INDEX_POLICIES
 from .instance import StorageError
 from .kvstore import KeyValueStore, _row_key
 
@@ -54,7 +55,6 @@ def checkpoint(
         for bucket in store.bucket_names():
             if bucket.startswith(DATA_PREFIX) or bucket in _OWN_BUCKETS:
                 store.drop(bucket)
-        store.put(META_BUCKET, "index_policy", db.index_policy)
         for instance in db:
             store.put(CATALOG_BUCKET, instance.name, instance.arity)
             indexed = instance.indexed_columns()
@@ -79,23 +79,13 @@ def restore(
     loading a checkpoint into a freshly configured exchange system) and
     relations ``into`` holds that the checkpoint catalog does not are
     dropped, so the result mirrors the checkpoint exactly; otherwise a new
-    database is returned, built with the checkpointed index policy.
-    Recorded index definitions are rebuilt on every restored relation.
+    database is returned.  Recorded index definitions are rebuilt on every
+    restored relation.
     """
     names = [name for name, _ in store.cursor(CATALOG_BUCKET)]
     if not names:
         raise StorageError("store contains no checkpoint catalog")
-    if into is not None:
-        db = into
-    else:
-        policy = store.get(META_BUCKET, "index_policy")
-        db = Database(
-            index_policy=(
-                policy
-                if isinstance(policy, str) and policy in INDEX_POLICIES
-                else "eager"
-            )
-        )
+    db = into if into is not None else Database()
     for name in names:
         arity = store.get(CATALOG_BUCKET, name)
         if not isinstance(name, str) or not isinstance(arity, int):

@@ -62,7 +62,7 @@ class DatabaseSnapshot:
     def __init__(
         self, source: Database, names: Iterable[str] | None = None
     ) -> None:
-        snapshot = Database(index_policy=source.index_policy)
+        snapshot = Database()
         selected = (
             source.relation_names() if names is None else tuple(names)
         )
@@ -72,8 +72,7 @@ class DatabaseSnapshot:
                 continue
             copied = instance.copy()
             # Registered directly: nothing outside this snapshot watches
-            # the copies, so they need none of attach()'s watcher and
-            # deferral-scope wiring.
+            # the copies, so they need none of attach()'s watcher wiring.
             snapshot._relations[name] = copied
         self.db = snapshot
         self.version = source.version

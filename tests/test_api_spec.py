@@ -268,6 +268,17 @@ class TestRunCommand:
         assert main(["run", str(path), "--strategy", "recompute"]) == 0
         assert "recompute" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("command", ["run", "query", "serve"])
+    def test_index_policy_option_is_gone(self, tmp_path, capsys, command):
+        path = running_example().to_spec().save(tmp_path / "bio.json")
+        argv = [command, str(path), "--index-policy", "eager"]
+        if command == "query":
+            argv.insert(2, "ans(i, n) :- B(i, n)")
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2  # argparse usage error
+        assert "--index-policy" in capsys.readouterr().err
+
     def test_run_missing_file_fails_cleanly(self, tmp_path, capsys):
         assert main(["run", str(tmp_path / "nope.json")]) == 1
         assert "error" in capsys.readouterr().err

@@ -26,9 +26,12 @@ from repro import (
     SystemSpec,
     WriteAheadLog,
 )
+from repro.durability.node import STATE_FILE
 from repro.durability.wal import read_segment
 from repro.serve.client import ServeClient
+from repro.storage import SQLiteStore
 from repro.storage.instance import StorageError
+from repro.storage.persistence import META_BUCKET
 
 
 def paper_spec() -> SystemSpec:
@@ -300,6 +303,31 @@ class TestDurableNode:
         spec_path.write_text(json.dumps({**document, "workers": 2}))
         with pytest.raises(SpecError, match="parallel evaluation was removed"):
             DurableNode.open(data_dir)
+
+    def test_legacy_index_policy_data_dir_opens(self, tmp_path):
+        """Node directories written while ``index_policy`` was an option
+        hold it in spec.json and in the checkpoint's meta bucket: they
+        open and serve the same answers, and the next checkpoint drops
+        the meta key."""
+        data_dir = tmp_path / "node"
+        node = DurableNode.create(paper_spec(), data_dir)
+        run_script(node.cdss, node.publish, publishes=2, stage_tail=False)
+        node.close()
+        spec_path = data_dir / "spec.json"
+        document = json.loads(spec_path.read_text())
+        spec_path.write_text(
+            json.dumps({**document, "index_policy": "deferred"})
+        )
+        store = SQLiteStore(str(data_dir / STATE_FILE))
+        with store.transaction():
+            store.put(META_BUCKET, "index_policy", "deferred")
+        store.close()
+        recovered = DurableNode.open(data_dir)
+        assert certain_state(recovered.cdss) == reference_state(2, False)
+        recovered.close()
+        store = SQLiteStore(str(data_dir / STATE_FILE))
+        assert store.get(META_BUCKET, "index_policy") is None
+        store.close()
 
     def test_durability_spec_roundtrip(self, tmp_path):
         spec = paper_spec()

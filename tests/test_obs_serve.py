@@ -37,7 +37,7 @@ class TestMetricsEndpoint:
                 "repro_engine_rounds_total",
                 "repro_exchange_publishes_total",
                 "repro_admission_admitted_total",
-                "repro_index_applied_runs_total",
+                "repro_index_rebuilds_total",
                 "repro_wal_appends_total",
                 "repro_serve_requests_total",
             ):
@@ -186,7 +186,7 @@ class TestStatsSchema:
         with cdss.batch() as tx:
             tx.insert("G", (50, 60, 70))
         report = cdss.update_exchange()
-        assert set(report.phases) == {"evaluate", "index_settle"}
+        assert set(report.phases) == {"evaluate"}
         for clocks in report.phases.values():
             assert clocks["wall_seconds"] >= 0.0
             assert clocks["cpu_seconds"] >= 0.0

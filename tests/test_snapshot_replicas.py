@@ -108,15 +108,11 @@ def assert_replica_equals(replica, reference):
         mine, theirs = replica.instance(name), reference.instance(name)
         rows = theirs.rows()
         assert mine.rows() == rows, name
-        assert mine.pending_index_ops() == 0
         for cols in mine.indexed_columns():
-            assert mine._indexes._by_cols[cols] == expected_index(rows, cols)
+            assert mine._indexes[cols] == expected_index(rows, cols)
         for cols in theirs.indexed_columns():
             if cols in mine.indexed_columns():
-                assert (
-                    mine._indexes._by_cols[cols]
-                    == theirs._indexes._by_cols[cols]
-                )
+                assert mine._indexes[cols] == theirs._indexes[cols]
 
 
 def served_answers(prepared, snapshot):

@@ -1,27 +1,30 @@
-"""Tests for the pluggable index-maintenance policies (storage/indexes.py):
+"""Tests for the hash indexes of relation instances (storage/instance.py):
 
-* deferred-policy correctness: probes never see stale index state, not
-  even inside a deferral scope (the snapshot-consistency rule);
-* flush barriers: scope exits settle or retire every index's debt;
-* NaiveEngine-agreement property under the deferred policy;
-* Instance.copy carrying index definitions and policy;
-* policy plumbing through Database / ExchangeSystem / CDSS / SystemSpec.
+* probe exactness: every probe after every mutation agrees with an index
+  rebuilt from the rows, including under random insert/delete traffic,
+  whether the index was declared up front or built by its first probe;
+* churn, turnover and clear leave no stale bucket behind;
+* Instance.copy / Database.copy carry exact, independent indexes;
+* the semi-naive engine over indexed storage agrees with NaiveEngine and
+  leaves every index exact, and so does an update exchange;
+* the legacy ``index_policy`` spec key loads with either old value,
+  changes nothing, and any other value is rejected.
 """
+
+import json
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from index_timing import INDEX_TIMINGS, declare_indexes
+from repro.api.spec import SpecError, SystemSpec
+from repro.core.cdss import CDSS
 from repro.datalog import NaiveEngine, SemiNaiveEngine, parse_program
-from repro.storage import (
-    Database,
-    Instance,
-    POLICY_DEFERRED,
-    POLICY_EAGER,
-    StorageError,
-)
+from repro.storage import Database, Instance
 
-POLICIES = (POLICY_EAGER, POLICY_DEFERRED)
+LEGACY_POLICIES = ("eager", "deferred")
 
 
 def reference_index(rows, cols):
@@ -40,240 +43,181 @@ def assert_index_exact(inst, cols):
     assert set(inst.lookup(cols, ("__missing__",) * len(cols))) == set()
 
 
-class TestDeferredInstance:
-    def test_probe_inside_scope_never_stale(self):
-        """The regression test: a probe inside a deferral scope must see
-        every mutation issued earlier in the scope."""
-        inst = Instance("R", 2, [(1, "a")], index_policy=POLICY_DEFERRED)
-        inst.ensure_index([0])
-        with inst.defer_maintenance():
-            inst.insert((2, "b"))
-            assert set(inst.lookup([0], (2,))) == {(2, "b")}
-            inst.delete((1, "a"))
-            assert set(inst.lookup([0], (1,))) == set()
-            inst.insert_many([(3, "c"), (4, "d")])
-            assert set(inst.lookup([0], (3,))) == {(3, "c")}
-            inst.delete_many([(3, "c")])
-            assert set(inst.lookup([0], (3,))) == set()
-            assert_index_exact(inst, (0,))
+def assert_all_indexes_exact(db):
+    """No index of any relation lags behind its rows."""
+    for inst in db:
+        for cols in inst.indexed_columns():
+            assert_index_exact(inst, cols)
 
-    def test_mutations_defer_until_probe_or_flush(self):
-        inst = Instance("R", 2, index_policy=POLICY_DEFERRED)
-        inst.ensure_index([0])
-        inst.ensure_index([1])
-        with inst.defer_maintenance():
-            inst.insert_many([(1, "a"), (2, "b")])
-            inst.delete((1, "a"))
-            assert inst.pending_index_ops() == 2
-            # Probing column 0 syncs only that index.
-            assert set(inst.lookup([0], (2,))) == {(2, "b")}
-            assert inst.pending_index_ops() == 2  # [1] still behind
-        assert inst.pending_index_ops() == 0
 
-    def test_scope_exit_is_flush_barrier(self):
-        inst = Instance("R", 1, index_policy=POLICY_DEFERRED)
+class TestIndexMaintenance:
+    def test_probe_after_each_mutation_is_exact(self):
+        """A probe sees every mutation issued before it."""
+        inst = Instance("R", 2, [(1, "a")])
         inst.ensure_index([0])
-        with inst.defer_maintenance():
-            inst.insert((1,))
-            assert inst.pending_index_ops() == 1
-        assert inst.pending_index_ops() == 0
-        assert set(inst.lookup([0], (1,))) == {(1,)}
+        inst.insert((2, "b"))
+        assert set(inst.lookup([0], (2,))) == {(2, "b")}
+        inst.delete((1, "a"))
+        assert set(inst.lookup([0], (1,))) == set()
+        inst.insert_many([(3, "c"), (4, "d")])
+        assert set(inst.lookup([0], (3,))) == {(3, "c")}
+        inst.delete_many([(3, "c")])
+        assert set(inst.lookup([0], (3,))) == set()
+        assert_index_exact(inst, (0,))
 
-    def test_nested_scopes_flush_only_at_outermost_exit(self):
-        inst = Instance("R", 1, [(0,)], index_policy=POLICY_DEFERRED)
+    def test_churn_leaves_index_exact(self):
+        inst = Instance("R", 1, [(1,)])
         inst.ensure_index([0])
-        with inst.defer_maintenance():
-            with inst.defer_maintenance():
-                inst.insert((1,))
-            # Inner exit is not a barrier.
-            assert inst.pending_index_ops() == 1
-            inst.insert((2,))
-        assert inst.pending_index_ops() == 0
-
-    def test_churn_cancels_before_touching_buckets(self):
-        inst = Instance("R", 1, [(1,)], index_policy=POLICY_DEFERRED)
-        inst.ensure_index([0])
-        inst.flush_indexes()
-        with inst.defer_maintenance():
-            inst.insert((2,))
-            inst.delete((2,))
-            inst.delete((1,))
-            inst.insert((1,))
+        inst.insert((2,))
+        inst.delete((2,))
+        inst.delete((1,))
+        inst.insert((1,))
         assert inst.rows() == {(1,)}
         assert set(inst.lookup([0], (1,))) == {(1,)}
         assert set(inst.lookup([0], (2,))) == set()
 
-    def test_cold_rebuild_scale_debt_is_retired_at_barrier(self):
-        """An index whose debt outweighs the table is dropped at the
-        barrier and lazily rebuilt (exactly once) on its next probe."""
-        inst = Instance("R", 2, index_policy=POLICY_DEFERRED)
-        inst.ensure_index([1])
-        with inst.defer_maintenance():
-            inst.insert_many([(i, i % 3) for i in range(30)])
-        # Retired: the definition is gone, but a probe self-heals.
+    def test_turnover_and_clear(self):
+        inst = Instance("R", 1, [(1,), (2,)])
+        inst.ensure_index([0])
+        inst.replace_contents([(3,), (4,)])
+        assert set(inst.lookup([0], (3,))) == {(3,)}
+        assert set(inst.lookup([0], (1,))) == set()
+        assert inst.indexed_columns() == ((0,),)
+        inst.clear()
         assert inst.indexed_columns() == ()
-        assert inst.pending_index_ops() == 0
-        assert set(inst.lookup([1], (0,))) == {
-            (i, 0) for i in range(0, 30, 3)
-        }
-
-    def test_turnover_and_clear_inside_scope(self):
-        inst = Instance("R", 1, [(1,), (2,)], index_policy=POLICY_DEFERRED)
-        inst.ensure_index([0])
-        with inst.defer_maintenance():
-            inst.replace_contents([(3,), (4,)])
-            assert set(inst.lookup([0], (3,))) == {(3,)}
-            assert set(inst.lookup([0], (1,))) == set()
-        inst.ensure_index([0])
-        with inst.defer_maintenance():
-            inst.clear()
-            assert set(inst.lookup([0], (3,))) == set()
+        assert set(inst.lookup([0], (3,))) == set()
         assert inst.rows() == frozenset()
 
-    def test_eager_scope_is_noop(self):
-        inst = Instance("R", 1, index_policy=POLICY_EAGER)
-        inst.ensure_index([0])
-        with inst.defer_maintenance():
-            inst.insert((1,))
-            assert inst.pending_index_ops() == 0
-        assert set(inst.lookup([0], (1,))) == {(1,)}
-
-    def test_unknown_policy_rejected(self):
-        with pytest.raises(ValueError):
-            Instance("R", 1, index_policy="bogus")
-        with pytest.raises(StorageError):
-            Database(index_policy="bogus")
-
-    @pytest.mark.parametrize("policy", POLICIES)
-    def test_randomized_mutations_match_reference(self, policy):
-        import random
-
-        rng = random.Random(7)
-        inst = Instance("R", 2, index_policy=policy)
-        inst.ensure_index([0])
+    def test_rebuilds_count_builds_from_live_rows(self):
+        inst = Instance("R", 2, [(1, "a"), (2, "b")])
+        assert inst.index_stats() == {"indexes": 0, "rebuilds": 0}
+        inst.lookup([0], (1,))
+        inst.lookup([0], (2,))  # already built: patched, never rebuilt
+        inst.insert((3, "c"))
         inst.ensure_index([1])
+        assert inst.index_stats() == {"indexes": 2, "rebuilds": 2}
+        db = Database()
+        db.attach(inst)
+        assert db.index_stats() == {
+            "relations": 1,
+            "indexes": 2,
+            "rebuilds": 2,
+        }
+
+
+class TestDeferredInstance:
+    """An index whose build is deferred to its first probe answers as one
+    declared before the mutations and patched by each of them."""
+
+    @pytest.mark.parametrize("timing", INDEX_TIMINGS)
+    def test_randomized_mutations_match_reference(self, timing):
+        rng = random.Random(7)
+        inst = Instance("R", 2)
+        declare_indexes(inst, timing, [0], [1])
         shadow = set()
-        for step in range(300):
-            if rng.random() < 0.3 and step % 37 == 0:
-                with inst.defer_maintenance():
-                    for _ in range(rng.randrange(5)):
-                        row = (rng.randrange(6), rng.randrange(4))
-                        if rng.random() < 0.5:
-                            inst.insert(row)
-                            shadow.add(row)
-                        else:
-                            inst.delete(row)
-                            shadow.discard(row)
-                    if rng.random() < 0.5:
-                        probe_key = (rng.randrange(6),)
-                        assert set(inst.lookup([0], probe_key)) == {
-                            r for r in shadow if r[0] == probe_key[0]
-                        }
+        for _ in range(300):
+            row = (rng.randrange(6), rng.randrange(4))
+            if rng.random() < 0.5:
+                inst.insert(row)
+                shadow.add(row)
             else:
-                row = (rng.randrange(6), rng.randrange(4))
-                if rng.random() < 0.5:
-                    inst.insert(row)
-                    shadow.add(row)
-                else:
-                    inst.delete(row)
-                    shadow.discard(row)
+                inst.delete(row)
+                shadow.discard(row)
+            if rng.random() < 0.2:
+                probe_key = (rng.randrange(6),)
+                assert set(inst.lookup([0], probe_key)) == {
+                    r for r in shadow if r[0] == probe_key[0]
+                }
         assert inst.rows() == shadow
         assert_index_exact(inst, (0,))
         assert_index_exact(inst, (1,))
 
+    def test_unknown_policy_rejected(self):
+        """Storage takes no policy at all.  The one place a policy value
+        is still read, the legacy spec key, rejects any value it never
+        had."""
+        with pytest.raises(TypeError):
+            Instance("R", 1, index_policy="eager")
+        with pytest.raises(TypeError):
+            Database(index_policy="eager")
+        for bad in ("bogus", "", None, 1):
+            with pytest.raises(SpecError, match="index policy"):
+                SystemSpec.from_dict({"name": "s", "index_policy": bad})
+
 
 class TestInstanceCopy:
-    @pytest.mark.parametrize("policy", POLICIES)
-    def test_copy_carries_index_definitions_and_policy(self, policy):
-        inst = Instance(
-            "R", 2, [(1, "a"), (2, "b")], index_policy=policy
-        )
-        inst.ensure_index([0])
-        inst.ensure_index([1])
+    @pytest.mark.parametrize("timing", INDEX_TIMINGS)
+    def test_copy_carries_index_definitions_and_policy(self, timing):
+        """A copy carries exactly the indexes built so far; one not built
+        yet is built by the copy's own first probe."""
+        inst = Instance("R", 2, [(1, "a"), (2, "b")])
+        declare_indexes(inst, timing, [0], [1])
         clone = inst.copy()
-        assert clone.index_policy == policy
-        assert set(clone.indexed_columns()) == {(0,), (1,)}
+        built = {(0,), (1,)} if timing == "eager" else set()
+        assert set(clone.indexed_columns()) == built
         assert clone.rows() == inst.rows()
         assert_index_exact(clone, (0,))
+        assert_index_exact(clone, (1,))
         # The copy is independent: mutating one leaves the other intact.
         clone.insert((3, "c"))
+        assert set(clone.lookup([1], ("c",))) == {(3, "c")}
         assert (3, "c") not in inst
         assert set(inst.lookup([0], (3,))) == set()
 
     def test_copy_of_deferred_instance_with_pending_debt_is_exact(self):
-        inst = Instance("R", 1, [(1,)], index_policy=POLICY_DEFERRED)
+        """A copy taken after mutations have patched a built index
+        carries the patched buckets, not those of the build."""
+        inst = Instance("R", 1, [(1,)])
         inst.ensure_index([0])
-        with inst.defer_maintenance():
-            inst.insert((2,))
-            clone = inst.copy()  # copy synchronizes, not retires
-            assert set(clone.indexed_columns()) == {(0,)}
-            assert set(clone.lookup([0], (2,))) == {(2,)}
+        inst.insert((2,))
+        inst.delete((1,))
+        clone = inst.copy()
+        assert set(clone.indexed_columns()) == {(0,)}
+        assert set(clone.lookup([0], (2,))) == {(2,)}
+        assert set(clone.lookup([0], (1,))) == set()
+        assert_index_exact(clone, (0,))
 
-    def test_database_copy_carries_policy_and_indexes(self):
-        db = Database(index_policy=POLICY_DEFERRED)
+    def test_database_copy_carries_indexes(self):
+        db = Database()
         db.create("R", 2, [(1, "a")])
         db["R"].ensure_index([0])
         clone = db.copy()
-        assert clone.index_policy == POLICY_DEFERRED
-        assert clone["R"].index_policy == POLICY_DEFERRED
         assert set(clone["R"].indexed_columns()) == {(0,)}
         assert clone["R"].rows() == {(1, "a")}
 
 
-class TestDatabaseScopes:
-    def test_relations_created_inside_scope_are_enrolled(self):
-        db = Database(index_policy=POLICY_DEFERRED)
-        with db.defer_maintenance():
-            inst = db.create("R", 1)
-            inst.ensure_index([0])
-            inst.insert((1,))
-            assert db.pending_index_ops() == 1
-            assert set(inst.lookup([0], (1,))) == {(1,)}
-        assert db.pending_index_ops() == 0
-
-    def test_scope_exit_settles_every_relation(self):
-        db = Database(index_policy=POLICY_DEFERRED)
-        for name in ("R", "S"):
-            inst = db.create(name, 1)
-            inst.ensure_index([0])
-        with db.defer_maintenance():
-            db["R"].insert((1,))
-            db["S"].insert((2,))
-            assert db.pending_index_ops() == 2
-        assert db.pending_index_ops() == 0
+TRANSITIVE_CLOSURE = """
+    T(x, y) :- E(x, y)
+    T(x, z) :- T(x, y), E(y, z)
+"""
 
 
 class TestEngineBarriers:
-    @pytest.mark.parametrize("policy", POLICIES)
-    def test_run_leaves_no_pending_maintenance(self, policy):
-        """Flush-at-stratum-boundary exactness: after an engine run, every
-        relation's indexes are settled (synced or retired — no debt)."""
-        db = Database(index_policy=policy)
+    """Engine runs over indexes declared before the run (patched by it)
+    or left to the run's own first probes (built mid-run)."""
+
+    @pytest.mark.parametrize("timing", INDEX_TIMINGS)
+    def test_run_leaves_no_pending_maintenance(self, timing):
+        """After a run and after an incremental run, every index of every
+        relation answers as one rebuilt from its rows."""
+        db = Database()
         db.create("E", 2, [(1, 2), (2, 3), (3, 4)])
-        prog = parse_program(
-            """
-            T(x, y) :- E(x, y)
-            T(x, z) :- T(x, y), E(y, z)
-            """
-        )
+        declare_indexes(db["E"], timing, [0], [1])
+        prog = parse_program(TRANSITIVE_CLOSURE)
         engine = SemiNaiveEngine()
         engine.run(prog, db)
-        assert db.pending_index_ops() == 0
+        assert_all_indexes_exact(db)
         db["E"].insert((4, 5))
         engine.run_insertions(prog, db, {"E": {(4, 5)}})
-        assert db.pending_index_ops() == 0
+        assert_all_indexes_exact(db)
         assert (1, 5) in db["T"]
 
-    @pytest.mark.parametrize("policy", POLICIES)
-    def test_engines_agree_across_policies(self, policy):
-        db = Database(index_policy=policy)
+    @pytest.mark.parametrize("timing", INDEX_TIMINGS)
+    def test_engines_agree_across_policies(self, timing):
+        db = Database()
         db.create("E", 2, [(1, 2), (2, 3), (3, 1), (4, 4)])
-        prog = parse_program(
-            """
-            T(x, y) :- E(x, y)
-            T(x, z) :- T(x, y), E(y, z)
-            """
-        )
+        declare_indexes(db["E"], timing, [0], [1])
+        prog = parse_program(TRANSITIVE_CLOSURE)
         SemiNaiveEngine().run(prog, db)
         reference = Database()
         reference.create("E", 2, db["E"])
@@ -292,36 +236,31 @@ def random_edges(draw):
 @settings(max_examples=25, deadline=None)
 @given(edges=random_edges(), extra=random_edges())
 def test_property_deferred_policy_agrees_with_naive(edges, extra):
-    """The NaiveEngine-agreement property under the deferred policy,
-    including a warm incremental pass — mirrors the eager-policy property
-    in test_engine_hotpath.py."""
+    """With no index declared up front, every index is built by the
+    engine's first probe and patched from then on: the fixpoint, warm
+    incremental pass included, agrees with NaiveEngine, and no index the
+    engine left behind lags its rows."""
     prog = parse_program(
-        """
-        T(x, y) :- E(x, y)
-        T(x, z) :- T(x, y), E(y, z)
+        TRANSITIVE_CLOSURE
+        + """
         Loop(x) :- T(x, x)
         Safe(x) :- V(x), not Loop(x)
         """
     )
-    positive = parse_program(
-        """
-        T(x, y) :- E(x, y)
-        T(x, z) :- T(x, y), E(y, z)
-        """
-    )
+    positive = parse_program(TRANSITIVE_CLOSURE)
     nodes = {x for e in edges | extra for x in e}
-    db = Database(index_policy=POLICY_DEFERRED)
+    db = Database()
     db.create("E", 2, edges)
     db.create("V", 1, [(x,) for x in nodes])
     engine = SemiNaiveEngine()
     engine.run(prog, db)
-    assert db.pending_index_ops() == 0
+    assert_all_indexes_exact(db)
 
     new_edges = extra - edges
     for edge in new_edges:
         db["E"].insert(edge)
     engine.run_insertions(positive, db, {"E": new_edges})
-    assert db.pending_index_ops() == 0
+    assert_all_indexes_exact(db)
 
     reference = Database()
     reference.create("E", 2, edges | extra)
@@ -330,17 +269,26 @@ def test_property_deferred_policy_agrees_with_naive(edges, extra):
     assert db["T"].rows() == reference["T"].rows()
 
 
-class TestExchangePolicies:
-    def _run_workload(self, policy):
-        from repro.core.cdss import CDSS
+def configured_cdss(strategy="unified", legacy_policy=None):
+    """The workload's system, built from a spec document; with
+    ``legacy_policy`` that document carries the old ``index_policy``
+    key."""
+    cdss = CDSS("t", strategy=strategy)
+    cdss.add_peer("P1", {"G": ("id", "can", "nam")})
+    cdss.add_peer("P2", {"B": ("id", "nam")})
+    cdss.add_peer("P3", {"U": ("nam", "can")})
+    cdss.add_mapping("m1", "G(i, c, n) -> B(i, n)")
+    cdss.add_mapping("m2", "G(i, c, n) -> U(n, c)")
+    cdss.add_mapping("m4", "B(i, c), U(n, c) -> B(i, n)")
+    document = cdss.to_spec().to_dict()
+    if legacy_policy is not None:
+        document["index_policy"] = legacy_policy
+    return CDSS.from_spec(document)
 
-        cdss = CDSS("t", index_policy=policy)
-        cdss.add_peer("P1", {"G": ("id", "can", "nam")})
-        cdss.add_peer("P2", {"B": ("id", "nam")})
-        cdss.add_peer("P3", {"U": ("nam", "can")})
-        cdss.add_mapping("m1", "G(i, c, n) -> B(i, n)")
-        cdss.add_mapping("m2", "G(i, c, n) -> U(n, c)")
-        cdss.add_mapping("m4", "B(i, c), U(n, c) -> B(i, n)")
+
+class TestExchangePolicies:
+    def _run_workload(self, strategy="unified", legacy_policy=None):
+        cdss = configured_cdss(strategy, legacy_policy)
         with cdss.batch() as tx:
             for i in range(12):
                 tx.insert("G", (i, i + 1, i + 2))
@@ -353,181 +301,50 @@ class TestExchangePolicies:
                 tx.delete("G", (i, i + 1, i + 2))
             tx.insert("G", (100, 101, 102))
         cdss.update_exchange()
+        with cdss.batch() as tx:
+            tx.delete("G", (1, 2, 3))
+        cdss.update_exchange()
         return cdss
 
     @pytest.mark.parametrize("strategy", ("unified", "recompute"))
     def test_policies_reach_identical_state(self, strategy):
+        """Systems loaded from specs carrying either legacy policy reach
+        the state of one loaded from a spec carrying none."""
         results = {}
-        for policy in POLICIES:
-            cdss = self._run_workload(policy)
-            cdss.strategy = strategy
-            with cdss.batch() as tx:
-                tx.delete("G", (1, 2, 3))
-            cdss.update_exchange()
+        for legacy_policy in (None,) + LEGACY_POLICIES:
+            cdss = self._run_workload(strategy, legacy_policy)
             assert cdss.system().is_consistent()
-            results[policy] = {
+            results[legacy_policy] = {
                 rel: cdss.relation(rel).to_rows() for rel in ("G", "B", "U")
             }
-        assert results[POLICY_EAGER] == results[POLICY_DEFERRED]
+        assert results["eager"] == results[None]
+        assert results["deferred"] == results[None]
 
     def test_exchange_db_has_no_pending_debt_after_exchange(self):
-        cdss = self._run_workload(POLICY_DEFERRED)
-        assert cdss.system().db.pending_index_ops() == 0
-        assert cdss.index_policy == POLICY_DEFERRED
-        assert cdss.system().index_policy == POLICY_DEFERRED
+        """After exchanges with churn, no index of the exchange database
+        lags its rows."""
+        db = self._run_workload().system().db
+        assert any(inst.indexed_columns() for inst in db)
+        assert_all_indexes_exact(db)
 
 
 class TestSpecPolicyRoundTrip:
-    def test_spec_carries_index_policy(self):
-        from repro.api.spec import SpecError, SystemSpec
-
-        spec = SystemSpec(name="s", index_policy=POLICY_EAGER)
-        document = spec.to_dict()
-        assert document["index_policy"] == POLICY_EAGER
-        again = SystemSpec.from_json(spec.to_json())
-        assert again.index_policy == POLICY_EAGER
-        # Default is the deferred policy; bad values are rejected loudly.
-        assert SystemSpec().index_policy == POLICY_DEFERRED
-        with pytest.raises(SpecError):
-            SystemSpec(index_policy="bogus")
+    def test_spec_carries_index_policy(self, tmp_path):
+        """Spec documents written while index maintenance had two policies
+        carry ``"index_policy"``; either old value loads and is not
+        written back."""
+        document = configured_cdss().to_spec().to_dict()
+        assert "index_policy" not in document
+        for legacy in LEGACY_POLICIES:
+            path = tmp_path / f"{legacy}.json"
+            path.write_text(json.dumps({**document, "index_policy": legacy}))
+            assert SystemSpec.load(path).to_dict() == document
 
     def test_cdss_round_trips_policy(self):
-        from repro.core.cdss import CDSS
-
-        cdss = CDSS("t", index_policy=POLICY_EAGER)
-        cdss.add_peer("P", {"R": ("a",)})
-        spec = cdss.to_spec()
-        assert spec.index_policy == POLICY_EAGER
-        rebuilt = CDSS.from_spec(spec)
-        assert rebuilt.index_policy == POLICY_EAGER
-        assert rebuilt.system().db.index_policy == POLICY_EAGER
-
-
-class TestHotnessTracking:
-    """Probe-hotness: hot indexes are settled at barriers, cold ones are
-    still retired to their next probe."""
-
-    def _instance_with_indexes(self):
-        inst = Instance("R", 2, index_policy=POLICY_DEFERRED)
-        inst.insert_many([(i, i % 5) for i in range(50)])
-        inst.ensure_index((0,))
-        inst.ensure_index((1,))
-        return inst
-
-    def test_hot_index_settled_cold_index_retired_at_barrier(self):
-        inst = self._instance_with_indexes()
-        # Heat up column 0 (the prepare_probe path plans/pipelines use);
-        # column 1 stays cold.
-        for _ in range(3):
-            inst.prepare_probe((0,))
-        with inst.defer_maintenance():
-            # Rebuild-scale churn: the whole table turns over.
-            inst.delete_many([(i, i % 5) for i in range(50)])
-            inst.insert_many([(i, i % 5) for i in range(50, 150)])
-        stats = inst.index_stats()
-        assert stats["hot_settled"] == 1
-        assert stats["retired"] == 1
-        # The hot index survived the barrier fully settled...
-        assert (0,) in inst.indexed_columns()
-        assert inst.pending_index_ops() == 0
-        # ...and the cold one was dropped (rebuilt on its next probe).
-        assert (1,) not in inst.indexed_columns()
-        assert_index_exact(inst, (0,))
-        assert_index_exact(inst, (1,))
-
-    def test_hotness_decays_across_barriers(self):
-        inst = self._instance_with_indexes()
-        inst.prepare_probe((0,))  # count 1: hot for exactly one barrier
-        with inst.defer_maintenance():
-            inst.delete_many([(i, i % 5) for i in range(50)])
-            inst.insert_many([(i, 0) for i in range(50, 150)])
-        assert inst.index_stats()["hot_settled"] == 1
-        # No probes since; the next rebuild-scale barrier retires it.
-        with inst.defer_maintenance():
-            inst.delete_many([(i, 0) for i in range(50, 150)])
-            inst.insert_many([(i, 1) for i in range(150, 350)])
-        assert (0,) not in inst.indexed_columns()
-        assert_index_exact(inst, (0,))
-
-    def test_small_debt_never_retires_regardless_of_hotness(self):
-        inst = self._instance_with_indexes()
-        with inst.defer_maintenance():
-            inst.insert_many([(100, 1), (101, 2)])  # tiny suffix
-        assert (0,) in inst.indexed_columns()
-        assert (1,) in inst.indexed_columns()
-        assert inst.index_stats()["retired"] == 0
-
-    def test_probe_counts_exposed_in_stats(self):
-        inst = self._instance_with_indexes()
-        inst.prepare_probe((0,))
-        inst.prepare_probe((0,))
-        counts = inst.index_stats()["probe_counts"]
-        assert counts[(0,)] == 2
-        assert counts.get((1,), 0) == 0
-        # Eager instances expose the policy-agnostic baseline shape.
-        eager = Instance("E", 1, [(1,)], index_policy=POLICY_EAGER)
-        assert eager.index_stats()["policy"] == POLICY_EAGER
-
-
-class TestMaintenanceLogSpill:
-    """The size cap: very long deferral epochs keep the log O(live rows)."""
-
-    def test_log_spills_once_cap_exceeded(self, monkeypatch):
-        from repro.storage.indexes import DeferredIndexSet
-
-        monkeypatch.setattr(DeferredIndexSet, "SPILL_MIN_ROWS", 64)
-        inst = Instance("R", 2, index_policy=POLICY_DEFERRED)
-        inst.insert_many([(i, i) for i in range(10)])
-        inst.ensure_index((0,))
-        max_pending = 0
-        with inst.defer_maintenance():
-            # Churn far past the cap: rows come and go repeatedly.
-            for wave in range(40):
-                rows = [(1000 + wave * 10 + j, wave) for j in range(10)]
-                inst.insert_many(rows)
-                inst.delete_many(rows)
-                max_pending = max(max_pending, inst.pending_index_ops())
-            stats = inst.index_stats()
-            assert stats["spills"] > 0
-            # The log was repeatedly coalesced: pending work stayed
-            # bounded by the cap instead of growing with the epoch.
-            assert max_pending <= 64 + 20
-        assert inst.pending_index_ops() == 0
-        assert len(inst) == 10
-        assert_index_exact(inst, (0,))
-
-    def test_spill_preserves_probe_results(self, monkeypatch):
-        from repro.storage.indexes import DeferredIndexSet
-
-        monkeypatch.setattr(DeferredIndexSet, "SPILL_MIN_ROWS", 32)
-        inst = Instance("R", 1, index_policy=POLICY_DEFERRED)
-        inst.insert_many([(i,) for i in range(20)])
-        inst.ensure_index((0,))
-        with inst.defer_maintenance():
-            for i in range(200):
-                inst.insert((1000 + i,))
-                if i % 7 == 0:
-                    # Interleaved probes stay exact across spills.
-                    assert set(inst.lookup((0,), (1000 + i,))) == {(1000 + i,)}
-        assert len(inst) == 220
-        assert_index_exact(inst, (0,))
-
-    def test_long_epoch_without_probes_stays_bounded(self, monkeypatch):
-        from repro.storage.indexes import DeferredIndexSet
-
-        monkeypatch.setattr(DeferredIndexSet, "SPILL_MIN_ROWS", 16)
-        inst = Instance("R", 1, index_policy=POLICY_DEFERRED)
-        inst.insert_many([(i,) for i in range(8)])
-        inst.ensure_index((0,))
-        with inst.defer_maintenance():
-            for wave in range(50):
-                rows = [(100 + wave * 4 + j,) for j in range(4)]
-                inst.insert_many(rows)
-                inst.delete_many(rows)
-                cap = max(
-                    DeferredIndexSet.SPILL_MIN_ROWS,
-                    DeferredIndexSet.SPILL_FACTOR * len(inst),
-                )
-                assert inst._indexes._log_rows <= cap + 8
-        assert inst.rows() == frozenset((i,) for i in range(8))
-        assert_index_exact(inst, (0,))
+        """A CDSS built from a spec carrying a legacy policy writes back
+        the spec of one built without it."""
+        clean = configured_cdss()
+        for legacy in LEGACY_POLICIES:
+            rebuilt = configured_cdss(legacy_policy=legacy)
+            assert rebuilt.to_spec() == clean.to_spec()
+            assert "index_policy" not in rebuilt.to_spec().to_dict()

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.storage.indexes import INDEX_POLICIES
+from index_timing import INDEX_TIMINGS, declare_indexes
 from repro.storage.instance import ArityError, Instance
 
 
@@ -69,18 +69,17 @@ class TestInsertDelete:
 
     def test_clear_and_replace(self):
         inst = Instance("R", 1, [(1,), (2,)])
-        inst.replace([(5,)])
+        inst.replace_contents([(5,)])
         assert set(inst) == {(5,)}
         inst.clear()
         assert len(inst) == 0
 
 
 class TestInsertNew:
-    @pytest.mark.parametrize("policy", INDEX_POLICIES)
-    def test_batch_duplicates_and_list_rows(self, policy):
-        inst = Instance("R", 3, [(1, "a", 10)], index_policy=policy)
-        inst.ensure_index([0])
-        inst.ensure_index([1, 2])
+    @pytest.mark.parametrize("timing", INDEX_TIMINGS)
+    def test_batch_duplicates_and_list_rows(self, timing):
+        inst = Instance("R", 3, [(1, "a", 10)])
+        declare_indexes(inst, timing, [0], [1, 2])
         fresh = inst.insert_new(
             [[2, "b", 20], (2, "b", 20), (1, "a", 10), [3, "b", 20]]
         )
@@ -89,11 +88,10 @@ class TestInsertNew:
         assert set(inst.lookup([1, 2], ("b", 20))) == fresh
         assert set(inst.lookup([0], (3,))) == {(3, "b", 20)}
 
-    @pytest.mark.parametrize("policy", INDEX_POLICIES)
-    def test_arity_error_mid_batch_changes_nothing(self, policy):
-        inst = Instance("R", 3, [(1, "a", 10)], index_policy=policy)
-        inst.ensure_index([0])
-        inst.ensure_index([1, 2])
+    @pytest.mark.parametrize("timing", INDEX_TIMINGS)
+    def test_arity_error_mid_batch_changes_nothing(self, timing):
+        inst = Instance("R", 3, [(1, "a", 10)])
+        declare_indexes(inst, timing, [0], [1, 2])
         version = inst.version
         with pytest.raises(ArityError):
             inst.insert_new([(4, "d", 40), (5, "e"), [6, "f", 60]])
@@ -101,7 +99,6 @@ class TestInsertNew:
         assert inst.version == version
         assert not inst.lookup([0], (4,))
         assert not inst.lookup([1, 2], ("f", 60))
-        assert inst.pending_index_ops() == 0
 
 
 class TestBulkConstruction:
@@ -110,11 +107,13 @@ class TestBulkConstruction:
 
     ROWS = [(1, "a"), (2, "b"), (1, "a"), (3, "b")]
 
-    @pytest.mark.parametrize("policy", INDEX_POLICIES)
+    @pytest.mark.parametrize("timing", INDEX_TIMINGS)
     @pytest.mark.parametrize("kind", [set, list, iter])
-    def test_construction_equals_per_row_insertion(self, policy, kind):
-        built = Instance("R", 2, kind(self.ROWS), index_policy=policy)
-        by_row = Instance("R", 2, index_policy=policy)
+    def test_construction_equals_per_row_insertion(self, timing, kind):
+        built = Instance("R", 2, kind(self.ROWS))
+        by_row = Instance("R", 2)
+        declare_indexes(built, timing, [0], [1])
+        declare_indexes(by_row, timing, [0], [1])
         for row in self.ROWS:
             by_row.insert(row)
         assert built.rows() == by_row.rows() == {(1, "a"), (2, "b"), (3, "b")}
@@ -128,22 +127,23 @@ class TestBulkConstruction:
         assert built.index_key_count([1]) == by_row.index_key_count([1]) == 2
         assert Instance("R", 2, kind([])).version == 0
 
-    @pytest.mark.parametrize("policy", INDEX_POLICIES)
-    def test_bad_arity_row_stores_nothing(self, policy):
+    @pytest.mark.parametrize("timing", INDEX_TIMINGS)
+    def test_bad_arity_row_stores_nothing(self, timing):
         with pytest.raises(ArityError):
-            Instance("R", 2, {(1, "a"), (2,)}, index_policy=policy)
-        inst = Instance("R", 2, [(1, "a")], index_policy=policy)
-        inst.ensure_index([1])
+            Instance("R", 2, {(1, "a"), (2,)})
+        inst = Instance("R", 2, [(1, "a")])
+        declare_indexes(inst, timing, [1])
         with pytest.raises(ArityError):
             inst.insert_new({(4, "d"), (5, "e", 0)})
         assert inst.rows() == {(1, "a")}
         assert inst.version == 1
         assert not inst.lookup([1], ("d",))
 
-    @pytest.mark.parametrize("policy", INDEX_POLICIES)
-    def test_caller_sets_are_not_aliased_or_mutated(self, policy):
+    @pytest.mark.parametrize("timing", INDEX_TIMINGS)
+    def test_caller_sets_are_not_aliased_or_mutated(self, timing):
         rows = {(1, "a"), (2, "b")}
-        inst = Instance("R", 2, rows, index_policy=policy)
+        inst = Instance("R", 2, rows)
+        declare_indexes(inst, timing, [1])
         inst.insert((3, "c"))
         rows.add((9, "z"))
         assert rows == {(1, "a"), (2, "b"), (9, "z")}
@@ -151,7 +151,7 @@ class TestBulkConstruction:
 
         batch = {(2, "b"), (4, "d")}
         # Into an empty instance every row is fresh: still a new set.
-        fresh = Instance("R", 2, index_policy=policy).insert_new(batch)
+        fresh = Instance("R", 2).insert_new(batch)
         assert fresh == batch and fresh is not batch
         fresh = inst.insert_new(batch)
         assert fresh == {(4, "d")} and fresh is not batch
@@ -161,7 +161,6 @@ class TestBulkConstruction:
         assert batch == {(2, "b"), (4, "d")}
         assert (8, "y") not in inst
 
-        inst.ensure_index([1])
         for replacement in ({(1, "a"), (5, "e")}, {(6, "f")}):
             expected = set(replacement)
             inst.replace_contents(replacement)
@@ -173,31 +172,26 @@ class TestBulkConstruction:
 
 
 class TestDeleteExisting:
-    @pytest.mark.parametrize("policy", INDEX_POLICIES)
-    def test_duplicates_and_absent_rows_leave_state_exact(self, policy):
+    @pytest.mark.parametrize("timing", INDEX_TIMINGS)
+    def test_duplicates_and_absent_rows_leave_state_exact(self, timing):
         rows = {(1, "a", 10), (1, "b", 20), (2, "a", 10), (3, "c", 30)}
-        inst = Instance("R", 3, rows, index_policy=policy)
-        inst.ensure_index([0])
-        inst.ensure_index([1, 2])
+        inst = Instance("R", 3, rows)
+        declare_indexes(inst, timing, [0], [1, 2])
         version = inst.version
-        with inst.defer_maintenance():
-            gone = inst.delete_existing(
-                [(1, "a", 10), [1, "a", 10], (9, "z", 0), (2, "a", 10)]
-            )
-            assert gone == {(1, "a", 10), (2, "a", 10)}
-            assert inst.version == version + 1
-            # Nothing present: no mutation, no version bump, no log run.
-            pending = inst.pending_index_ops()
-            assert not inst.delete_existing([(9, "z", 0), (1, "a", 10)])
-            assert inst.version == version + 1
-            assert inst.pending_index_ops() == pending
-            assert set(inst.lookup([1, 2], ("a", 10))) == set()
+        gone = inst.delete_existing(
+            [(1, "a", 10), [1, "a", 10], (9, "z", 0), (2, "a", 10)]
+        )
+        assert gone == {(1, "a", 10), (2, "a", 10)}
+        assert inst.version == version + 1
+        # Nothing present: no mutation, no version bump.
+        assert not inst.delete_existing([(9, "z", 0), (1, "a", 10)])
+        assert inst.version == version + 1
+        assert set(inst.lookup([1, 2], ("a", 10))) == set()
         assert inst.rows() == rows - gone
         assert set(inst.lookup([0], (1,))) == {(1, "b", 20)}
         assert not inst.lookup([0], (2,))
         assert inst.index_key_count([0]) == 2
         assert inst.index_key_count([1, 2]) == 2
-        assert inst.pending_index_ops() == 0
 
 
 ROWS = st.sets(
@@ -208,10 +202,11 @@ ROWS = st.sets(
 
 class TestSetProbes:
     """``matching`` / ``keys_present`` against a brute-force filter, on
-    single-column, multi-column and full-width columns, inside a deferral
-    scope whose pending delete runs the probed index must apply first."""
+    single-column, multi-column and full-width columns, after a delete run
+    and an insert run: with the probed index patched by both, or built
+    from the rows they left."""
 
-    @pytest.mark.parametrize("policy", INDEX_POLICIES)
+    @pytest.mark.parametrize("timing", INDEX_TIMINGS)
     @pytest.mark.parametrize("columns", [(1,), (2, 0), (0, 1, 2)])
     @settings(max_examples=40, deadline=None)
     @given(
@@ -221,25 +216,23 @@ class TestSetProbes:
             st.tuples(st.integers(0, 4), st.integers(0, 4), st.integers(0, 4))
         ),
     )
-    def test_matches_brute_force(self, policy, columns, rows, deleted, keys):
-        inst = Instance("R", 3, rows, index_policy=policy)
-        inst.ensure_index(columns)
-        inst.ensure_index([0])
+    def test_matches_brute_force(self, timing, columns, rows, deleted, keys):
+        inst = Instance("R", 3, rows)
+        declare_indexes(inst, timing, columns, [0])
         keys = {key[: len(columns)] for key in keys}
-        with inst.defer_maintenance():
-            inst.delete_existing(deleted)
-            inst.insert_new(deleted - rows)  # a pending insert run too
-            live = (rows - deleted) | (deleted - rows)
+        inst.delete_existing(deleted)
+        inst.insert_new(deleted - rows)
+        live = (rows - deleted) | (deleted - rows)
 
-            def project(row):
-                return tuple(row[c] for c in columns)
+        def project(row):
+            return tuple(row[c] for c in columns)
 
-            assert inst.matching(columns, keys) == {
-                row for row in live if project(row) in keys
-            }
-            assert inst.keys_present(columns, keys) == {
-                key for key in keys if any(project(r) == key for r in live)
-            }
+        assert inst.matching(columns, keys) == {
+            row for row in live if project(row) in keys
+        }
+        assert inst.keys_present(columns, keys) == {
+            key for key in keys if any(project(r) == key for r in live)
+        }
         assert set(inst) == live
 
 
@@ -248,7 +241,6 @@ class TestFullWidthProbe:
         rows = [(1, "a", 10), (1, "b", 20), (2, "a", 10)]
         inst = Instance("R", 3, rows)
         for probe in rows + [(9, "z", 0)]:
-            inst.prepare_probe((0, 1, 2))
             answer = set(inst.lookup((0, 1, 2), probe))
             assert (0, 1, 2) not in inst.indexed_columns()
             # The same question through a (permuted) materialized index.

@@ -14,6 +14,7 @@ from repro.storage import (
     checkpoint_equal,
     restore,
 )
+from repro.storage.persistence import META_BUCKET
 
 #: Both sides of the storage-backend protocol; checkpoints must behave
 #: identically over each.
@@ -70,31 +71,50 @@ class TestCheckpointRestore:
         assert restored is target
         assert target.relation_names() == ("R",)
 
+    def test_restore_into_keeps_target_policy(self):
+        """Restoring into a target keeps the target's own relation
+        objects, and an index the target built over its stale rows
+        answers from the restored rows only."""
+        db = Database()
+        db.create("R", 2, [(1, "a")])
+        db["R"].ensure_index((1,))
+        store = checkpoint(db)
+        target = Database()
+        stale = target.create("R", 2, [(5, "a"), (6, "b")])
+        stale.ensure_index((0,))
+        restore(store, into=target)
+        assert target["R"] is stale
+        assert set(stale.lookup((0,), (5,))) == set()
+        assert set(stale.lookup((0,), (1,))) == {(1, "a")}
+        assert set(stale.lookup((1,), ("a",))) == {(1, "a")}
+
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_indexes_survive_roundtrip(self, backend):
-        db = Database(index_policy="eager")
+        db = Database()
         db.create("R", 3, [(1, 2, 3), (4, 5, 6)])
         db["R"].ensure_index((1,))
         db["R"].ensure_index((0, 2))
         db.create("S", 1, [(9,)])  # no indexes
         loaded = restore(checkpoint(db, backend()))
-        assert loaded.index_policy == "eager"
         assert set(loaded["R"].indexed_columns()) == {(1,), (0, 2)}
         assert set(loaded["S"].indexed_columns()) == set()
 
     @pytest.mark.parametrize("policy", ["eager", "deferred"])
     def test_index_policy_survives_roundtrip(self, policy):
-        db = Database(index_policy=policy)
+        """Checkpoints once recorded ``index_policy`` in the meta bucket.
+        A checkpoint carrying either old value restores its rows and
+        indexes; checkpoint no longer writes the key."""
+        db = Database()
         db.create("R", 1, [(1,)])
-        assert restore(checkpoint(db)).index_policy == policy
-
-    def test_restore_into_keeps_target_policy(self):
-        db = Database(index_policy="eager")
-        db.create("R", 1, [(1,)])
+        db["R"].ensure_index((0,))
         store = checkpoint(db)
-        target = Database(index_policy="deferred")
-        restore(store, into=target)
-        assert target.index_policy == "deferred"
+        assert store.get(META_BUCKET, "index_policy") is None
+        store.put(META_BUCKET, "index_policy", policy)
+        loaded = restore(store)
+        assert loaded.snapshot() == db.snapshot()
+        assert loaded["R"].indexed_columns() == ((0,),)
+        checkpoint(db, store)
+        assert store.get(META_BUCKET, "index_policy") is None
 
     def test_restore_empty_store_raises(self):
         with pytest.raises(StorageError):

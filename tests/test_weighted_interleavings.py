@@ -12,9 +12,10 @@ equal the diff of the output instances around it.
 
 The grid covers three topologies (a chain closing into a cycle, a
 2-cycle, and an acyclic diamond mixing trusted and untrusted support for
-one row), both index-maintenance policies (eager / deferred) and both
-strategies: under "recompute" the fingerprint check is trivial, but the
-change stream must still equal the output diff.  Deterministic tests at
+one row), systems reloaded from spec documents carrying either legacy
+``index_policy`` value (eager / deferred), which must change nothing,
+and both strategies: under "recompute" the fingerprint check is
+trivial, but the change stream must still equal the output diff.  Deterministic tests at
 the end pin where the derivability test runs — never outside recursive
 components, still on cycles — and its one-probe-per-row, linear-slice
 behaviour on a long chain.
@@ -33,19 +34,30 @@ from repro.provenance.relations import ProvenanceTable
 from repro.storage import ZSet
 
 
-def new_cdss(name, strategy="unified", index_policy=None):
-    return CDSS(name, strategy=strategy, index_policy=index_policy)
+def new_cdss(name, strategy="unified"):
+    return CDSS(name, strategy=strategy)
+
+
+def reload(cdss, index_policy):
+    """``cdss`` rebuilt from its spec document as written while index
+    maintenance had two policies, i.e. carrying ``index_policy``.  The
+    key loads and is dropped, so nothing downstream may change."""
+    if index_policy is None:
+        return cdss
+    document = {**cdss.to_spec().to_dict(), "index_policy": index_policy}
+    return CDSS.from_spec(document)
 
 
 def build_cdss(strategy, index_policy, trust_threshold=None):
     """A chain closing into a cycle through an existential mapping."""
-    cdss = new_cdss("zset", strategy, index_policy)
+    cdss = new_cdss("zset", strategy)
     cdss.add_peer("P1", {"A": ("k", "v")})
     cdss.add_peer("P2", {"B2": ("k", "v")})
     cdss.add_peer("P3", {"C": ("k",)})
     cdss.add_mapping("mab", "A(k, v) -> B2(k, v)")
     cdss.add_mapping("mbc", "B2(k, v) -> C(k)")
     cdss.add_mapping("mca", "C(k) -> exists v . A(k, v)")  # cycle + nulls
+    cdss = reload(cdss, index_policy)
     if trust_threshold is not None:
         cdss.peer("P2").trust().condition(
             "mab", lambda row: row[0] < trust_threshold,
@@ -58,7 +70,7 @@ def build_cycle_cdss(strategy, index_policy, trust_threshold=None):
     """A 2-cycle with the trust condition inside it, feeding a relation
     through a constant-and-repeated-variable head and a repeated-variable
     head."""
-    cdss = new_cdss("zset-cycle", strategy, index_policy)
+    cdss = new_cdss("zset-cycle", strategy)
     cdss.add_peer("P1", {"A": ("k", "v")})
     cdss.add_peer("P2", {"B2": ("k", "v")})
     cdss.add_peer("P3", {"C": ("a", "b", "c")})
@@ -66,6 +78,7 @@ def build_cycle_cdss(strategy, index_policy, trust_threshold=None):
     cdss.add_mapping("mba", "B2(k, v) -> A(k, v)")
     cdss.add_mapping("mconst", "A(k, v) -> C(k, k, 'x')")
     cdss.add_mapping("mrep", "B2(k, v) -> C(v, v, k)")
+    cdss = reload(cdss, index_policy)
     if trust_threshold is not None:
         cdss.peer("P1").trust().condition(
             "mba", lambda row: row[0] < trust_threshold,
@@ -78,7 +91,7 @@ def build_diamond_cdss(strategy, index_policy, trust_threshold=None):
     """An acyclic diamond: every D row is derived through B2 and through
     C, and the trust condition on the C side leaves rows with one trusted
     and one untrusted derivation."""
-    cdss = new_cdss("zset-diamond", strategy, index_policy)
+    cdss = new_cdss("zset-diamond", strategy)
     peers = (("P1", "A"), ("P2", "B2"), ("P3", "C"), ("P4", "D"))
     for peer, relation in peers:
         cdss.add_peer(peer, {relation: ("k", "v")})
@@ -86,6 +99,7 @@ def build_diamond_cdss(strategy, index_policy, trust_threshold=None):
     cdss.add_mapping("mac", "A(k, v) -> C(k, v)")
     cdss.add_mapping("mbd", "B2(k, v) -> D(k, v)")
     cdss.add_mapping("mcd", "C(k, v) -> D(k, v)")
+    cdss = reload(cdss, index_policy)
     if trust_threshold is not None:
         cdss.peer("P4").trust().condition(
             "mcd", lambda row: row[0] < trust_threshold,
