@@ -31,6 +31,7 @@ compilation helper for that single-relation case
 
 from __future__ import annotations
 
+import heapq
 import operator
 import threading
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, Sequence
@@ -387,22 +388,51 @@ def apply_row_order(
     """Stable sort + slice, applied *below* the dedup step.
 
     Rows arrive deduplicated (set semantics) in first-derivation order;
-    sorting is a stable multi-key sort (later keys applied first), then
-    ``offset``/``limit`` slice the sorted sequence — so a limit counts
-    distinct answers, exactly what pagination wants.
+    sorting is a stable multi-key sort, then ``offset``/``limit`` slice
+    the sorted sequence — so a limit counts distinct answers, exactly
+    what pagination wants.
+
+    Consecutive keys that run in one direction share one stable pass
+    over a composite key, later runs first.  The last pass — the whole
+    sort when every key runs one way — selects only the first ``offset +
+    limit`` rows when a limit is given (``heapq.nsmallest``/``nlargest``,
+    documented equal to ``sorted(...)[:n]``, so ties keep their order).
     """
+    runs: list[tuple[list[int], bool]] = []
+    for position, desc in order:
+        if runs and runs[-1][1] == desc:
+            runs[-1][0].append(position)
+        else:
+            runs.append(([position], desc))
     ordered: Sequence[Row] = rows
-    for position, desc in reversed(order):
-        ordered = sorted(
-            ordered,
-            key=lambda row, _p=position: _OrderKey(row[_p]),
-            reverse=desc,
-        )
+    for index, (positions, desc) in enumerate(reversed(runs)):
+        last_pass = index == len(runs) - 1
+        n = offset + limit if last_pass and limit is not None else len(rows)
+        ordered = _sorted_run(ordered, positions, desc, n)
     if offset:
         ordered = ordered[offset:]
     if limit is not None:
         ordered = ordered[:limit]
     return tuple(ordered)
+
+
+def _sorted_run(
+    rows: Sequence[Row], positions: Sequence[int], desc: bool, n: int
+) -> list[Row]:
+    """``sorted(rows, key=<positions>, reverse=desc)[:n]``.
+
+    Plain values compare natively; a key column holding values that do
+    not (labeled nulls, mixed types) falls back to :class:`_OrderKey`.
+    """
+    select = heapq.nlargest if desc else heapq.nsmallest
+    try:
+        return select(n, rows, key=operator.itemgetter(*positions))
+    except TypeError:
+        return select(
+            n,
+            rows,
+            key=lambda row: tuple(_OrderKey(row[p]) for p in positions),
+        )
 
 
 def _check_page_arg(value: object, what: str, minimum: int = 0) -> int:

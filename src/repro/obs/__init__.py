@@ -87,6 +87,11 @@ def bootstrap_default_metrics(registry: MetricsRegistry = REGISTRY) -> None:
     )
     counter("repro_serve_errors_total", "HTTP requests answered with errors")
     counter("repro_serve_publishes_total", "Publishes applied by serve nodes")
+    counter(
+        "repro_serve_reads_total",
+        "Snapshot reads by where they ran (event loop or reader pool)",
+        labels=("path",),
+    )
     registry.histogram(
         "repro_serve_request_seconds",
         "HTTP request latency by route",

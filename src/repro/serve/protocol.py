@@ -22,7 +22,7 @@ import threading
 import time
 from typing import TYPE_CHECKING, Mapping, Sequence
 
-from ..api.query import QueryError, _OrderKey, apply_row_order
+from ..api.query import QueryError, apply_row_order
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..core.cdss import CDSS
@@ -101,12 +101,24 @@ def _check_page(value: object, what: str) -> int | None:
 class Statement:
     """One prepared statement (query or program) in the registry.
 
-    ``run`` is the reader-thread entry point: it executes against a
+    ``run`` is the one entry point of every execution, on the event loop,
+    a reader thread or the writer thread alike: it executes against a
     pinned snapshot (``snapshot`` given) or the live system, applies the
     answer mode / ordering / pagination, and returns a JSON-ready dict.
+    It records its own wall time as :attr:`last_run_s`, which the server
+    reads to decide where the next execution runs.
     """
 
-    __slots__ = ("id", "kind", "text", "params", "answer", "prepared", "executions")
+    __slots__ = (
+        "id",
+        "kind",
+        "text",
+        "params",
+        "answer",
+        "prepared",
+        "executions",
+        "last_run_s",
+    )
 
     def __init__(
         self,
@@ -124,6 +136,9 @@ class Statement:
         self.answer = answer
         self.prepared = prepared
         self.executions = 0
+        #: Seconds the last completed :meth:`run` took; ``None`` until the
+        #: first one completes.
+        self.last_run_s: float | None = None
 
     def describe(self) -> dict:
         info = {
@@ -174,7 +189,7 @@ class Statement:
         payload["statement"] = self.id
         payload["mode"] = mode
         payload["pinned_version"] = pinned_version
-        payload["elapsed"] = time.perf_counter() - started
+        payload["elapsed"] = self.last_run_s = time.perf_counter() - started
         return payload
 
     def _run_query(
@@ -218,27 +233,25 @@ class Statement:
         else:
             result = prepared.execute(**bindings)
         raw = result.with_nulls() if mode == MODE_WITH_NULLS else result.certain()
-        # Programs have no output column names: a deterministic total
-        # order first, then optional positional ORDER BY and slicing.
-        rows = sorted(
-            raw, key=lambda row: tuple(_OrderKey(value) for value in row)
-        )
-        if order or limit is not None or offset:
-            spec = []
-            for key in order:
-                desc = False
-                if isinstance(key, str) and key.startswith("-"):
-                    desc, key = True, key[1:]
-                    if key.isdigit():
-                        key = int(key)
-                if not isinstance(key, int) or isinstance(key, bool):
-                    raise ServeError(
-                        "program ORDER BY accepts 0-based positions only"
-                    )
-                spec.append((key, desc))
-            rows = list(
-                apply_row_order(rows, tuple(spec), limit, offset or 0)
-            )
+        spec = []
+        for key in order:
+            desc = False
+            if isinstance(key, str) and key.startswith("-"):
+                desc, key = True, key[1:]
+                if key.isdigit():
+                    key = int(key)
+            if not isinstance(key, int) or isinstance(key, bool):
+                raise ServeError(
+                    "program ORDER BY accepts 0-based positions only"
+                )
+            spec.append((key, desc))
+        # Programs have no output column names: every column ascending
+        # breaks the ties of the positional ORDER BY (and is the whole
+        # order without one), so the answer order is deterministic.
+        rows = list(raw)
+        if rows:
+            spec.extend((i, False) for i in range(len(rows[0])))
+        rows = apply_row_order(rows, tuple(spec), limit, offset or 0)
         return {"rows": [encode_row(row) for row in rows], "count": len(rows)}
 
 

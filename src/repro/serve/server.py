@@ -3,10 +3,18 @@
 ``python -m repro serve spec.json --port N`` boots one of these.  The
 concurrency architecture (the whole point of the tier) in four rules:
 
-1. **Reads never block on writes.**  Query/program executions run in a
-   reader thread pool against the :class:`~repro.serve.snapshots.
-   SnapshotManager`'s current pinned snapshot — the last consistent
-   fixpoint.  They take the admission semaphore, never the exchange lock.
+1. **Reads never block on writes.**  Query/program executions run
+   against the :class:`~repro.serve.snapshots.SnapshotManager`'s current
+   pinned snapshot — the last consistent fixpoint.  They take the
+   admission semaphore, never the exchange lock.  A short read runs
+   inline on the event loop: one whose statement's previous run took
+   less than the interpreter's switch interval
+   (:func:`sys.getswitchinterval`), and whose snapshot lock is free.  A
+   pure-Python read that short holds the GIL for its whole run in a pool
+   thread too, so handing it to one buys no concurrency and costs a
+   thread wake-up.  Every other read (a statement's first run, one whose
+   last run was over budget, one whose replica lock another thread
+   holds) runs in the reader thread pool.
 2. **Writes serialize behind the exchange lock.**  Edits, publishes, and
    statement preparation run on a single writer thread under an
    :class:`asyncio.Lock`; a publish brings the idle snapshot replica
@@ -16,8 +24,9 @@ concurrency architecture (the whole point of the tier) in four rules:
    anything in between.
 3. **Degradation is graceful.**  Beyond ``max_inflight`` executions +
    ``max_queue`` waiters a request is rejected immediately with 503;
-   per-request timeouts return 504.  Counters for all of it live under
-   ``GET /stats``.
+   a pool-run read past the per-request timeout returns 504.  An inline
+   read cannot be pre-empted; the switch-interval budget bounds it
+   instead.  Counters for all of it live under ``GET /stats``.
 4. **Annotated answers are writes.**  Provenance expressions read the
    live provenance tables, so ``mode=annotated`` executes on the write
    path (exchange lock held) rather than against a snapshot.
@@ -47,7 +56,9 @@ from __future__ import annotations
 
 import asyncio
 import contextlib
+import http
 import json
+import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
 from functools import partial
@@ -134,6 +145,13 @@ def _server_samples(server: "ReproServer"):
     yield sample(
         "repro_serve_publishes_total", kind, "", (), server.publishes
     )
+    for path, count in (
+        ("inline", server.reads_inline),
+        ("pool", server.reads_pooled),
+    ):
+        yield sample(
+            "repro_serve_reads_total", kind, "", (("path", path),), count
+        )
 
 
 class ReproServer:
@@ -186,6 +204,9 @@ class ReproServer:
         self.requests = 0
         self.errors = 0
         self.publishes = 0
+        #: Snapshot reads run on the event loop / in the reader pool.
+        self.reads_inline = 0
+        self.reads_pooled = 0
         self._started_at = time.time()
         self._statement_series: set[str] = set()
         _metrics.REGISTRY.register(self, _server_samples)
@@ -318,9 +339,10 @@ class ReproServer:
         else:
             body = json.dumps(payload, separators=(",", ":")).encode()
             content_type = "application/json"
-        reason = {200: "OK", 400: "Bad Request", 404: "Not Found"}.get(
-            status, "Status"
-        )
+        try:
+            reason = http.HTTPStatus(status).phrase
+        except ValueError:
+            reason = "Status"
         head = (
             f"HTTP/1.1 {status} {reason}\r\n"
             f"Content-Type: {content_type}\r\n"
@@ -423,6 +445,8 @@ class ReproServer:
                 "requests": self.requests,
                 "errors": self.errors,
                 "publishes": self.publishes,
+                "reads_inline": self.reads_inline,
+                "reads_pooled": self.reads_pooled,
                 "pending_edits": self.cdss.pending_edits(),
                 "uptime_seconds": time.time() - self._started_at,
             },
@@ -588,12 +612,24 @@ class ReproServer:
             # Live provenance tables: serialize with writes.
             async with self.admission.slot():
                 return await self._write(partial(run, snapshot=None))
-        loop = asyncio.get_running_loop()
         async with self.admission.slot():
             # The snapshot reference is loaded AFTER admission: a request
             # admitted mid-publish reads the freshest pinned fixpoint.
             snapshot = self.snapshots.current
-            future = loop.run_in_executor(
+            last_run_s = statement.last_run_s
+            if (
+                last_run_s is not None
+                and last_run_s < sys.getswitchinterval()
+                and snapshot.lock.acquire(blocking=False)
+            ):
+                # Short and uncontended: run here, on the loop thread.
+                try:
+                    self.reads_inline += 1
+                    return run(snapshot=snapshot)
+                finally:
+                    snapshot.lock.release()
+            self.reads_pooled += 1
+            future = asyncio.get_running_loop().run_in_executor(
                 self._readers, partial(run, snapshot=snapshot)
             )
             try:

@@ -10,10 +10,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import CDSS, CountingSemiring, Query, col, param
-from repro.api.query import QueryError
+from repro.api.query import QueryError, _OrderKey, apply_row_order
 from repro.datalog.ast import SkolemValue
 from repro.provenance.annotated import ExpressionSemiring
 from repro.provenance.expression import ZERO
+from repro.serve.protocol import StatementRegistry, encode_row
 
 
 def paper_cdss() -> CDSS:
@@ -828,6 +829,113 @@ class TestOrderLimitOffset:
             answers.offset(-2)
         with pytest.raises(QueryError):
             Query.parse("ans(i) :- B(i, n)").order_by()
+
+
+def reference_row_order(rows, order, limit, offset):
+    """Reference ORDER BY: one full stable sort per key, later keys
+    first, then the slice."""
+    ordered = list(rows)
+    for position, desc in reversed(order):
+        ordered = sorted(
+            ordered,
+            key=lambda row, _p=position: _OrderKey(row[_p]),
+            reverse=desc,
+        )
+    if offset:
+        ordered = ordered[offset:]
+    if limit is not None:
+        ordered = ordered[:limit]
+    return tuple(ordered)
+
+
+_SORT_VALUES = {
+    "int": st.integers(-3, 3),
+    "str": st.sampled_from(["", "a", "b", "ab"]),
+    "null": st.builds(
+        SkolemValue,
+        st.sampled_from(["f_m3_c", "g"]),
+        st.tuples(st.integers(0, 2)),
+    ),
+}
+
+
+@st.composite
+def _sort_case(draw):
+    """Rows over three key columns, each of one kind or mixed, plus a
+    unique tag column so the order of ties is observable."""
+    columns = [
+        st.one_of(*_SORT_VALUES.values())
+        if kind == "mixed"
+        else _SORT_VALUES[kind]
+        for kind in draw(
+            st.lists(
+                st.sampled_from(["int", "str", "null", "mixed"]),
+                min_size=3,
+                max_size=3,
+            )
+        )
+    ]
+    keys = draw(st.lists(st.tuples(*columns), max_size=30))
+    rows = [key + (tag,) for tag, key in enumerate(keys)]
+    order = tuple(
+        draw(
+            st.lists(
+                st.tuples(st.integers(0, 2), st.booleans()),
+                min_size=1,
+                max_size=3,
+            )
+        )
+    )
+    limit = draw(st.none() | st.integers(0, 35))
+    offset = draw(st.integers(0, 10))
+    return rows, order, limit, offset
+
+
+class TestTopKOrder:
+    @settings(max_examples=300, deadline=None)
+    @given(_sort_case())
+    def test_equals_multi_pass_stable_sort(self, case):
+        rows, order, limit, offset = case
+        assert apply_row_order(rows, order, limit, offset) == (
+            reference_row_order(rows, order, limit, offset)
+        )
+
+    def test_ties_keep_input_order(self):
+        rows = [(1, "c"), (0, "b"), (1, "a"), (0, "d"), (1, "e")]
+        assert apply_row_order(rows, ((0, False),), 3, 0) == (
+            (0, "b"),
+            (0, "d"),
+            (1, "c"),
+        )
+        assert apply_row_order(rows, ((0, True),), 2, 1) == (
+            (1, "a"),
+            (1, "e"),
+        )
+
+
+    @pytest.mark.parametrize("mode", ["certain", "with_nulls"])
+    @pytest.mark.parametrize("order", [(), ("-0",), (1,), ("-1", 0)])
+    @pytest.mark.parametrize("limit, offset", [(None, None), (2, None), (2, 1)])
+    def test_program_answers_order_as_full_sort_then_order_by(
+        self, mode, order, limit, offset
+    ):
+        """A served program's rows: every column ascending as the base
+        order, then the positional ORDER BY, then the slice."""
+        statement = StatementRegistry(paper_cdss()).prepare(
+            "program", "ans(n, c) :- U(n, c)"
+        )
+        result = statement.prepared.execute()
+        raw = result.with_nulls() if mode == "with_nulls" else result.certain()
+        rows = sorted(raw, key=lambda row: tuple(_OrderKey(v) for v in row))
+        spec = tuple(
+            (int(str(key).lstrip("-")), str(key).startswith("-"))
+            for key in order
+        )
+        expected = reference_row_order(rows, spec, limit, offset or 0)
+        served = statement.run(
+            {}, mode=mode, order=order, limit=limit, offset=offset
+        )
+        assert served["rows"] == [encode_row(row) for row in expected]
 
 
 class TestRebindRace:
