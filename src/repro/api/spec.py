@@ -27,7 +27,12 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import TYPE_CHECKING, Mapping
 
-from ..core.exchange import STRATEGY_UNIFIED, ExchangeError, check_strategy
+from ..core.exchange import (
+    STRATEGY_UNIFIED,
+    ExchangeError,
+    check_negation,
+    check_strategy,
+)
 from ..provenance.relations import ENCODING_STYLES, ENCODING_COMPOSITE
 from ..schema.relation import PeerSchema, RelationSchema, SchemaError
 from ..schema.tgd import SchemaMapping
@@ -255,6 +260,9 @@ class SystemSpec:
         object.__setattr__(self, "edits", tuple(self.edits))
         try:
             check_strategy(self.strategy)
+            check_negation(
+                self.strategy, (m.to_mapping() for m in self.mappings)
+            )
         except ExchangeError as exc:
             raise SpecError(str(exc)) from None
         if self.encoding_style not in ENCODING_STYLES:

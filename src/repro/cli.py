@@ -155,6 +155,7 @@ def _run_spec(
 ) -> int:
     """Execute a declarative SystemSpec JSON: build, exchange, print."""
     from . import CDSS, SpecError
+    from .core.exchange import ExchangeError
     from .datalog.ast import DatalogError  # covers ParseError, SafetyError
     from .schema import SchemaError
 
@@ -166,7 +167,9 @@ def _run_spec(
         cdss = CDSS.from_spec(path)
         # Schema validation (e.g. weak acyclicity) fires lazily on first use.
         report = cdss.update_exchange(strategy=strategy)
-    except (OSError, SpecError, DatalogError, SchemaError) as error:
+    except (
+        OSError, SpecError, DatalogError, SchemaError, ExchangeError
+    ) as error:
         print(f"error: {error}", file=sys.stderr)
         return 1
     print(
@@ -207,6 +210,7 @@ def _run_query(
     """Build a CDSS from a spec, exchange, and answer one query."""
     from . import CDSS, SpecError
     from .api.query import QueryError
+    from .core.exchange import ExchangeError
     from .datalog.ast import DatalogError  # covers ParseError, SafetyError
     from .schema import SchemaError
 
@@ -233,7 +237,9 @@ def _run_query(
         else:
             for row in sorted(answers, key=repr):
                 print(repr(row))
-    except (OSError, SpecError, DatalogError, SchemaError, QueryError) as error:
+    except (
+        OSError, SpecError, DatalogError, SchemaError, QueryError, ExchangeError
+    ) as error:
         print(f"error: {error}", file=sys.stderr)
         return 1
     return 0
@@ -242,6 +248,7 @@ def _run_query(
 def _run_serve(args: argparse.Namespace) -> int:
     """Boot the serving tier (`python -m repro serve spec.json --port N`)."""
     from . import CDSS, SpecError, SystemSpec
+    from .core.exchange import ExchangeError
     from .datalog.ast import DatalogError
     from .schema import SchemaError
     from .serve import run as serve_run
@@ -303,7 +310,9 @@ def _run_serve(args: argparse.Namespace) -> int:
             duration=args.duration,
             node=node,
         )
-    except (OSError, SpecError, DatalogError, SchemaError, StorageError) as error:
+    except (
+        OSError, SpecError, DatalogError, SchemaError, StorageError, ExchangeError
+    ) as error:
         print(f"error: {error}", file=sys.stderr)
         return 1
     except KeyboardInterrupt:

@@ -52,6 +52,7 @@ from .exchange import (
     STRATEGY_UNIFIED,
     ExchangeReport,
     ExchangeSystem,
+    check_negation,
     check_strategy,
 )
 
@@ -173,6 +174,7 @@ class CDSS:
         mapping = (
             SchemaMapping.parse(name, tgd) if isinstance(tgd, str) else tgd
         )
+        check_negation(self.strategy, (mapping,))
         self._mappings[name] = mapping
         self._invalidate()
         return mapping
@@ -331,7 +333,7 @@ class CDSS:
         unpublished edits stay invisible, matching Section 2's operational
         model.
         """
-        strategy = check_strategy(strategy or self.strategy)
+        strategy = self.resolve_strategy(strategy)
         system = self.system()
         delta = PublishDelta()
         names = tuple(peers) if peers is not None else tuple(self._peers)
@@ -340,6 +342,13 @@ class CDSS:
         report = system.apply_delta(delta, strategy)
         self._record_report(report)
         return report
+
+    def resolve_strategy(self, strategy: str | None = None) -> str:
+        """The strategy a publish runs: ``strategy``, else the CDSS's own,
+        checked to name one and to maintain every registered mapping."""
+        strategy = check_strategy(strategy or self.strategy)
+        check_negation(strategy, self._mappings.values())
+        return strategy
 
     def recompute(self) -> ExchangeReport:
         report = self.system().recompute()

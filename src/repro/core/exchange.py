@@ -48,6 +48,7 @@ from ..schema.internal import (
     rejection_name,
     trusted_name,
 )
+from ..schema.tgd import SchemaMapping
 from ..storage.database import Database
 from ..storage.instance import Row
 from ..storage.zset import ZSet
@@ -81,6 +82,25 @@ def check_strategy(strategy: str) -> str:
     raise ExchangeError(
         f"unknown strategy {strategy!r}; expected one of {STRATEGIES}{hint}"
     )
+
+
+def check_negation(strategy: str, mappings: Iterable[SchemaMapping]) -> None:
+    """Raise :class:`ExchangeError` if ``strategy`` cannot maintain one of
+    ``mappings``.
+
+    The unified maintainer's retraction side is monotone, and a negated
+    body atom makes deletion non-monotone (deleting from ``S`` can add to
+    ``T`` in ``R(x), not S(x) -> T(x)``); only recomputation handles it.
+    """
+    if strategy != STRATEGY_UNIFIED:
+        return
+    for mapping in mappings:
+        if any(atom.negated for atom in mapping.lhs):
+            raise ExchangeError(
+                f"mapping {mapping.name!r} has a negated body atom, which "
+                f"the {STRATEGY_UNIFIED!r} strategy cannot maintain; use "
+                f'strategy="{STRATEGY_RECOMPUTE}"'
+            )
 
 
 @dataclass(frozen=True)

@@ -194,6 +194,8 @@ class ReproServer:
         self._exchange_lock = asyncio.Lock()
         self._shutdown = asyncio.Event()
         self._server: asyncio.Server | None = None
+        #: Connections parked between requests; stop() closes them.
+        self._idle: set[asyncio.StreamWriter] = set()
         # Keep one subscription open for the node's lifetime: change
         # capture is gated on open subscriptions, so this is what makes
         # every publish land in the change log that /changes serves.
@@ -227,8 +229,11 @@ class ReproServer:
         # handlers, and a /changes waiter would otherwise hold it for its
         # full timeout.
         self._wake_change_waiters()
+        self._shutdown.set()  # busy connections end after their response
         if self._server is not None:
             self._server.close()
+            for writer in tuple(self._idle):
+                writer.close()
             await self._server.wait_closed()
             self._server = None
         # Drain in-flight executions before tearing the node down.
@@ -259,14 +264,18 @@ class ReproServer:
     ) -> None:
         try:
             while not self._shutdown.is_set():
+                self._idle.add(writer)
                 try:
                     raw = await reader.readuntil(b"\r\n\r\n")
                 except (
                     asyncio.IncompleteReadError,
                     ConnectionResetError,
                     asyncio.LimitOverrunError,
+                    asyncio.CancelledError,  # loop teardown: end of connection
                 ):
                     break
+                finally:
+                    self._idle.discard(writer)
                 try:
                     method, path, query, headers = self._parse_head(raw)
                     length = int(headers.get("content-length", "0") or "0")

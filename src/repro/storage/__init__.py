@@ -1,17 +1,10 @@
-"""Relational storage substrate: instances, indexes, B+-tree, statistics.
+"""Relational storage substrate: instances, indexes, statistics, and the
+sqlite checkpoint store.
 
 The storage layer of DESIGN.md's stack — the stand-in for the RDBMS
 tables and Berkeley DB storage of the paper's Section 5.
 """
 
-from .backend import (
-    BACKEND_MEMORY,
-    BACKEND_SQLITE,
-    BACKENDS,
-    StorageBackend,
-    open_backend,
-)
-from .btree import BPlusTree, BTreeError
 from .codec import (
     CodecError,
     decode_row,
@@ -24,7 +17,6 @@ from .codec import (
 )
 from .database import Database, UnknownRelationError
 from .instance import ArityError, Instance, Row, StorageError
-from .kvstore import KeyValueStore, RelationStore
 from .persistence import checkpoint, checkpoint_equal, restore
 from .snapshot import DatabaseSnapshot, pin_database
 from .sqlite import SQLiteStore
@@ -33,21 +25,13 @@ from .zset import ZSet, apply_zset
 
 __all__ = [
     "ArityError",
-    "BACKENDS",
-    "BACKEND_MEMORY",
-    "BACKEND_SQLITE",
-    "BPlusTree",
-    "BTreeError",
     "CodecError",
     "Database",
     "DatabaseSnapshot",
     "Instance",
-    "KeyValueStore",
-    "RelationStore",
     "Row",
     "SQLiteStore",
     "StatisticsCache",
-    "StorageBackend",
     "StorageError",
     "TableStats",
     "UnknownRelationError",
@@ -63,7 +47,6 @@ __all__ = [
     "encode_value",
     "key_text",
     "loads_row",
-    "open_backend",
     "pin_database",
     "restore",
 ]

@@ -1,8 +1,8 @@
 """A stable, JSON-compatible encoding of rows and column values.
 
-Durable storage (the SQLite backend, the write-ahead log) needs to put
-relation rows on disk and read them back *byte-identically* across process
-restarts.  The in-memory stores never had that problem: rows are plain
+Durable storage (the sqlite checkpoint store, the write-ahead log) needs
+to put relation rows on disk and read them back *byte-identically* across
+process restarts.  In-memory instances never had that problem: rows are plain
 Python tuples whose values are JSON scalars plus the engine's labeled
 nulls (:class:`~repro.datalog.ast.SkolemValue`, whose arguments may
 recursively contain further labeled nulls or tuples).
@@ -20,7 +20,7 @@ The encoding is deliberately boring:
 :func:`dumps_row` / :func:`loads_row` give the serialized form (compact,
 sorted keys, so equal rows always serialize to equal bytes), and
 :func:`key_text` gives a canonical text key for one row or bucket key —
-what the SQLite backend uses as its primary key.
+what the checkpoint store uses as its primary key.
 """
 
 from __future__ import annotations
@@ -116,7 +116,7 @@ def key_text(key: object) -> str:
     """A canonical, totally ordered text form of a bucket key.
 
     Bucket keys in practice are strings (catalog entries) or tuples of
-    strings (:func:`repro.storage.kvstore._row_key` output); the encoding
+    strings (:func:`repro.storage.persistence._row_key` output); the encoding
     covers every value :func:`encode_value` does, so any row can also be
     its own key.  Equality is exact; the ordering is merely *some*
     deterministic total order (text order of the canonical JSON), which

@@ -1,15 +1,14 @@
-"""Checkpointing databases into a storage backend.
+"""Checkpointing databases into the sqlite checkpoint store.
 
 ORCHESTRA persists peer instances and provenance tables in auxiliary storage
 (Berkeley DB for the Tukwila backend — Section 5: "Auxiliary storage holds
 and indexes provenance tables for peer instances"; "Between update exchange
 operations, it maintains copies of all relations, enabling future operations
 to be incremental").  This module provides that persistence for the
-reproduction: a :class:`~repro.storage.database.Database` can be
-checkpointed into any :class:`~repro.storage.backend.StorageBackend` — the
-in-memory :class:`~repro.storage.kvstore.KeyValueStore` or the on-disk
-:class:`~repro.storage.sqlite.SQLiteStore` — and restored later, preserving
-labeled nulls.
+reproduction: a :class:`~repro.storage.database.Database` is checkpointed
+into a :class:`~repro.storage.sqlite.SQLiteStore` — on disk for a durable
+node, ``:memory:`` by default — and restored later, preserving labeled
+nulls.
 
 The representation: one bucket per relation holding (row-key -> row), a
 catalog bucket recording relation arities, an index bucket recording each
@@ -25,10 +24,9 @@ checkpointed one did.
 
 from __future__ import annotations
 
-from .backend import StorageBackend
 from .database import Database
-from .instance import StorageError
-from .kvstore import KeyValueStore, _row_key
+from .instance import Row, StorageError
+from .sqlite import SQLiteStore
 
 CATALOG_BUCKET = "__catalog__"
 INDEX_BUCKET = "__indexes__"
@@ -39,18 +37,28 @@ DATA_PREFIX = "rel::"
 _OWN_BUCKETS = (CATALOG_BUCKET, INDEX_BUCKET, META_BUCKET)
 
 
-def checkpoint(
-    db: Database, store: StorageBackend | None = None
-) -> StorageBackend:
-    """Write a full copy of ``db`` into a storage backend.
+def _row_key(row: Row) -> tuple[str, ...]:
+    """An order-preserving-enough, totally ordered encoding of a row.
+
+    Heterogeneous Python values are not mutually comparable, so rows are
+    keyed by ``(type-tag, repr)`` pairs per column.  Equality is exact, which
+    is all set-semantics relation storage needs; ordering is merely *some*
+    deterministic total order.
+    """
+    return tuple(f"{type(v).__name__}:{v!r}" for v in row)
+
+
+def checkpoint(db: Database, store: SQLiteStore | None = None) -> SQLiteStore:
+    """Write a full copy of ``db`` into ``store`` (a fresh ``:memory:``
+    store when omitted).
 
     An existing store is wiped of stale relation buckets first, so the
     result always mirrors ``db`` exactly.  The write runs inside one
-    backend transaction: a crash mid-checkpoint leaves the previous
+    sqlite transaction: a crash mid-checkpoint leaves the previous
     checkpoint intact, never a torn mix.
     """
     if store is None:
-        store = KeyValueStore()
+        store = SQLiteStore()
     with store.transaction():
         for bucket in store.bucket_names():
             if bucket.startswith(DATA_PREFIX) or bucket in _OWN_BUCKETS:
@@ -70,9 +78,7 @@ def checkpoint(
     return store
 
 
-def restore(
-    store: StorageBackend, into: Database | None = None
-) -> Database:
+def restore(store: SQLiteStore, into: Database | None = None) -> Database:
     """Rebuild a database from a checkpoint.
 
     When ``into`` is given, relations are created/verified there (useful for
@@ -104,7 +110,7 @@ def restore(
     return db
 
 
-def checkpoint_equal(db: Database, store: StorageBackend) -> bool:
+def checkpoint_equal(db: Database, store: SQLiteStore) -> bool:
     """True iff ``store`` holds exactly the contents of ``db``."""
     names = {name for name, _ in store.cursor(CATALOG_BUCKET)}
     if names != set(db.relation_names()):

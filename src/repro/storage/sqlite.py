@@ -1,8 +1,7 @@
-"""A sqlite3-backed storage backend: one table per relation bucket.
+"""The checkpoint store: sqlite3 buckets, one table per relation bucket.
 
-This is the durable half of the storage-backend protocol
-(:mod:`repro.storage.backend`) — the stand-in for the paper's Berkeley DB
-auxiliary storage that actually survives process exit.  Following the
+This is the reproduction's stand-in for the paper's Berkeley DB auxiliary
+storage (Section 5), and it survives process exit.  Following the
 EDB/IDB-over-sqlite3 pattern of ``longlodw/pydatalog`` (SNIPPETS.md
 snippet 2), every bucket becomes its own two-column table::
 
@@ -15,9 +14,9 @@ Keys and values round-trip through the stable encoding of
 instance a naive ``repr`` store would corrupt — come back as the same
 :class:`~repro.datalog.ast.SkolemValue` objects that went in.
 
-Cursor order is the text order of the canonical key encoding: different
-from the in-memory B+-tree's tuple order, but deterministic, which is the
-only ordering promise the backend protocol makes.
+Cursor order is the text order of the canonical key encoding: not the
+keys' Python order, but deterministic; callers that need a specific
+order sort.
 
 One connection serves the whole store.  ``check_same_thread=False`` plus
 an internal lock make it safe to open on one thread and use on another
@@ -33,46 +32,30 @@ from contextlib import contextmanager
 from typing import Iterator
 
 from .codec import dumps_value, key_text, loads_value
-from .instance import StorageError
 
 _CATALOG_SQL = (
     "CREATE TABLE IF NOT EXISTS __buckets__ ("
     "name TEXT PRIMARY KEY, tbl TEXT NOT NULL)"
 )
 
-#: A sentinel distinct from every decodable value.
-_MISSING = object()
-
 
 class SQLiteStore:
-    """A :class:`~repro.storage.backend.StorageBackend` over sqlite3.
+    """Named buckets of key -> value pairs in one sqlite3 database.
 
     ``path`` is a filesystem path (created on first use) or ``":memory:"``
-    for an ephemeral store — handy in tests and for backend-parity
-    property checks.  ``synchronous`` maps straight onto sqlite's PRAGMA:
-    ``"full"`` fsyncs at every commit (the durable default), ``"normal"``
-    and ``"off"`` trade safety for speed.
+    for an ephemeral store.  Every commit fsyncs (``PRAGMA
+    synchronous = FULL``): a committed checkpoint survives power loss.
     """
 
-    def __init__(self, path: str = ":memory:", synchronous: str = "full") -> None:
+    def __init__(self, path: str = ":memory:") -> None:
         self.path = str(path)
         self._lock = threading.RLock()
         self._conn = sqlite3.connect(
             self.path, check_same_thread=False, isolation_level=None
         )
-        if synchronous not in ("full", "normal", "off"):
-            raise StorageError(
-                f"unknown synchronous mode {synchronous!r}; expected "
-                "'full', 'normal', or 'off'"
-            )
-        self._conn.execute(f"PRAGMA synchronous={synchronous.upper()}")
+        self._conn.execute("PRAGMA synchronous = FULL")
         self._conn.execute(_CATALOG_SQL)
-        self._tables: dict[str, str] = {
-            name: tbl
-            for name, tbl in self._conn.execute(
-                "SELECT name, tbl FROM __buckets__"
-            )
-        }
+        self._reload_catalog()
         self._counter = len(self._tables)
         self._depth = 0
         self._closed = False
@@ -85,7 +68,9 @@ class SQLiteStore:
             return tbl
         self._counter += 1
         tbl = f"b{self._counter}"
-        while tbl in self._tables.values():  # pragma: no cover - defensive
+        # After a drop, a reopened store counts fewer live tables than the
+        # highest table number it holds.
+        while tbl in self._tables.values():
             self._counter += 1
             tbl = f"b{self._counter}"
         self._conn.execute(
@@ -132,37 +117,17 @@ class SQLiteStore:
             ).fetchone()
         return default if row is None else loads_value(row[0])
 
-    def delete(self, bucket: str, key: object) -> bool:
-        with self._lock:
-            tbl = self._tables.get(bucket)
-            if tbl is None:
-                return False
-            changed = self._conn.execute(
-                f'DELETE FROM "{tbl}" WHERE key = ?', (key_text(key),)
-            ).rowcount
-            return changed > 0
-
-    def cursor(
-        self, bucket: str, low: object = None, high: object = None
-    ) -> Iterator[tuple[object, object]]:
+    def cursor(self, bucket: str) -> Iterator[tuple[object, object]]:
+        """All ``(key, value)`` pairs of ``bucket``, in key-text order."""
         with self._lock:
             tbl = self._tables.get(bucket)
             if tbl is None:
                 return iter(())
-            sql = f'SELECT key, value FROM "{tbl}"'
-            clauses, args = [], []
-            if low is not None:
-                clauses.append("key >= ?")
-                args.append(key_text(low))
-            if high is not None:
-                clauses.append("key <= ?")
-                args.append(key_text(high))
-            if clauses:
-                sql += " WHERE " + " AND ".join(clauses)
-            sql += " ORDER BY key"
             # Materialize under the lock: the caller may interleave writes
             # with iteration, and sqlite cursors do not like that.
-            rows = self._conn.execute(sql, args).fetchall()
+            rows = self._conn.execute(
+                f'SELECT key, value FROM "{tbl}" ORDER BY key'
+            ).fetchall()
         return iter(
             [(loads_value(k), loads_value(v)) for k, v in rows]
         )
@@ -220,15 +185,12 @@ class SQLiteStore:
                     self._conn.execute("COMMIT")
 
     def _reload_catalog(self) -> None:
-        self._tables = {
+        self._tables: dict[str, str] = {
             name: tbl
             for name, tbl in self._conn.execute(
                 "SELECT name, tbl FROM __buckets__"
             )
         }
-
-    def flush(self) -> None:
-        """Force pending state to disk (sqlite commits eagerly; no-op)."""
 
     def close(self) -> None:
         with self._lock:

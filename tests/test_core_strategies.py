@@ -11,10 +11,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import CDSS
+from repro import CDSS, SpecError, SystemSpec
 from repro.core import STRATEGIES, STRATEGY_UNIFIED
 from repro.core.editlog import PublishDelta
-from repro.core.exchange import ExchangeSystem
+from repro.core.exchange import ExchangeError, ExchangeSystem
 from repro.schema import InternalSchema, PeerSchema, RelationSchema, SchemaMapping
 
 
@@ -268,3 +268,76 @@ def test_property_incremental_stays_consistent_over_two_batches(workload):
         cdss.peer("P1").insert("R", (x,))
     cdss.update_exchange()
     assert cdss.system().is_consistent()
+
+
+class TestNegatedMappings:
+    """``unified`` cannot maintain a negated body atom; the combination is
+    refused where it is configured, never found at a publish."""
+
+    TGD = "R(x), not S(x) -> T(x)"
+
+    @staticmethod
+    def build(strategy=None) -> CDSS:
+        cdss = CDSS("neg", strategy=strategy)
+        cdss.add_peer("P1", {"R": ("a",), "S": ("a",)})
+        cdss.add_peer("P2", {"T": ("a",)})
+        return cdss
+
+    def test_add_mapping_refused_under_unified(self):
+        cdss = self.build()
+        with pytest.raises(ExchangeError, match="'m'.*strategy=\"recompute\""):
+            cdss.add_mapping("m", self.TGD)
+        assert cdss.mappings() == ()
+
+    def test_unified_publish_refused_before_edits_are_consumed(self):
+        cdss = self.build(strategy="recompute")
+        cdss.add_mapping("m", self.TGD)
+        cdss.peer("P1").insert("R", (1,))
+        with pytest.raises(ExchangeError, match="'m'.*strategy=\"recompute\""):
+            cdss.update_exchange(strategy="unified")
+        assert cdss.pending_edits() == 1
+        cdss.update_exchange()
+        assert set(cdss.peer("P2").relation("T")) == {(1,)}
+
+    def test_recompute_maintains_the_negation(self):
+        cdss = self.build(strategy="recompute")
+        cdss.add_mapping("m", self.TGD)
+        cdss.peer("P1").insert("R", (1,))
+        cdss.update_exchange()
+        assert set(cdss.peer("P2").relation("T")) == {(1,)}
+        cdss.peer("P1").insert("S", (1,))
+        cdss.update_exchange()
+        assert set(cdss.peer("P2").relation("T")) == set()
+
+    def test_spec_load_refused_under_unified(self):
+        cdss = self.build(strategy="recompute")
+        cdss.add_mapping("m", self.TGD)
+        document = cdss.to_spec().to_dict()
+        assert SystemSpec.from_dict(document).strategy == "recompute"
+        document["strategy"] = "unified"
+        with pytest.raises(SpecError, match="'m'.*strategy=\"recompute\""):
+            SystemSpec.from_dict(document)
+
+    def test_durable_publish_refused_before_logging(self, tmp_path):
+        from repro.durability import DurableNode
+
+        cdss = self.build(strategy="recompute")
+        cdss.add_mapping("m", self.TGD)
+        cdss.peer("P1").insert("R", (1,))
+        node = DurableNode.create(cdss.to_spec(), tmp_path / "node")
+        logged = node.wal.last_seq
+        with pytest.raises(ExchangeError, match="'m'"):
+            node.publish(strategy="unified")
+        assert node.wal.last_seq == logged
+        node.publish()
+        assert set(node.cdss.peer("P2").relation("T")) == {(1,)}
+        node.close()
+
+    def test_cli_run_reports_the_refusal(self, tmp_path, capsys):
+        from repro.cli import main
+
+        cdss = self.build(strategy="recompute")
+        cdss.add_mapping("m", self.TGD)
+        path = cdss.to_spec().save(tmp_path / "spec.json")
+        assert main(["run", str(path), "--strategy", "unified"]) == 1
+        assert "'m'" in capsys.readouterr().err

@@ -636,3 +636,50 @@ class TestServeCLI:
             if proc.poll() is None:
                 proc.kill()
                 proc.wait()
+
+    def test_shutdown_with_idle_keep_alive_client(self, tmp_path):
+        """A client parked on an idle keep-alive connection must not turn a
+        graceful shutdown into a traceback on stderr."""
+        import os
+        import socket
+
+        cdss = paper_cdss()
+        spec_path = tmp_path / "spec.json"
+        cdss.to_spec().save(spec_path)
+        repo_root = Path(__file__).resolve().parent.parent
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", "serve", str(spec_path),
+             "--port", "0"],
+            cwd=repo_root,
+            env={**os.environ, "PYTHONPATH": str(repo_root / "src")},
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+        )
+        idle = None
+        try:
+            banner = proc.stdout.readline()
+            assert "repro-serve listening on " in banner
+            url = banner.strip().rsplit(" ", 1)[-1]
+            host, port = url.split("//", 1)[1].rsplit(":", 1)
+            idle = socket.create_connection((host, int(port)), timeout=60)
+            idle.sendall(
+                b"GET /health HTTP/1.1\r\nHost: x\r\nConnection: keep-alive"
+                b"\r\n\r\n"
+            )
+            head = b""
+            while b"\r\n\r\n" not in head:
+                head += idle.recv(4096)
+            assert head.startswith(b"HTTP/1.1 200")
+            with ServeClient.from_url(url, timeout=60) as client:
+                client.shutdown()
+            _, stderr = proc.communicate(timeout=60)
+            assert proc.returncode == 0
+            assert "Traceback" not in stderr, stderr
+            assert "CancelledError" not in stderr, stderr
+        finally:
+            if idle is not None:
+                idle.close()
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait()

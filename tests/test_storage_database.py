@@ -1,11 +1,9 @@
-"""Unit tests for the database catalog, statistics, and key-value store."""
+"""Unit tests for the database catalog and statistics."""
 
 import pytest
 
 from repro.storage import (
     Database,
-    KeyValueStore,
-    RelationStore,
     StorageError,
     UnknownRelationError,
     compute_stats,
@@ -113,48 +111,3 @@ class TestStats:
         stats = compute_stats(Instance("N", 0, [()]))
         assert stats.cardinality == 1
         assert stats.distinct == ()
-
-
-class TestKeyValueStore:
-    def test_put_get_delete(self):
-        kv = KeyValueStore()
-        kv.put("b1", "k", 42)
-        assert kv.get("b1", "k") == 42
-        assert kv.get("b1", "nope", "dflt") == "dflt"
-        assert kv.get("nobucket", "k", "dflt") == "dflt"
-        assert kv.delete("b1", "k") is True
-        assert kv.delete("b1", "k") is False
-
-    def test_cursor_ordered(self):
-        kv = KeyValueStore()
-        for key in [3, 1, 2]:
-            kv.put("b", key, key)
-        assert [k for k, _ in kv.cursor("b")] == [1, 2, 3]
-        assert list(kv.cursor("missing")) == []
-
-    def test_bucket_names_and_drop(self):
-        kv = KeyValueStore()
-        kv.put("x", 1, 1)
-        kv.put("a", 1, 1)
-        assert kv.bucket_names() == ("a", "x")
-        assert kv.drop("x") is True
-        assert kv.bucket_names() == ("a",)
-
-
-class TestRelationStore:
-    def test_insert_scan_contains(self):
-        rs = RelationStore()
-        assert rs.insert("R", (1, "a")) is True
-        assert rs.insert("R", (1, "a")) is False
-        assert rs.contains("R", (1, "a"))
-        assert not rs.contains("R", (2, "b"))
-        assert list(rs.scan("R")) == [(1, "a")]
-        assert rs.count("R") == 1
-
-    def test_heterogeneous_rows_coexist(self):
-        rs = RelationStore()
-        rs.insert_many("R", [(1,), ("1",), (None,)])
-        assert rs.count("R") == 3
-        assert rs.contains("R", ("1",))
-        assert rs.delete("R", (1,)) is True
-        assert rs.count("R") == 2

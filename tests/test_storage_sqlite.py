@@ -1,23 +1,21 @@
-"""Tests for the SQLite storage backend and the durable value codec.
+"""Tests for the sqlite checkpoint store and the durable value codec.
 
-The contract under test is *parity*: the in-memory B+-tree store and the
-sqlite3 store implement the same bucket protocol, so any operation
-sequence must leave both with identical contents (cursor *order* may
-differ — it is only promised to be deterministic per backend).
+The store's contract is a plain mapping of buckets to key -> value dicts:
+any operation sequence must leave it with the contents a ``dict`` model
+holds (cursor *order* is key-text order, only promised to be
+deterministic).
 """
+
+import os
+import tempfile
+import threading
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.datalog.ast import SkolemValue
-from repro.storage import (
-    KeyValueStore,
-    SQLiteStore,
-    StorageBackend,
-    StorageError,
-    open_backend,
-)
+from repro.storage import SQLiteStore
 from repro.storage.codec import (
     CodecError,
     decode_value,
@@ -88,26 +86,6 @@ class TestCodec:
         assert key_text(1) != key_text("1")
 
 
-# -- backend construction --------------------------------------------------
-
-
-class TestOpenBackend:
-    def test_memory(self):
-        store = open_backend("memory")
-        assert isinstance(store, KeyValueStore)
-        assert isinstance(store, StorageBackend)
-
-    def test_sqlite(self, tmp_path):
-        store = open_backend("sqlite", str(tmp_path / "s.db"))
-        assert isinstance(store, SQLiteStore)
-        assert isinstance(store, StorageBackend)
-        store.close()
-
-    def test_unknown_kind_raises(self):
-        with pytest.raises(StorageError):
-            open_backend("papyrus")
-
-
 # -- sqlite specifics ------------------------------------------------------
 
 
@@ -118,9 +96,10 @@ class TestSQLiteStore:
         assert store.get("b", "k") == (1, "x")
         assert store.get("b", "missing", 42) == 42
         assert store.size("b") == 1
-        assert store.delete("b", "k")
-        assert not store.delete("b", "k")
-        assert store.size("b") == 0
+        store.put("b", "k", (2, "y"))  # replaces
+        assert store.get("b", "k") == (2, "y")
+        assert store.size("b") == 1
+        assert store.size("missing") == 0
 
     def test_bucket_names_may_contain_separators(self):
         store = SQLiteStore()
@@ -142,13 +121,12 @@ class TestSQLiteStore:
         assert isinstance(value[1], SkolemValue)
         reopened.close()
 
-    def test_cursor_is_sorted_and_bounded(self):
+    def test_cursor_is_sorted(self):
         store = SQLiteStore()
         for key in ("b", "a", "c"):
             store.put("x", key, key.upper())
         assert [k for k, _ in store.cursor("x")] == ["a", "b", "c"]
-        assert [v for _, v in store.cursor("x", low="b")] == ["B", "C"]
-        assert [v for _, v in store.cursor("x", high="b")] == ["A", "B"]
+        assert list(store.values("x")) == ["A", "B", "C"]
         assert list(store.cursor("missing")) == []
 
     def test_transaction_rolls_back_on_error(self, tmp_path):
@@ -177,17 +155,192 @@ class TestSQLiteStore:
         assert store.get("b", "outer") == 1
         assert store.get("b", "inner") == 2
 
-    def test_synchronous_validation(self, tmp_path):
-        with pytest.raises(StorageError):
-            SQLiteStore(str(tmp_path / "x.db"), synchronous="sometimes")
+    def test_commits_fsync(self):
+        store = SQLiteStore()
+        assert store._conn.execute("PRAGMA synchronous").fetchone() == (2,)
+        store.close()
 
     def test_close_is_idempotent(self):
         store = SQLiteStore()
         store.close()
         store.close()
 
+    def test_empty_store(self):
+        store = SQLiteStore()
+        assert store.bucket_names() == ()
+        assert store.get("b", "k") is None
+        assert store.get("b", "k", "dflt") == "dflt"
+        assert store.size("b") == 0
+        assert list(store.cursor("b")) == []
+        assert list(store.values("b")) == []
+        assert store.drop("b") is False
+        # Reads never create buckets.
+        assert store.bucket_names() == ()
 
-# -- cross-backend parity (property) ---------------------------------------
+    def test_same_key_in_two_buckets_is_independent(self):
+        store = SQLiteStore()
+        store.put("b1", "k", 1)
+        store.put("b2", "k", 2)
+        assert (store.get("b1", "k"), store.get("b2", "k")) == (1, 2)
+        assert store.drop("b1")
+        assert store.get("b1", "k") is None
+        assert store.get("b2", "k") == 2
+
+    def test_keys_of_different_types_stay_distinct(self):
+        """Keys equal under Python's ``==`` or alike under ``str`` are
+        still different keys: ``1``/``True`` and ``1``/``"1"``."""
+        keys = [1, "1", True, None, (1,), ("1",), SkolemValue("f", (1,))]
+        store = SQLiteStore()
+        for i, key in enumerate(keys):
+            store.put("b", key, i)
+        assert store.size("b") == len(keys)
+        for i, key in enumerate(keys):
+            assert store.get("b", key) == i
+        got = [key for key, _ in store.cursor("b")]
+        assert sorted(map(key_text, got)) == sorted(map(key_text, keys))
+
+    def test_cursor_order_is_key_text_order(self):
+        keys = [("int:10",), ("int:9",), ("str:'a'",), "z", "a", 3, -1]
+        store = SQLiteStore()
+        for key in keys:
+            store.put("b", key, key_text(key))
+        texts = [value for _, value in store.cursor("b")]
+        assert texts == sorted(key_text(key) for key in keys)
+
+    def test_drop_then_recreate_starts_empty(self):
+        store = SQLiteStore()
+        store.put("b", "old", 1)
+        assert store.drop("b")
+        store.put("b", "new", 2)
+        assert dict(store.cursor("b")) == {"new": 2}
+
+    def test_reopen_keeps_buckets_and_accepts_new_ones(self, tmp_path):
+        """A reopened store whose catalog lost a bucket to ``drop`` still
+        names new tables without colliding with the surviving ones."""
+        path = str(tmp_path / "s.db")
+        store = SQLiteStore(path)
+        store.put("gone", "k", 0)
+        store.put("kept", "k", 1)
+        assert store.drop("gone")
+        store.close()
+        store = SQLiteStore(path)
+        assert store.bucket_names() == ("kept",)
+        store.put("fresh", "k", 2)
+        assert store.get("kept", "k") == 1
+        store.close()
+        store = SQLiteStore(path)
+        assert store.bucket_names() == ("fresh", "kept")
+        assert (store.get("fresh", "k"), store.get("kept", "k")) == (2, 1)
+        store.close()
+
+    def test_committed_transaction_survives_reopen(self, tmp_path):
+        path = str(tmp_path / "s.db")
+        store = SQLiteStore(path)
+        with store.transaction():
+            store.put("b", "k", (1, "x"))
+            store.put("c", "k", 2)
+        store.close()
+        store = SQLiteStore(path)
+        assert store.get("b", "k") == (1, "x")
+        assert store.get("c", "k") == 2
+        store.close()
+
+    def test_rollback_restores_overwritten_value(self):
+        store = SQLiteStore()
+        store.put("b", "k", "before")
+        with pytest.raises(RuntimeError):
+            with store.transaction():
+                store.put("b", "k", "after")
+                assert store.get("b", "k") == "after"
+                raise RuntimeError("abort")
+        assert store.get("b", "k") == "before"
+
+    def test_rollback_restores_dropped_bucket(self):
+        store = SQLiteStore()
+        store.put("b", "k", 1)
+        with pytest.raises(RuntimeError):
+            with store.transaction():
+                assert store.drop("b")
+                raise RuntimeError("abort")
+        assert store.bucket_names() == ("b",)
+        assert store.get("b", "k") == 1
+        store.put("b", "k2", 2)  # the catalog cache points at a live table
+        assert store.size("b") == 2
+
+    def test_usable_from_another_thread(self):
+        store = SQLiteStore()
+        store.put("b", "main", 1)
+        errors: list[BaseException] = []
+
+        def work():
+            try:
+                store.put("b", "worker", 2)
+                assert store.get("b", "main") == 1
+            except BaseException as exc:  # pragma: no cover - reported below
+                errors.append(exc)
+
+        worker = threading.Thread(target=work)
+        worker.start()
+        worker.join(timeout=10)
+        assert not worker.is_alive() and errors == []
+        assert dict(store.cursor("b")) == {"main": 1, "worker": 2}
+        store.close()
+
+    def test_concurrent_writers_are_serialized(self):
+        store = SQLiteStore()
+
+        def work(tag):
+            for i in range(50):
+                store.put("b", f"{tag}:{i}", i)
+
+        workers = [threading.Thread(target=work, args=(t,)) for t in range(4)]
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join(timeout=30)
+        assert not any(worker.is_alive() for worker in workers)
+        assert store.size("b") == 200
+        assert store.get("b", "3:49") == 49
+        store.close()
+
+    def test_cursor_tolerates_writes_during_iteration(self):
+        store = SQLiteStore()
+        for i in range(5):
+            store.put("b", i, i)
+        seen = []
+        for key, value in store.cursor("b"):
+            seen.append(key)
+            store.put("b", key + 100, value)
+            store.drop("other")
+        assert sorted(seen) == [0, 1, 2, 3, 4]
+        assert store.size("b") == 10
+
+    def test_large_bucket_through_file(self, tmp_path):
+        path = str(tmp_path / "s.db")
+        store = SQLiteStore(path)
+        with store.transaction():
+            for i in range(1000):
+                store.put("b", (f"int:{i}",), (i, SkolemValue("f", (i,))))
+        store.close()
+        store = SQLiteStore(path)
+        assert store.size("b") == 1000
+        rows = list(store.values("b"))
+        assert sorted(rows, key=lambda r: r[0]) == [
+            (i, SkolemValue("f", (i,))) for i in range(1000)
+        ]
+        assert [key for key, _ in store.cursor("b")] == sorted(
+            ((f"int:{i}",) for i in range(1000)), key=key_text
+        )
+        store.close()
+
+    def test_repr_names_path_and_bucket_count(self):
+        store = SQLiteStore()
+        store.put("a", "k", 1)
+        store.put("b", "k", 1)
+        assert repr(store) == "<SQLiteStore :memory:: 2 buckets>"
+
+
+# -- store against a dict model (property) ---------------------------------
 
 _keys = st.tuples(st.sampled_from(["int:1", "int:2", "str:'a'", "str:'b'"]))
 _rows = st.tuples(
@@ -206,7 +359,6 @@ _rows = st.tuples(
 _ops = st.lists(
     st.one_of(
         st.tuples(st.just("put"), st.sampled_from(["b1", "b2"]), _keys, _rows),
-        st.tuples(st.just("delete"), st.sampled_from(["b1", "b2"]), _keys),
         st.tuples(st.just("drop"), st.sampled_from(["b1", "b2"])),
     ),
     max_size=30,
@@ -216,26 +368,50 @@ _ops = st.lists(
 @settings(max_examples=40, deadline=None)
 @given(ops=_ops)
 def test_property_backend_parity(ops):
-    """Any op sequence leaves both backends with identical contents."""
-    memory = KeyValueStore()
-    sqlite = SQLiteStore()
+    """Any op sequence leaves the store holding what a dict model holds."""
+    model: dict[str, dict] = {}
+    store = SQLiteStore()
     for op in ops:
         if op[0] == "put":
             _, bucket, key, row = op
-            memory.put(bucket, key, row)
-            sqlite.put(bucket, key, row)
-        elif op[0] == "delete":
-            _, bucket, key = op
-            assert memory.delete(bucket, key) == sqlite.delete(bucket, key)
+            model.setdefault(bucket, {})[key] = row
+            store.put(bucket, key, row)
         else:
             _, bucket = op
-            assert memory.drop(bucket) == sqlite.drop(bucket)
-    assert memory.bucket_names() == sqlite.bucket_names()
-    for bucket in memory.bucket_names():
-        assert memory.size(bucket) == sqlite.size(bucket)
-        assert dict(memory.cursor(bucket)) == dict(sqlite.cursor(bucket))
-        # values() is cursor order minus the keys, on both backends.
-        for store in (memory, sqlite):
-            values = [value for _, value in store.cursor(bucket)]
-            assert list(store.values(bucket)) == values
-    sqlite.close()
+            assert store.drop(bucket) == (model.pop(bucket, None) is not None)
+    assert store.bucket_names() == tuple(sorted(model))
+    for bucket, contents in model.items():
+        assert store.size(bucket) == len(contents)
+        assert dict(store.cursor(bucket)) == contents
+        for key, row in contents.items():
+            assert store.get(bucket, key) == row
+        # values() is cursor order minus the keys.
+        values = [value for _, value in store.cursor(bucket)]
+        assert list(store.values(bucket)) == values
+    store.close()
+
+
+@settings(max_examples=20, deadline=None)
+@given(ops=_ops)
+def test_property_reopen_parity(ops):
+    """A file-backed store, closed and reopened after any op sequence,
+    holds what a dict model holds."""
+    model: dict[str, dict] = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "s.db")
+        store = SQLiteStore(path)
+        for op in ops:
+            if op[0] == "put":
+                _, bucket, key, row = op
+                model.setdefault(bucket, {})[key] = row
+                store.put(bucket, key, row)
+            else:
+                _, bucket = op
+                model.pop(bucket, None)
+                store.drop(bucket)
+        store.close()
+        store = SQLiteStore(path)
+        assert store.bucket_names() == tuple(sorted(model))
+        for bucket, contents in model.items():
+            assert dict(store.cursor(bucket)) == contents
+        store.close()
