@@ -372,7 +372,7 @@ def _run_stats(args: argparse.Namespace) -> int:
                 else:
                     print(f"-- {stamp} (no change)")
                 previous = current
-    except (ConnectionError, OSError, ServeHTTPError) as error:
+    except (OSError, ServeHTTPError, ValueError) as error:
         print(f"error: {error}", file=sys.stderr)
         return 1
     except KeyboardInterrupt:
