@@ -8,15 +8,19 @@ disconnection and catch up *incrementally* (Section 5).  A
 * every staged edit batch and every committed publish is appended to a
   :class:`~repro.durability.wal.WriteAheadLog` before it takes effect;
 * periodically (every ``checkpoint_every`` publishes, on demand, and on
-  graceful :meth:`close`) the whole database — peer instances, provenance
-  relations, pending edit logs, and the change-stream version — is
-  checkpointed into a :class:`~repro.storage.sqlite.SQLiteStore` in one
-  sqlite transaction, whose COMMIT atomically advances the recovery
-  pointer (``last_applied_seq``) stored *inside* the same checkpoint;
-* :meth:`open` restores the latest checkpoint and replays only the WAL
-  records after that pointer through the normal incremental maintenance
-  path (``apply_delta`` with the logged strategy) — never a full
-  recompute.
+  graceful :meth:`close`) the node's *inputs* — every peer's local
+  contributions and rejections (``R__l`` / ``R__r``), the pending edit
+  logs, and the change-stream version — are checkpointed into a
+  :class:`~repro.storage.sqlite.SQLiteStore` in one sqlite transaction,
+  whose COMMIT atomically advances the recovery pointer
+  (``last_applied_seq``) stored *inside* the same checkpoint.  Derived
+  rows (``R__i`` / ``R__t`` / ``R__o`` and the provenance relations) are
+  the fixpoint of the mapping program over those inputs (the paper's
+  consistent state, Definition 3.1), so they are not stored;
+* :meth:`open` loads the checkpointed inputs, derives everything else
+  with one recompute, and then replays only the WAL records after the
+  recovery pointer through the normal incremental maintenance path
+  (``apply_delta`` with the logged strategy).
 
 A crash at any instant therefore loses at most the un-fsynced WAL tail:
 between checkpoint COMMIT and WAL pruning, replay simply skips records
@@ -38,6 +42,15 @@ which is harmless because no client can hold a cursor beyond it.
 Route publishes through :meth:`publish` (the serving tier does); a
 publish applied behind the node's back (``cdss.update_exchange``)
 is invisible to the log and will be lost on recovery.
+
+Trust policy is not durable: the spec file cannot hold trust conditions,
+so a recovered node would derive its state without them.  :meth:`publish`
+and :meth:`checkpoint` therefore refuse to run while any peer's policy is
+non-trivial, rather than let a restart widen what a peer trusts.
+
+Checkpoints written before derived rows were dropped from them hold a
+bucket per internal relation; :meth:`open` reads only the input buckets
+of such a file, and the next checkpoint removes the rest.
 """
 
 from __future__ import annotations
@@ -232,7 +245,14 @@ class DurableNode:
         system = self.cdss.system()
         last_applied = 0
         if self.store.size(CATALOG_BUCKET):
-            restore_db(self.store, into=system.db)
+            # Carry the inputs across and derive the rest, as
+            # CDSS.system() does for a reconfigured system.
+            stored = restore_db(self.store)
+            for name in system.internal.edb_names():
+                rows = stored.get(name)
+                if rows is not None:
+                    system.db[name].insert_many(rows)
+            system.recompute()
             self._restore_edit_logs()
             last_applied = int(
                 self.store.get(NODE_META_BUCKET, "last_applied_seq", 0)  # type: ignore[arg-type]
@@ -313,6 +333,16 @@ class DurableNode:
             },
         )
 
+    def _refuse_trust_policy(self) -> None:
+        """Fail closed: a trust policy would not survive recovery."""
+        for name in self.cdss.peers():
+            if not self.cdss._peer(name).policy.is_trivial():
+                raise StorageError(
+                    f"peer {name!r} has a trust policy, which a durable "
+                    f"node cannot recover (the spec does not hold trust "
+                    f"conditions yet; ROADMAP item 11)"
+                )
+
     def publish(
         self,
         peers: Iterable[str] | None = None,
@@ -324,6 +354,7 @@ class DurableNode:
         the exchange engine applies it — the redo-log ordering that makes
         recovery exact.  Auto-checkpoints on the configured cadence.
         """
+        self._refuse_trust_policy()
         used = self.cdss.resolve_strategy(strategy)
         system = self.cdss.system()
         names = tuple(peers) if peers is not None else self.cdss.peers()
@@ -352,17 +383,22 @@ class DurableNode:
     # -- checkpointing -----------------------------------------------------
 
     def checkpoint(self) -> int:
-        """Checkpoint the full node state; returns the covered WAL seq.
+        """Checkpoint the node's inputs; returns the covered WAL seq.
 
-        One sqlite transaction writes the database, the pending edit
-        logs, the change-stream version, and ``last_applied_seq``; its
-        COMMIT is the atomic recovery-pointer flip.  The WAL then rotates
-        and prunes segments the checkpoint covers.
+        One sqlite transaction writes the local-contribution and
+        rejection relations, the pending edit logs, the change-stream
+        version, and ``last_applied_seq``; its COMMIT is the atomic
+        recovery-pointer flip.  The WAL then rotates and prunes segments
+        the checkpoint covers.
         """
+        self._refuse_trust_policy()
         system = self.cdss.system()
         covered = self.wal.last_seq
         with self.store.transaction():
-            checkpoint_db(system.db, self.store)
+            checkpoint_db(
+                [system.db[name] for name in system.internal.edb_names()],
+                self.store,
+            )
             for bucket in self.store.bucket_names():
                 if bucket.startswith(EDITLOG_PREFIX):
                     self.store.drop(bucket)
@@ -391,17 +427,23 @@ class DurableNode:
         return self._closed
 
     def close(self, checkpoint: bool = True) -> None:
-        """Graceful shutdown: final checkpoint, then release resources."""
+        """Graceful shutdown: final checkpoint, then release resources.
+
+        Resources are released even when the checkpoint raises (a trust
+        policy refused, say); the WAL still holds every logged record.
+        """
         if self._closed:
             return
-        if checkpoint:
-            self.checkpoint()
-        for log in self._observed:
-            log.unobserve(self._on_edits)
-        self._observed.clear()
-        self._closed = True
-        self.wal.close()
-        self.store.close()
+        try:
+            if checkpoint:
+                self.checkpoint()
+        finally:
+            for log in self._observed:
+                log.unobserve(self._on_edits)
+            self._observed.clear()
+            self._closed = True
+            self.wal.close()
+            self.store.close()
 
     def __enter__(self) -> "DurableNode":
         return self

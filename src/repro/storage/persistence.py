@@ -8,7 +8,9 @@ to be incremental").  This module provides that persistence for the
 reproduction: a :class:`~repro.storage.database.Database` is checkpointed
 into a :class:`~repro.storage.sqlite.SQLiteStore` — on disk for a durable
 node, ``:memory:`` by default — and restored later, preserving labeled
-nulls.
+nulls.  ``checkpoint`` also takes any subset of a database's instances:
+the durable node writes only the input relations (``R__l`` / ``R__r``)
+and derives the rest on restart.
 
 The representation: one bucket per relation holding (row-key -> row), a
 catalog bucket recording relation arities, an index bucket recording each
@@ -24,8 +26,10 @@ checkpointed one did.
 
 from __future__ import annotations
 
+from typing import Iterable
+
 from .database import Database
-from .instance import Row, StorageError
+from .instance import Instance, Row, StorageError
 from .sqlite import SQLiteStore
 
 CATALOG_BUCKET = "__catalog__"
@@ -48,8 +52,11 @@ def _row_key(row: Row) -> tuple[str, ...]:
     return tuple(f"{type(v).__name__}:{v!r}" for v in row)
 
 
-def checkpoint(db: Database, store: SQLiteStore | None = None) -> SQLiteStore:
-    """Write a full copy of ``db`` into ``store`` (a fresh ``:memory:``
+def checkpoint(
+    db: Iterable[Instance], store: SQLiteStore | None = None
+) -> SQLiteStore:
+    """Write a full copy of ``db`` — a :class:`Database`, or any
+    collection of its instances — into ``store`` (a fresh ``:memory:``
     store when omitted).
 
     An existing store is wiped of stale relation buckets first, so the

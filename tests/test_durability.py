@@ -2,11 +2,16 @@
 
 The crash-point matrix simulates process death at the three interesting
 instants — after a checkpoint, losing the un-fsynced WAL tail, and mid-
-record (a torn write) — and asserts the recovered node serves *byte-
-identical certain answers* to a clean in-memory reference that performed
-the surviving operations, without ever running a full recompute (checked
-through the exchange-report strategy counters and the node's replay
-counters).
+record (a torn write) — and asserts the recovered node holds *the same
+database* (every internal relation: inputs, derived instances, provenance
+tables, labeled nulls) as a clean in-memory reference that performed the
+surviving operations.
+
+A checkpoint holds the node's inputs only, so opening one derives the
+rest with a single recompute.  That boot derivation is not a publish: it
+leaves no exchange report, and the WAL tail after it must still replay
+through incremental maintenance (checked through the exchange-report
+strategies and the node's replay counters).
 """
 
 import json
@@ -26,12 +31,22 @@ from repro import (
     SystemSpec,
     WriteAheadLog,
 )
-from repro.durability.node import STATE_FILE
+from repro.durability.node import (
+    EDITLOG_PREFIX,
+    NODE_META_BUCKET,
+    STATE_FILE,
+)
 from repro.durability.wal import read_segment
 from repro.serve.client import ServeClient
 from repro.storage import SQLiteStore
 from repro.storage.instance import StorageError
-from repro.storage.persistence import META_BUCKET
+from repro.storage.persistence import (
+    CATALOG_BUCKET,
+    DATA_PREFIX,
+    INDEX_BUCKET,
+    META_BUCKET,
+    checkpoint as checkpoint_db,
+)
 
 
 def paper_spec() -> SystemSpec:
@@ -82,13 +97,28 @@ def certain_state(cdss: CDSS) -> dict:
     }
 
 
-def reference_state(publishes: int, stage_tail: bool) -> dict:
+def reference_cdss(publishes: int, stage_tail: bool) -> CDSS:
     cdss = paper_spec().build()
     run_script(cdss, cdss.update_exchange, publishes, stage_tail)
-    return certain_state(cdss)
+    return cdss
+
+
+def reference_state(publishes: int, stage_tail: bool) -> dict:
+    return certain_state(reference_cdss(publishes, stage_tail))
+
+
+def whole_state(cdss: CDSS) -> dict:
+    """Every relation of the internal database, labeled nulls included."""
+    return {
+        instance.name: sorted(instance, key=repr)
+        for instance in cdss.system().db
+    }
 
 
 def assert_no_recompute(node: DurableNode) -> None:
+    """The WAL tail replayed incrementally.  Opening a checkpoint derives
+    once, but that boot derivation is not a publish and leaves no report:
+    every report here is a replayed publish."""
     strategies = [report.strategy for report in node.cdss.exchange_reports]
     assert strategies, "recovery should have replayed at least one publish"
     assert "recompute" not in strategies
@@ -141,10 +171,10 @@ class TestWriteAheadLog:
         assert reopened.last_seq == 2
 
     def test_after_seq_filters(self, tmp_path):
-        wal = WriteAheadLog(tmp_path)
-        for index in range(5):
-            wal.append("edits", {"i": index})
-        assert [r.seq for r in wal.records(after_seq=3)] == [4, 5]
+        with WriteAheadLog(tmp_path) as wal:
+            for index in range(5):
+                wal.append("edits", {"i": index})
+            assert [r.seq for r in wal.records(after_seq=3)] == [4, 5]
 
     def test_torn_tail_is_ignored(self, tmp_path):
         wal = WriteAheadLog(tmp_path)
@@ -153,12 +183,12 @@ class TestWriteAheadLog:
         wal.close()
         segment = sorted(tmp_path.glob("wal-*.log"))[-1]
         drop_last_record(segment, partial=True)
-        reopened = WriteAheadLog(tmp_path)
-        assert [r.body["i"] for r in reopened.records()] == [1]
-        assert reopened.last_seq == 1
-        # New appends go to a fresh segment past the torn tail.
-        assert reopened.append("edits", {"i": 3}) == 2
-        assert [r.body["i"] for r in reopened.records()] == [1, 3]
+        with WriteAheadLog(tmp_path) as reopened:
+            assert [r.body["i"] for r in reopened.records()] == [1]
+            assert reopened.last_seq == 1
+            # New appends go to a fresh segment past the torn tail.
+            assert reopened.append("edits", {"i": 3}) == 2
+            assert [r.body["i"] for r in reopened.records()] == [1, 3]
 
     def test_checksum_corruption_ends_replay(self, tmp_path):
         wal = WriteAheadLog(tmp_path)
@@ -329,6 +359,110 @@ class TestDurableNode:
         assert store.get(META_BUCKET, "index_policy") is None
         store.close()
 
+    def test_legacy_derived_row_checkpoint_opens(self, tmp_path):
+        """Checkpoints written before derived rows were dropped from them
+        hold a bucket per internal relation: they open with the same
+        state, and the next checkpoint keeps only the inputs."""
+        data_dir = tmp_path / "node"
+        node = DurableNode.create(paper_spec(), data_dir)
+        run_script(node.cdss, node.publish, publishes=3, stage_tail=True)
+        node.checkpoint()
+        # The old format: the full internal database, derived rows and
+        # provenance tables included, beside the node's own buckets.
+        checkpoint_db(node.cdss.system().db, node.store)
+        expected = whole_state(node.cdss)
+        derived = {DATA_PREFIX + "U__o", DATA_PREFIX + "__prov_m3"}
+        assert derived <= set(node.store.bucket_names())
+        node.close(checkpoint=False)
+
+        recovered = DurableNode.open(data_dir)
+        assert recovered.replayed_publish_records == 0
+        assert whole_state(recovered.cdss) == expected
+        assert certain_state(recovered.cdss) == reference_state(3, True)
+        assert recovered.cdss.pending_edits() == 1
+        recovered.checkpoint()
+        inputs = {
+            DATA_PREFIX + name
+            for name in recovered.cdss.internal_schema.edb_names()
+        }
+        own = {CATALOG_BUCKET, INDEX_BUCKET, META_BUCKET, NODE_META_BUCKET}
+        for bucket in recovered.store.bucket_names():
+            assert (
+                bucket in inputs
+                or bucket in own
+                or bucket.startswith(EDITLOG_PREFIX)
+            ), bucket
+        recovered.close()
+
+    def test_rejected_labeled_null_survives_restart(self, tmp_path):
+        """A peer's deletion of an imported labeled-null row is an input
+        (an ``R__r`` row holding a Skolem value): it survives checkpoint,
+        crash and open, and the re-derived state still honours it."""
+        node = DurableNode.create(paper_spec(), tmp_path / "node")
+        node.publish()
+        imported = next(
+            row
+            for row in node.cdss.relation("U")
+            if row[0] == 3 and row not in node.cdss.relation("U").certain()
+        )
+        node.cdss.peer("PuBio").delete("U", imported)
+        node.publish()
+        assert imported not in node.cdss.relation("U")
+        node.checkpoint()
+        expected = whole_state(node.cdss)
+        node.wal.close()
+        node.store.close()
+
+        recovered = DurableNode.open(tmp_path / "node")
+        assert recovered.replayed_publish_records == 0
+        assert imported in recovered.cdss.system().rejections("U")
+        assert imported not in recovered.cdss.relation("U")
+        assert whole_state(recovered.cdss) == expected
+        recovered.close()
+
+    def test_trust_policy_is_refused(self, tmp_path):
+        """A trust condition would not survive recovery (the spec file
+        cannot hold it), so a durable node fails closed: publish and
+        checkpoint refuse before logging or writing anything."""
+        cdss = CDSS("trusting")
+        cdss.add_peer("P1", {"R": ("x",)})
+        cdss.add_peer("P2", {"S": ("x",)})
+        cdss.add_mapping("m", "R(x) -> S(x)")
+        node = DurableNode.create(cdss.to_spec(), tmp_path / "node")
+        node.cdss.peer("P2").trust().condition(
+            "m", lambda row: row[0] % 2 == 0
+        )
+        with node.cdss.peer("P1").batch() as tx:
+            tx.insert("R", (1,))
+            tx.insert("R", (2,))
+        logged = node.wal.last_seq
+        state_file = (tmp_path / "node" / STATE_FILE).read_bytes()
+        with pytest.raises(StorageError, match=r"'P2'.*item 11"):
+            node.publish()
+        with pytest.raises(StorageError, match=r"'P2'.*item 11"):
+            node.checkpoint()
+        assert node.wal.last_seq == logged
+        assert node.cdss.pending_edits() == 2
+        assert node.checkpoints == 1
+        assert (tmp_path / "node" / STATE_FILE).read_bytes() == state_file
+        # close() still releases the WAL and the store when its final
+        # checkpoint is refused.
+        with pytest.raises(StorageError, match="P2"):
+            node.close()
+        assert node.closed
+
+        for index, distrust in enumerate(
+            (
+                lambda trust: trust.distrust_row("R", (1,)),
+                lambda trust: trust.distrust_peer("P1"),
+            )
+        ):
+            fresh = DurableNode.create(cdss.to_spec(), tmp_path / f"d{index}")
+            distrust(fresh.cdss.peer("P2").trust())
+            with pytest.raises(StorageError, match="P2"):
+                fresh.publish()
+            fresh.close(checkpoint=False)
+
     def test_durability_spec_roundtrip(self, tmp_path):
         spec = paper_spec()
         from dataclasses import replace
@@ -360,8 +494,9 @@ class TestDurableNode:
 
 
 class TestCrashMatrix:
-    """Kill the node at each interesting instant; recovery must serve
-    byte-identical certain answers to a clean reference."""
+    """Kill the node at each interesting instant; the recovered node must
+    hold the same database as a clean reference, and so serve
+    byte-identical certain answers."""
 
     def _crashed_node(self, tmp_path, publishes=3, stage_tail=False):
         node = DurableNode.create(paper_spec(), tmp_path / "node")
@@ -371,12 +506,38 @@ class TestCrashMatrix:
     def test_kill_after_checkpoint(self, tmp_path):
         node = self._crashed_node(tmp_path)
         node.checkpoint()
+        live = whole_state(node.cdss)
         node.wal.close()
         node.store.close()
         recovered = DurableNode.open(tmp_path / "node")
         # Everything is in the checkpoint: nothing to replay.
         assert recovered.replayed_publish_records == 0
         assert recovered.replayed_edit_records == 0
+        assert whole_state(recovered.cdss) == live
+        assert live == whole_state(reference_cdss(3, False))
+        assert certain_state(recovered.cdss) == reference_state(3, False)
+        recovered.close()
+
+    def test_kill_after_checkpoint_and_wal_tail(self, tmp_path):
+        """Checkpoint after the first publish, then two more publishes
+        reach only the WAL: open derives from the checkpoint, then replays
+        the tail incrementally onto the derived state."""
+        node = DurableNode.create(paper_spec(), tmp_path / "node")
+        node.publish()
+        node.checkpoint()
+        with node.cdss.peer("PGUS").batch() as tx:
+            tx.insert("G", (7, 8, 9))
+        node.publish()
+        with node.cdss.peer("PBioSQL").batch() as tx:
+            tx.delete("B", (3, 2))
+        node.publish()
+        live = whole_state(node.cdss)
+        node.wal.close()
+        node.store.close()
+        recovered = DurableNode.open(tmp_path / "node")
+        assert recovered.replayed_publish_records == 2
+        assert_no_recompute(recovered)
+        assert whole_state(recovered.cdss) == live
         assert certain_state(recovered.cdss) == reference_state(3, False)
         recovered.close()
 
@@ -393,8 +554,12 @@ class TestCrashMatrix:
         # The third publish is gone, but its edits record survived: the
         # deletion is staged, invisible until the next publish.
         assert recovered.cdss.pending_edits() == 1
+        assert whole_state(recovered.cdss) == whole_state(
+            reference_cdss(2, False)
+        )
         assert certain_state(recovered.cdss) == reference_state(2, False)
         recovered.publish()
+        assert whole_state(recovered.cdss) == whole_state(node.cdss)
         assert certain_state(recovered.cdss) == reference_state(3, False)
         recovered.close()
 
@@ -406,6 +571,9 @@ class TestCrashMatrix:
         recovered = DurableNode.open(tmp_path / "node")
         assert recovered.replayed_publish_records == 2
         assert_no_recompute(recovered)
+        assert whole_state(recovered.cdss) == whole_state(
+            reference_cdss(2, False)
+        )
         assert certain_state(recovered.cdss) == reference_state(2, False)
         recovered.close()
 
@@ -458,6 +626,7 @@ class TestServeRecovery:
             if proc.poll() is None:  # pragma: no cover - cleanup
                 proc.kill()
                 proc.wait()
+            proc.stdout.close()
 
         proc, url = self._boot(spec_path, data_dir)
         try:
@@ -472,6 +641,7 @@ class TestServeRecovery:
             if proc.poll() is None:  # pragma: no cover - cleanup
                 proc.kill()
                 proc.wait()
+            proc.stdout.close()
         assert after == before
         assert durability["recovered"]
         assert "wal_seq" not in durability and durability["wal_last_seq"] > 0

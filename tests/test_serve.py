@@ -636,6 +636,7 @@ class TestServeCLI:
             if proc.poll() is None:
                 proc.kill()
                 proc.wait()
+            proc.stdout.close()
 
     def test_shutdown_with_idle_keep_alive_client(self, tmp_path):
         """A client parked on an idle keep-alive connection must not turn a
