@@ -118,7 +118,10 @@ def checkpoint_resume(cdss: CDSS) -> None:
     print(f"checkpointed {system.total_tuples()} tuples into {buckets} buckets")
 
     fresh = build()  # a brand-new, independently configured CDSS
-    restore(store, into=fresh.system().db)
+    # Restore into a scratch database and carry every relation across.
+    target = fresh.system().db
+    for instance in restore(store):
+        target[instance.name].insert_many(instance)
     print(f"restored; consistent: {fresh.system().is_consistent()}")
     fresh.peer("PGUS").insert("G", (7, 8, 9))
     fresh.update_exchange()

@@ -6,7 +6,7 @@ DESIGN.md documents how the layers stack.
 
 from .cdss import CDSS, Peer
 from .derivation import DerivabilityVerdict, DerivationTest
-from .editlog import EditLog, PublishDelta, Update, publish
+from .editlog import EditLog, Update, publish
 from .exchange import (
     STRATEGIES,
     STRATEGY_RECOMPUTE,
@@ -31,7 +31,6 @@ __all__ = [
     "ExchangeSystem",
     "InsertionReport",
     "Peer",
-    "PublishDelta",
     "STRATEGIES",
     "STRATEGY_RECOMPUTE",
     "STRATEGY_UNIFIED",

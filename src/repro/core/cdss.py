@@ -47,7 +47,8 @@ from ..schema.internal import InternalSchema
 from ..schema.relation import PeerSchema, RelationSchema, SchemaError
 from ..schema.tgd import SchemaMapping
 from ..storage.instance import Row
-from .editlog import EditLog, PublishDelta, publish
+from ..storage.zset import ZSet
+from .editlog import EditLog, publish
 from .exchange import (
     STRATEGY_UNIFIED,
     ExchangeReport,
@@ -335,11 +336,17 @@ class CDSS:
         """
         strategy = self.resolve_strategy(strategy)
         system = self.system()
-        delta = PublishDelta()
         names = tuple(peers) if peers is not None else tuple(self._peers)
-        for name in names:
-            delta.merge(publish(self._peer(name).edit_log, system.db))
-        report = system.apply_delta(delta, strategy)
+        # Resolve every name before draining any log.
+        logs = [self._peer(name).edit_log for name in names]
+        local: dict[str, ZSet] = {}
+        rejections: dict[str, ZSet] = {}
+        for log in logs:
+            # Peers own disjoint relations, so their deltas never collide.
+            peer_local, peer_rejections = publish(log, system.db)
+            local.update(peer_local)
+            rejections.update(peer_rejections)
+        report = system.apply_delta(local, rejections, strategy)
         self._record_report(report)
         return report
 

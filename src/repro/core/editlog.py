@@ -13,18 +13,23 @@ log is folded into the internal edb relations:
   (un-rejection).
 
 :func:`publish` computes the **net** delta between the current internal
-state and the state the log prescribes; the exchange engine then applies it
-with any of the three maintenance strategies.
+state and the state the log prescribes, as one signed
+:class:`~repro.storage.zset.ZSet` per touched ``R__l`` and ``R__r``; the
+exchange engine applies it with either maintenance strategy.  The delta
+is a function of the log and those two tables, so the edit log is all a
+durable node needs to write ahead: replaying the logged edits and
+re-folding them reproduces every publish.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from ..schema.internal import local_name, rejection_name
 from ..storage.database import Database
 from ..storage.instance import Row
+from ..storage.zset import ZSet
 
 
 @dataclass(frozen=True)
@@ -50,10 +55,11 @@ class EditLog:
     """The ordered edit log of one peer (covering all its relations).
 
     Observers registered with :meth:`observe` are called with each batch
-    of newly *staged* entries (from :meth:`insert` / :meth:`delete` /
+    of entries about to be *staged* (by :meth:`insert` / :meth:`delete` /
     :meth:`extend`) — the hook the durability layer uses to write-ahead-log
-    edits before they reach the exchange engine.  Draining and clearing do
-    not notify: consumption is the publish path's business.
+    edits.  Observers run before the entries join the log, so an observer
+    that raises (a failed WAL append) stages nothing.  Draining and
+    clearing do not notify: consumption is the publish path's business.
     """
 
     def __init__(self, peer: str) -> None:
@@ -79,14 +85,14 @@ class EditLog:
 
     def insert(self, relation: str, row: Iterable[object]) -> Update:
         update = Update(relation, tuple(row), is_insert=True)
-        self._entries.append(update)
         self._notify((update,))
+        self._entries.append(update)
         return update
 
     def delete(self, relation: str, row: Iterable[object]) -> Update:
         update = Update(relation, tuple(row), is_insert=False)
-        self._entries.append(update)
         self._notify((update,))
+        self._entries.append(update)
         return update
 
     def extend(self, updates: Iterable[Update]) -> int:
@@ -96,10 +102,10 @@ class EditLog:
         path: one list extension instead of one :meth:`insert` call per
         row.
         """
-        before = len(self._entries)
-        self._entries.extend(updates)
-        self._notify(tuple(self._entries[before:]))
-        return len(self._entries) - before
+        entries = tuple(updates)
+        self._notify(entries)
+        self._entries.extend(entries)
+        return len(entries)
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -120,61 +126,17 @@ class EditLog:
         return f"<EditLog {self.peer}: {len(self._entries)} entries>"
 
 
-@dataclass
-class PublishDelta:
-    """Net changes to the internal edb relations implied by an edit log.
-
-    All four maps are keyed by *user* relation name.
-    """
-
-    local_inserts: dict[str, set[Row]] = field(default_factory=dict)
-    local_deletes: dict[str, set[Row]] = field(default_factory=dict)
-    rejection_inserts: dict[str, set[Row]] = field(default_factory=dict)
-    rejection_deletes: dict[str, set[Row]] = field(default_factory=dict)
-
-    def is_empty(self) -> bool:
-        return not any(
-            any(rows for rows in bucket.values())
-            for bucket in (
-                self.local_inserts,
-                self.local_deletes,
-                self.rejection_inserts,
-                self.rejection_deletes,
-            )
-        )
-
-    def merge(self, other: "PublishDelta") -> "PublishDelta":
-        """Combine deltas from different peers (disjoint schemas, so no
-        relation appears in both)."""
-        for mine, theirs in (
-            (self.local_inserts, other.local_inserts),
-            (self.local_deletes, other.local_deletes),
-            (self.rejection_inserts, other.rejection_inserts),
-            (self.rejection_deletes, other.rejection_deletes),
-        ):
-            for relation, rows in theirs.items():
-                mine.setdefault(relation, set()).update(rows)
-        return self
-
-    def counts(self) -> dict[str, int]:
-        return {
-            "local_inserts": sum(len(r) for r in self.local_inserts.values()),
-            "local_deletes": sum(len(r) for r in self.local_deletes.values()),
-            "rejection_inserts": sum(
-                len(r) for r in self.rejection_inserts.values()
-            ),
-            "rejection_deletes": sum(
-                len(r) for r in self.rejection_deletes.values()
-            ),
-        }
-
-
-def publish(log: EditLog, db: Database) -> PublishDelta:
-    """Fold an edit log into a net :class:`PublishDelta` against ``db``.
+def publish(
+    log: EditLog, db: Database
+) -> tuple[dict[str, ZSet], dict[str, ZSet]]:
+    """Fold an edit log into its net delta against ``db``.
 
     The log is replayed in order against the current ``R__l`` / ``R__r``
     contents to obtain the *desired* final state per touched row; the delta
-    is the difference.  The log is drained (its entries are consumed).
+    is the difference, returned as ``(local, rejections)``: per user
+    relation, a Z-set over its ``R__l`` and one over its ``R__r`` (``+1``
+    rows to add, ``-1`` rows to remove).  The log is drained (its entries
+    are consumed).
     """
     desired_local: dict[tuple[str, Row], bool] = {}
     desired_rejected: dict[tuple[str, Row], bool] = {}
@@ -203,17 +165,16 @@ def publish(log: EditLog, db: Database) -> PublishDelta:
             else:
                 desired_rejected[key] = True
 
-    delta = PublishDelta()
-    for (relation, row), want in desired_local.items():
-        have = row in db[local_name(relation)]
-        if want and not have:
-            delta.local_inserts.setdefault(relation, set()).add(row)
-        elif have and not want:
-            delta.local_deletes.setdefault(relation, set()).add(row)
-    for (relation, row), want in desired_rejected.items():
-        have = row in db[rejection_name(relation)]
-        if want and not have:
-            delta.rejection_inserts.setdefault(relation, set()).add(row)
-        elif have and not want:
-            delta.rejection_deletes.setdefault(relation, set()).add(row)
-    return delta
+    local: dict[str, ZSet] = {}
+    rejections: dict[str, ZSet] = {}
+    for desired, delta, table_name in (
+        (desired_local, local, local_name),
+        (desired_rejected, rejections, rejection_name),
+    ):
+        for (relation, row), want in desired.items():
+            if want != (row in db[table_name(relation)]):
+                zset = delta.get(relation)
+                if zset is None:
+                    zset = delta[relation] = ZSet()
+                zset.add(row, 1 if want else -1)
+    return local, rejections

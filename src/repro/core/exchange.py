@@ -51,8 +51,7 @@ from ..schema.internal import (
 from ..schema.tgd import SchemaMapping
 from ..storage.database import Database
 from ..storage.instance import Row
-from ..storage.zset import ZSet
-from .editlog import PublishDelta
+from ..storage.zset import ZSet, apply_zset
 from .weighted import WeightedMaintainer
 
 STRATEGY_UNIFIED = "unified"
@@ -151,37 +150,6 @@ class Subscription:
     def __repr__(self) -> str:
         state = "closed" if self._closed else f"cursor={self.cursor}"
         return f"<Subscription {state}>"
-
-
-def _accumulate(
-    target: dict[str, ZSet],
-    updates: Mapping[str, Iterable[Row]],
-    weight: int,
-) -> None:
-    for relation, rows in updates.items():
-        zset = None
-        for row in rows:
-            if zset is None:
-                zset = target.setdefault(relation, ZSet())
-            zset.add(tuple(row), weight)
-
-
-def _publish_zsets(
-    delta: PublishDelta,
-) -> tuple[dict[str, ZSet], dict[str, ZSet]]:
-    """A published delta as signed Z-sets: ``(local, rejections)``.
-
-    ``publish`` emits *net* per-relation row sets, so the four components
-    fold losslessly into two Z-sets — ``+1`` for inserts, ``-1`` for
-    deletes — which is the form the weighted maintainer consumes.
-    """
-    local: dict[str, ZSet] = {}
-    rejections: dict[str, ZSet] = {}
-    _accumulate(local, delta.local_inserts, 1)
-    _accumulate(local, delta.local_deletes, -1)
-    _accumulate(rejections, delta.rejection_inserts, 1)
-    _accumulate(rejections, delta.rejection_deletes, -1)
-    return local, rejections
 
 
 @dataclass
@@ -413,9 +381,17 @@ class ExchangeSystem:
     # -- incremental application -----------------------------------------------------
 
     def apply_delta(
-        self, delta: PublishDelta, strategy: str = STRATEGY_UNIFIED
+        self,
+        local: Mapping[str, ZSet],
+        rejections: Mapping[str, ZSet],
+        strategy: str = STRATEGY_UNIFIED,
     ) -> ExchangeReport:
-        """Apply a published delta with the chosen maintenance strategy."""
+        """Apply a published delta with the chosen maintenance strategy.
+
+        ``local`` and ``rejections`` are :func:`~repro.core.editlog.publish`'s
+        output: per user relation, the signed Z-set over its ``R__l`` and
+        its ``R__r``.
+        """
         check_strategy(strategy)
         start = time.perf_counter()
         cpu_start = time.process_time()
@@ -431,9 +407,8 @@ class ExchangeSystem:
             if strategy == STRATEGY_RECOMPUTE:
                 # recompute() fills details["evaluation"] from its own run
                 # and captures the change batch by output-snapshot diff.
-                report = self._apply_by_recompute(delta)
+                report = self._apply_by_recompute(local, rejections)
             else:
-                local, rejections = _publish_zsets(delta)
                 changes = {} if self._subscriptions else None
                 try:
                     deletion_report, unreject_report, insert_report = (
@@ -478,15 +453,15 @@ class ExchangeSystem:
         report.cpu_seconds = time.process_time() - cpu_start
         return report
 
-    def _apply_by_recompute(self, delta: PublishDelta) -> ExchangeReport:
-        for relation, rows in delta.local_deletes.items():
-            self.db[local_name(relation)].delete_many(rows)
-        for relation, rows in delta.local_inserts.items():
-            self.db[local_name(relation)].insert_many(rows)
-        for relation, rows in delta.rejection_inserts.items():
-            self.db[rejection_name(relation)].insert_many(rows)
-        for relation, rows in delta.rejection_deletes.items():
-            self.db[rejection_name(relation)].delete_many(rows)
+    def _apply_by_recompute(
+        self,
+        local: Mapping[str, ZSet],
+        rejections: Mapping[str, ZSet],
+    ) -> ExchangeReport:
+        for relation, zset in local.items():
+            apply_zset(self.db[local_name(relation)], zset)
+        for relation, zset in rejections.items():
+            apply_zset(self.db[rejection_name(relation)], zset)
         return self.recompute()
 
     # -- consistency (used heavily by tests) -------------------------------------------

@@ -5,8 +5,12 @@ disconnection and catch up *incrementally* (Section 5).  A
 :class:`DurableNode` gives the reproduction's in-memory
 :class:`~repro.core.cdss.CDSS` that property:
 
-* every staged edit batch and every committed publish is appended to a
-  :class:`~repro.durability.wal.WriteAheadLog` before it takes effect;
+* the edit logs are what the :class:`~repro.durability.wal.WriteAheadLog`
+  records: every staged edit batch is appended before it joins its peer's
+  log, and every publish appends a marker (its peers, strategy and
+  change-stream version) before any log drains.  A publish's net delta
+  is a function of the edit logs and ``R__l`` / ``R__r``
+  (:func:`~repro.core.editlog.publish`), so it is re-derived, not logged;
 * periodically (every ``checkpoint_every`` publishes, on demand, and on
   graceful :meth:`close`) the node's *inputs* — every peer's local
   contributions and rejections (``R__l`` / ``R__r``), the pending edit
@@ -19,13 +23,19 @@ disconnection and catch up *incrementally* (Section 5).  A
   consistent state, Definition 3.1), so they are not stored;
 * :meth:`open` loads the checkpointed inputs, derives everything else
   with one recompute, and then replays only the WAL records after the
-  recovery pointer through the normal incremental maintenance path
-  (``apply_delta`` with the logged strategy).
+  recovery pointer: ``edits`` records restage their edits, and each
+  ``publish`` marker re-publishes the recorded peers' logs through the
+  normal incremental maintenance path
+  (:meth:`~repro.core.cdss.CDSS.update_exchange` with the logged
+  strategy).
 
 A crash at any instant therefore loses at most the un-fsynced WAL tail:
 between checkpoint COMMIT and WAL pruning, replay simply skips records
 with ``seq <= last_applied_seq``; mid-checkpoint, sqlite rolls back to
-the previous checkpoint and the WAL tail is still there.
+the previous checkpoint and the WAL tail is still there.  A torn
+``publish`` marker leaves its edits pending, as they were before the
+publish.  A checkpoint may prune every WAL segment, so the reopened WAL
+numbers its records on from the recovery pointer, never from 1.
 
 On-disk layout of a node directory::
 
@@ -41,7 +51,7 @@ which is harmless because no client can hold a cursor beyond it.
 
 Route publishes through :meth:`publish` (the serving tier does); a
 publish applied behind the node's back (``cdss.update_exchange``)
-is invisible to the log and will be lost on recovery.
+logs no marker, so recovery restages its edits as pending instead.
 
 Trust policy is not durable: the spec file cannot hold trust conditions,
 so a recovered node would derive its state without them.  :meth:`publish`
@@ -50,7 +60,10 @@ non-trivial, rather than let a restart widen what a peer trusts.
 
 Checkpoints written before derived rows were dropped from them hold a
 bucket per internal relation; :meth:`open` reads only the input buckets
-of such a file, and the next checkpoint removes the rest.
+of such a file, and the next checkpoint removes the rest.  Likewise,
+``publish`` records written before they became markers also carry the
+net delta as a ``delta`` body; :meth:`open` ignores it, since every edit
+the publish consumed has its own ``edits`` record.
 """
 
 from __future__ import annotations
@@ -61,10 +74,9 @@ from typing import Iterable
 from ..api.spec import SystemSpec
 from ..core.cdss import CDSS
 from ..obs import metrics as _metrics
-from ..core.editlog import EditLog, PublishDelta, Update
-from ..core.editlog import publish as publish_log
+from ..core.editlog import EditLog, Update
 from ..core.exchange import ExchangeReport
-from ..storage.codec import decode_row, dumps_row, encode_row
+from ..storage.codec import decode_row, encode_row
 from ..storage.instance import StorageError
 from ..storage.persistence import CATALOG_BUCKET, checkpoint as checkpoint_db
 from ..storage.persistence import restore as restore_db
@@ -80,38 +92,6 @@ NODE_META_BUCKET = "__node__"
 
 KIND_EDITS = "edits"
 KIND_PUBLISH = "publish"
-
-_DELTA_FIELDS = (
-    "local_inserts",
-    "local_deletes",
-    "rejection_inserts",
-    "rejection_deletes",
-)
-
-
-def _encode_delta(delta: PublishDelta) -> dict:
-    document: dict = {}
-    for field in _DELTA_FIELDS:
-        bucket = getattr(delta, field)
-        if bucket:
-            document[field] = {
-                relation: [
-                    encode_row(row) for row in sorted(rows, key=dumps_row)
-                ]
-                for relation, rows in sorted(bucket.items())
-            }
-    return document
-
-
-def _decode_delta(document: dict) -> PublishDelta:
-    delta = PublishDelta()
-    for field in _DELTA_FIELDS:
-        for relation, rows in document.get(field, {}).items():
-            getattr(delta, field)[relation] = {
-                decode_row(row) for row in rows
-            }
-    return delta
-
 
 def _node_samples(node: "DurableNode"):
     """Metrics collector: checkpoint + recovery counters of one node."""
@@ -216,9 +196,14 @@ class DurableNode:
             )
         cdss = SystemSpec.load(spec_path).build()
         store = SQLiteStore(str(data_dir / STATE_FILE))
-        wal = WriteAheadLog(data_dir / WAL_DIR, fsync=fsync)
+        last_applied = int(
+            store.get(NODE_META_BUCKET, "last_applied_seq", 0)  # type: ignore[arg-type]
+        )
+        wal = WriteAheadLog(
+            data_dir / WAL_DIR, fsync=fsync, after_seq=last_applied
+        )
         node = cls(cdss, data_dir, store, wal, checkpoint_every)
-        node._recover()
+        node._recover(last_applied)
         node._attach_observers()
         return node
 
@@ -241,9 +226,8 @@ class DurableNode:
 
     # -- recovery ----------------------------------------------------------
 
-    def _recover(self) -> None:
+    def _recover(self, last_applied: int) -> None:
         system = self.cdss.system()
-        last_applied = 0
         if self.store.size(CATALOG_BUCKET):
             # Carry the inputs across and derive the rest, as
             # CDSS.system() does for a reconfigured system.
@@ -254,9 +238,6 @@ class DurableNode:
                     system.db[name].insert_many(rows)
             system.recompute()
             self._restore_edit_logs()
-            last_applied = int(
-                self.store.get(NODE_META_BUCKET, "last_applied_seq", 0)  # type: ignore[arg-type]
-            )
             system.restore_version(
                 int(self.store.get(NODE_META_BUCKET, "version", 0))  # type: ignore[arg-type]
             )
@@ -294,19 +275,16 @@ class DurableNode:
             )
             self.replayed_edit_records += 1
         elif record.kind == KIND_PUBLISH:
-            # The staged edits this publish consumed were replayed from
-            # "edits" records; drain them and apply the *logged* net delta
-            # so recovery is byte-exact rather than re-derived.
-            for name in record.body["peers"]:
-                self.cdss._peer(str(name)).edit_log.drain()
+            # The edits this publish consumed were replayed from "edits"
+            # records, against the same R__l / R__r the live publish saw:
+            # publishing them again folds the same net delta.
             recorded = int(record.body.get("version", 0))
             if recorded > system.version:
                 system.restore_version(recorded)
-            report = system.apply_delta(
-                _decode_delta(record.body["delta"]),
+            self.cdss.update_exchange(
+                [str(name) for name in record.body["peers"]],
                 str(record.body["strategy"]),
             )
-            self.cdss._record_report(report)
             self.replayed_publish_records += 1
         else:
             raise WalError(
@@ -350,28 +328,27 @@ class DurableNode:
     ) -> ExchangeReport:
         """Durable :meth:`~repro.core.cdss.CDSS.update_exchange`.
 
-        The net delta is WAL-logged (and fsynced, per policy) *before*
-        the exchange engine applies it — the redo-log ordering that makes
-        recovery exact.  Auto-checkpoints on the configured cadence.
+        A ``publish`` marker naming the peers and the strategy is
+        WAL-logged (and fsynced, per policy) *before* any edit log drains
+        — the redo-log ordering that makes recovery exact: replay
+        re-publishes the same logs, whose edits the WAL already holds.  A
+        failed append leaves every edit pending.  Auto-checkpoints on the
+        configured cadence.
         """
         self._refuse_trust_policy()
         used = self.cdss.resolve_strategy(strategy)
-        system = self.cdss.system()
         names = tuple(peers) if peers is not None else self.cdss.peers()
-        delta = PublishDelta()
         for name in names:
-            delta.merge(publish_log(self.cdss._peer(name).edit_log, system.db))
+            self.cdss._peer(name)  # an unknown peer raises before logging
         self.wal.append(
             KIND_PUBLISH,
             {
                 "peers": list(names),
                 "strategy": used,
-                "delta": _encode_delta(delta),
-                "version": system.version,
+                "version": self.cdss.system().version,
             },
         )
-        report = system.apply_delta(delta, used)
-        self.cdss._record_report(report)
+        report = self.cdss.update_exchange(names, used)
         self._publishes_since_checkpoint += 1
         if (
             self.checkpoint_every

@@ -1,10 +1,10 @@
-"""A write-ahead log of committed edits and exchanged deltas.
+"""A write-ahead log of staged edits and publish markers.
 
 ORCHESTRA's reconciliation algorithm assumes each participant can recover
 its state after disconnection without redoing the world's work (Section 5:
 updates are archived so peers can catch up incrementally).  The durable
 node reproduces that property with the classic redo-log discipline: every
-committed publish (and every staged edit batch) is appended here — framed,
+staged edit batch and every publish marker is appended here — framed,
 checksummed, fsynced — *before* it mutates in-memory state, so a crash at
 any instant leaves a prefix of the log on disk and recovery replays exactly
 the tail the latest checkpoint has not absorbed.
@@ -133,9 +133,19 @@ def _wal_samples(wal: "WriteAheadLog"):
 
 
 class WriteAheadLog:
-    """An append-only, segmented redo log in ``directory``."""
+    """An append-only, segmented redo log in ``directory``.
 
-    def __init__(self, directory: str | Path, fsync: str = FSYNC_ALWAYS) -> None:
+    ``after_seq`` is the last sequence number a checkpoint already covers:
+    numbering continues past it even when rotation pruned every segment,
+    so a new record can never reuse a covered number.
+    """
+
+    def __init__(
+        self,
+        directory: str | Path,
+        fsync: str = FSYNC_ALWAYS,
+        after_seq: int = 0,
+    ) -> None:
         if fsync not in FSYNC_POLICIES:
             raise WalError(
                 f"unknown fsync policy {fsync!r}; expected one of "
@@ -149,7 +159,7 @@ class WriteAheadLog:
         _metrics.REGISTRY.register(self, _wal_samples)
         existing = self.segments()
         last_index = 0
-        self._last_seq = 0
+        self._last_seq = after_seq
         for path in existing:
             last_index = _segment_index(path) or last_index
             records = read_segment(path)

@@ -17,7 +17,7 @@ from .codec import (
 )
 from .database import Database, UnknownRelationError
 from .instance import ArityError, Instance, Row, StorageError
-from .persistence import checkpoint, checkpoint_equal, restore
+from .persistence import checkpoint, restore
 from .snapshot import DatabaseSnapshot, pin_database
 from .sqlite import SQLiteStore
 from .stats import StatisticsCache, TableStats, compute_stats
@@ -38,7 +38,6 @@ __all__ = [
     "ZSet",
     "apply_zset",
     "checkpoint",
-    "checkpoint_equal",
     "compute_stats",
     "decode_row",
     "decode_value",

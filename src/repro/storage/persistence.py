@@ -17,11 +17,11 @@ catalog bucket recording relation arities, an index bucket recording each
 relation's materialized index definitions, and a meta bucket that older
 checkpoints used for database-level settings (``checkpoint`` still wipes
 it; ``restore`` ignores what it holds, such as a legacy ``index_policy``).
-``restore`` mirrors the checkpoint *exactly*: relations present in the
-target database but absent from the catalog are dropped (the restore-side
-twin of ``checkpoint``'s stale-bucket wipe), and recorded indexes are
-rebuilt so a recovered instance probes the same access paths the
-checkpointed one did.
+``restore`` builds a fresh database that mirrors the checkpoint exactly,
+recorded indexes included, so a recovered instance probes the same access
+paths the checkpointed one did.  A caller loading a checkpoint into a
+configured system carries the relations it needs across, as the durable
+node does with the input relations.
 """
 
 from __future__ import annotations
@@ -85,20 +85,15 @@ def checkpoint(
     return store
 
 
-def restore(store: SQLiteStore, into: Database | None = None) -> Database:
+def restore(store: SQLiteStore) -> Database:
     """Rebuild a database from a checkpoint.
 
-    When ``into`` is given, relations are created/verified there (useful for
-    loading a checkpoint into a freshly configured exchange system) and
-    relations ``into`` holds that the checkpoint catalog does not are
-    dropped, so the result mirrors the checkpoint exactly; otherwise a new
-    database is returned.  Recorded index definitions are rebuilt on every
-    restored relation.
+    Recorded index definitions are rebuilt on every restored relation.
     """
     names = [name for name, _ in store.cursor(CATALOG_BUCKET)]
     if not names:
         raise StorageError("store contains no checkpoint catalog")
-    db = into if into is not None else Database()
+    db = Database()
     for name in names:
         arity = store.get(CATALOG_BUCKET, name)
         if not isinstance(name, str) or not isinstance(arity, int):
@@ -106,27 +101,7 @@ def restore(store: SQLiteStore, into: Database | None = None) -> Database:
                 f"corrupt checkpoint catalog entry: {name!r} -> {arity!r}"
             )
         instance = db.ensure(name, arity)
-        instance.clear()
         instance.insert_many(store.values(DATA_PREFIX + name))  # type: ignore[arg-type]
         for columns in store.get(INDEX_BUCKET, name, ()) or ():
             instance.ensure_index(tuple(int(c) for c in columns))
-    catalog = set(names)
-    for name in db.relation_names():
-        if name not in catalog:
-            db.drop(name)
     return db
-
-
-def checkpoint_equal(db: Database, store: SQLiteStore) -> bool:
-    """True iff ``store`` holds exactly the contents of ``db``."""
-    names = {name for name, _ in store.cursor(CATALOG_BUCKET)}
-    if names != set(db.relation_names()):
-        return False
-    for instance in db:
-        bucket = DATA_PREFIX + instance.name
-        if store.size(bucket) != len(instance):
-            return False
-        for _, row in store.cursor(bucket):
-            if row not in instance:  # type: ignore[operator]
-                return False
-    return True

@@ -65,6 +65,13 @@ class TestEditingAndExchange:
         cdss.update_exchange()
         assert cdss.pending_edits() == 0
 
+    def test_unknown_peer_in_exchange_drains_nothing(self):
+        cdss = small_cdss()
+        cdss.peer("P1").insert("R", (1,))
+        with pytest.raises(SchemaError):
+            cdss.update_exchange(["P1", "Nope"])
+        assert cdss.pending_edits() == 1
+
     def test_strategy_override_per_exchange(self):
         cdss = small_cdss()
         cdss.peer("P1").insert("R", (1,))

@@ -1,8 +1,12 @@
 """Unit tests for edit logs and publish semantics (Section 3.1)."""
 
-from repro.core.editlog import EditLog, PublishDelta, Update, publish
+import errno
+
+import pytest
+
+from repro.core.editlog import EditLog, Update, publish
 from repro.schema import InternalSchema, PeerSchema, RelationSchema
-from repro.storage import Database
+from repro.storage import Database, ZSet
 
 
 def fresh_db() -> Database:
@@ -12,6 +16,11 @@ def fresh_db() -> Database:
     db = Database()
     internal.setup_database(db)
     return db
+
+
+def signed(**weights: dict) -> dict[str, ZSet]:
+    """``signed(R={(1,): 1})`` -> ``{"R": ZSet({(1,): 1})}``."""
+    return {relation: ZSet(rows) for relation, rows in weights.items()}
 
 
 class TestUpdate:
@@ -42,15 +51,39 @@ class TestEditLog:
         assert len(entries) == 1
         assert len(log) == 0
 
+    def test_observers_see_each_staged_batch(self):
+        log = EditLog("P")
+        seen = []
+        log.observe(lambda _log, entries: seen.append(entries))
+        log.insert("R", (1,))
+        log.extend([Update("R", (2,), True), Update("R", (3,), False)])
+        assert [len(batch) for batch in seen] == [1, 2]
+
+    @pytest.mark.parametrize("stage", ["insert", "delete", "extend"])
+    def test_failed_observer_stages_nothing(self, stage):
+        """Observers are the write-ahead step: when one raises (a WAL
+        append that hit a full disk), the edit must not be staged, or the
+        next publish would apply an edit the WAL never saw."""
+        log = EditLog("P")
+
+        def disk_full(_log, _entries):
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        log.observe(disk_full)
+        with pytest.raises(OSError):
+            if stage == "extend":
+                log.extend(iter([Update("R", (1,), True)]))
+            else:
+                getattr(log, stage)("R", (1,))
+        assert len(log) == 0
+
 
 class TestPublish:
     def test_simple_insert(self):
         db = fresh_db()
         log = EditLog("P")
         log.insert("R", (1,))
-        delta = publish(log, db)
-        assert delta.local_inserts == {"R": {(1,)}}
-        assert delta.local_deletes == {}
+        assert publish(log, db) == (signed(R={(1,): 1}), {})
         assert len(log) == 0  # consumed
 
     def test_insert_then_delete_nets_to_nothing(self):
@@ -58,34 +91,30 @@ class TestPublish:
         log = EditLog("P")
         log.insert("R", (1,))
         log.delete("R", (1,))
-        delta = publish(log, db)
-        assert delta.is_empty()
+        assert publish(log, db) == ({}, {})
 
     def test_delete_of_local_contribution(self):
         db = fresh_db()
         db["R__l"].insert((1,))
         log = EditLog("P")
         log.delete("R", (1,))
-        delta = publish(log, db)
-        assert delta.local_deletes == {"R": {(1,)}}
-        assert delta.rejection_inserts == {}
+        assert publish(log, db) == (signed(R={(1,): -1}), {})
 
     def test_delete_of_imported_data_becomes_rejection(self):
         db = fresh_db()  # (1,) not in R__l: must have been imported
         log = EditLog("P")
         log.delete("R", (1,))
-        delta = publish(log, db)
-        assert delta.rejection_inserts == {"R": {(1,)}}
-        assert delta.local_deletes == {}
+        assert publish(log, db) == ({}, signed(R={(1,): 1}))
 
     def test_reinsert_unrejects(self):
         db = fresh_db()
         db["R__r"].insert((1,))
         log = EditLog("P")
         log.insert("R", (1,))
-        delta = publish(log, db)
-        assert delta.rejection_deletes == {"R": {(1,)}}
-        assert delta.local_inserts == {"R": {(1,)}}
+        assert publish(log, db) == (
+            signed(R={(1,): 1}),
+            signed(R={(1,): -1}),
+        )
 
     def test_delete_insert_delete_sequence(self):
         db = fresh_db()
@@ -93,31 +122,25 @@ class TestPublish:
         log.delete("R", (1,))  # rejection
         log.insert("R", (1,))  # un-reject + local
         log.delete("R", (1,))  # delete the local contribution again
-        delta = publish(log, db)
         # Final state: not local, not rejected -> empty net delta.
-        assert delta.is_empty()
+        assert publish(log, db) == ({}, {})
 
     def test_noop_reinsert_of_existing_local(self):
         db = fresh_db()
         db["R__l"].insert((1,))
         log = EditLog("P")
         log.insert("R", (1,))
-        delta = publish(log, db)
-        assert delta.is_empty()
+        assert publish(log, db) == ({}, {})
 
-    def test_counts(self):
+    def test_mixed_log_folds_into_one_zset_per_table(self):
         db = fresh_db()
+        db["R__l"].insert((5,))
         log = EditLog("P")
         log.insert("R", (1,))
         log.insert("R", (2,))
+        log.delete("R", (5,))
         log.delete("R", (9,))
-        delta = publish(log, db)
-        counts = delta.counts()
-        assert counts["local_inserts"] == 2
-        assert counts["rejection_inserts"] == 1
-
-    def test_merge_combines_disjoint_relations(self):
-        a = PublishDelta(local_inserts={"R": {(1,)}})
-        b = PublishDelta(local_inserts={"S": {(2,)}})
-        a.merge(b)
-        assert a.local_inserts == {"R": {(1,)}, "S": {(2,)}}
+        assert publish(log, db) == (
+            signed(R={(1,): 1, (2,): 1, (5,): -1}),
+            signed(R={(9,): 1}),
+        )

@@ -2,11 +2,11 @@
 
 import pytest
 
-from repro.core.editlog import PublishDelta
 from repro.core.exchange import STRATEGY_UNIFIED, ExchangeError, ExchangeSystem
 from repro.datalog.planner import CostBasedPlanner, PreparedPlanner
 from repro.provenance import ENCODING_PER_RULE, TrustCondition, TrustPolicy
 from repro.schema import InternalSchema, PeerSchema, RelationSchema, SchemaMapping
+from repro.storage import ZSet
 
 
 def simple_internal() -> InternalSchema:
@@ -50,7 +50,7 @@ class TestRecompute:
     def test_unknown_strategy_rejected(self):
         system = ExchangeSystem(simple_internal())
         with pytest.raises(ExchangeError):
-            system.apply_delta(PublishDelta(), "bogus")
+            system.apply_delta({}, {}, "bogus")
 
     def test_accessors(self):
         system = ExchangeSystem(simple_internal())
@@ -85,12 +85,11 @@ class TestApplyDelta:
         system = ExchangeSystem(simple_internal())
         system.db["R__l"].insert_many([(1,), (2,)])
         system.recompute()
-        delta = PublishDelta(
-            local_inserts={"R": {(3,)}},
-            local_deletes={"R": {(1,)}},
-            rejection_inserts={"S": {(2,)}},
+        report = system.apply_delta(
+            {"R": ZSet({(3,): 1, (1,): -1})},
+            {"S": ZSet({(2,): 1})},
+            STRATEGY_UNIFIED,
         )
-        report = system.apply_delta(delta, STRATEGY_UNIFIED)
         assert system.instance("R") == {(2,), (3,)}
         assert system.instance("S") == {(3,)}
         assert report.strategy == STRATEGY_UNIFIED
@@ -102,8 +101,7 @@ class TestApplyDelta:
         system.db["S__r"].insert((1,))
         system.recompute()
         assert system.instance("S") == frozenset()
-        delta = PublishDelta(rejection_deletes={"S": {(1,)}})
-        system.apply_delta(delta, STRATEGY_UNIFIED)
+        system.apply_delta({}, {"S": ZSet({(1,): -1})}, STRATEGY_UNIFIED)
         assert system.instance("S") == {(1,)}
         assert system.is_consistent()
 
@@ -112,7 +110,7 @@ class TestApplyDelta:
         system.db["R__l"].insert((1,))
         system.recompute()
         before = system.db.snapshot()
-        system.apply_delta(PublishDelta(), STRATEGY_UNIFIED)
+        system.apply_delta({}, {}, STRATEGY_UNIFIED)
         assert system.db.snapshot() == before
 
 
@@ -193,7 +191,8 @@ class TestPerspectives:
             self._internal(), policies={"P3": policy}, perspective="P3"
         )
         system.recompute()
-        delta = PublishDelta(local_inserts={"R": {(1,), (2,)}})
-        system.apply_delta(delta, STRATEGY_UNIFIED)
+        system.apply_delta(
+            {"R": ZSet({(1,): 1, (2,): 1})}, {}, STRATEGY_UNIFIED
+        )
         assert system.instance("T") == {(2,)}
         assert system.is_consistent()

@@ -13,9 +13,9 @@ from hypothesis import strategies as st
 
 from repro import CDSS, SpecError, SystemSpec
 from repro.core import STRATEGIES, STRATEGY_UNIFIED
-from repro.core.editlog import PublishDelta
 from repro.core.exchange import ExchangeError, ExchangeSystem
 from repro.schema import InternalSchema, PeerSchema, RelationSchema, SchemaMapping
+from repro.storage import ZSet
 
 
 def cyclic_internal() -> InternalSchema:
@@ -32,16 +32,25 @@ def cyclic_internal() -> InternalSchema:
     )
 
 
-def run_all_strategies(internal, base, delta):
-    """Apply ``delta`` with every strategy on identical initial states;
-    return the (unified, recompute) output snapshots."""
+def zsets(relation_rows, weight):
+    """``{relation: rows}`` as ``{relation: ZSet}`` at one ``weight``."""
+    return {
+        relation: ZSet.from_rows(rows, weight)
+        for relation, rows in relation_rows.items()
+    }
+
+
+def run_all_strategies(internal, base, local, rejections=None):
+    """Apply the ``(local, rejections)`` delta with every strategy on
+    identical initial states; return the (unified, recompute) output
+    snapshots."""
     snapshots = []
     for strategy in STRATEGIES:
         system = ExchangeSystem(internal)
         for relation, rows in base.items():
             system.db[f"{relation}__l"].insert_many(rows)
         system.recompute()
-        system.apply_delta(delta, strategy)
+        system.apply_delta(local, rejections or {}, strategy)
         snapshots.append(
             {name: system.db[name].rows() for name in system.db.relation_names()}
         )
@@ -55,9 +64,9 @@ class TestCyclicSupport:
         even though each still has a direct derivation from the other
         (Section 4.2's motivating case for the derivability test)."""
         internal = cyclic_internal()
-        delta = PublishDelta(local_deletes={"R": {(1, 2)}})
+        deletes = zsets({"R": {(1, 2)}}, -1)
         snapshots = run_all_strategies(
-            internal, {"R": {(1, 2)}}, delta
+            internal, {"R": {(1, 2)}}, deletes
         )
         for snapshot in snapshots:
             assert snapshot["R__o"] == frozenset()
@@ -66,9 +75,9 @@ class TestCyclicSupport:
 
     def test_partial_deletion_keeps_other_tuples(self):
         internal = cyclic_internal()
-        delta = PublishDelta(local_deletes={"R": {(1, 2)}})
+        deletes = zsets({"R": {(1, 2)}}, -1)
         snapshots = run_all_strategies(
-            internal, {"R": {(1, 2), (3, 4)}, "S": {(5, 6)}}, delta
+            internal, {"R": {(1, 2), (3, 4)}, "S": {(5, 6)}}, deletes
         )
         for snapshot in snapshots:
             assert snapshot["R__o"] == {(3, 4), (5, 6)}
@@ -79,9 +88,9 @@ class TestCyclicSupport:
         """Deleting one peer's contribution keeps the tuple alive through
         the other peer's (it remains edb-derivable)."""
         internal = cyclic_internal()
-        delta = PublishDelta(local_deletes={"R": {(1, 2)}})
+        deletes = zsets({"R": {(1, 2)}}, -1)
         snapshots = run_all_strategies(
-            internal, {"R": {(1, 2)}, "S": {(1, 2)}}, delta
+            internal, {"R": {(1, 2)}, "S": {(1, 2)}}, deletes
         )
         for snapshot in snapshots:
             assert snapshot["R__o"] == {(1, 2)}
@@ -89,8 +98,10 @@ class TestCyclicSupport:
 
     def test_rejection_breaks_the_cycle(self):
         internal = cyclic_internal()
-        delta = PublishDelta(rejection_inserts={"S": {(1, 2)}})
-        snapshots = run_all_strategies(internal, {"R": {(1, 2)}}, delta)
+        rejections = zsets({"S": {(1, 2)}}, 1)
+        snapshots = run_all_strategies(
+            internal, {"R": {(1, 2)}}, {}, rejections
+        )
         for snapshot in snapshots:
             # S rejects the tuple; R keeps it (local contribution).
             assert snapshot["S__o"] == frozenset()
@@ -174,13 +185,11 @@ class TestMultiAtomBodies:
 
     def test_same_batch_deletion_of_both_join_sides(self):
         internal = self._internal()
-        delta = PublishDelta(
-            local_deletes={"A1": {(1, "x1")}, "A2": {(1, "y1")}}
-        )
+        deletes = zsets({"A1": {(1, "x1")}, "A2": {(1, "y1")}}, -1)
         snapshots = run_all_strategies(
             internal,
             {"A1": {(1, "x1"), (2, "x2")}, "A2": {(1, "y1"), (2, "y2")}},
-            delta,
+            deletes,
         )
         for snapshot in snapshots:
             assert snapshot["B1__o"] == {(2, "x2", "y2")}
@@ -191,16 +200,16 @@ class TestMultiAtomBodies:
         system.db["A1__l"].insert_many([(1, "x1"), (2, "x2")])
         system.db["A2__l"].insert_many([(1, "y1"), (2, "y2")])
         system.recompute()
-        report = system.apply_delta(delta)
+        report = system.apply_delta(deletes, {})
         assert report.details["deletion"].provenance_rows_deleted == 1
 
     def test_deleting_one_join_side_only(self):
         internal = self._internal()
-        delta = PublishDelta(local_deletes={"A1": {(1, "x1")}})
+        deletes = zsets({"A1": {(1, "x1")}}, -1)
         snapshots = run_all_strategies(
             internal,
             {"A1": {(1, "x1"), (2, "x2")}, "A2": {(1, "y1"), (2, "y2")}},
-            delta,
+            deletes,
         )
         for snapshot in snapshots:
             assert snapshot["B1__o"] == {(2, "x2", "y2")}
@@ -239,12 +248,14 @@ def test_property_strategies_agree_on_random_workloads(workload):
             SchemaMapping.parse("m_tr", "T(x) -> R(x)"),  # cycle
         ),
     )
-    delta = PublishDelta(
-        local_deletes={"R": {(x,) for x in deletions}},
-        rejection_inserts={"S": {(x,) for x in rejections}},
-        local_inserts={"R": {(x,) for x in insertions}},
+    local = zsets({"R": {(x,) for x in deletions}}, -1)
+    local["R"].merge(ZSet.from_rows([(x,) for x in insertions], 1))
+    snapshots = run_all_strategies(
+        internal,
+        {"R": {(x,) for x in base}},
+        local,
+        zsets({"S": {(x,) for x in rejections}}, 1),
     )
-    snapshots = run_all_strategies(internal, {"R": {(x,) for x in base}}, delta)
     assert snapshots[0] == snapshots[1]
 
 

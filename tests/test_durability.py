@@ -12,16 +12,29 @@ rest with a single recompute.  That boot derivation is not a publish: it
 leaves no exchange report, and the WAL tail after it must still replay
 through incremental maintenance (checked through the exchange-report
 strategies and the node's replay counters).
+
+The WAL holds edits and publish markers only, so each edit must be
+logged before it is staged and each marker before a log drains; a
+failed append (a full disk) must leave the node as if the call never
+happened.  ``DurableMachine`` checks all of it differentially: random
+edits, publishes, checkpoints, crashes and disk-full faults against an
+in-memory twin, comparing every internal relation after each step.
 """
 
+import errno
 import json
 import os
+import shutil
 import signal
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
+from hypothesis import strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
 from repro import (
     CDSS,
@@ -31,14 +44,17 @@ from repro import (
     SystemSpec,
     WriteAheadLog,
 )
+from repro.core import STRATEGIES
 from repro.durability.node import (
     EDITLOG_PREFIX,
     NODE_META_BUCKET,
     STATE_FILE,
 )
-from repro.durability.wal import read_segment
+from repro.durability.wal import FSYNC_NEVER, read_segment
+from repro.schema import SchemaError
 from repro.serve.client import ServeClient
 from repro.storage import SQLiteStore
+from repro.storage.codec import encode_row
 from repro.storage.instance import StorageError
 from repro.storage.persistence import (
     CATALOG_BUCKET,
@@ -122,6 +138,27 @@ def assert_no_recompute(node: DurableNode) -> None:
     strategies = [report.strategy for report in node.cdss.exchange_reports]
     assert strategies, "recovery should have replayed at least one publish"
     assert "recompute" not in strategies
+
+
+def pending(cdss: CDSS) -> dict:
+    """Every peer's staged, unpublished edit-log entries, in order."""
+    return {name: list(cdss._peer(name).edit_log) for name in cdss.peers()}
+
+
+def crash(node: DurableNode) -> None:
+    """Process death: no checkpoint, only what reached the WAL survives."""
+    node.wal.close()
+    node.store.close()
+
+
+def fail_next_append(wal: WriteAheadLog) -> None:
+    """Make ``wal``'s next append raise ENOSPC before writing a byte."""
+
+    def disk_full(kind, body):
+        del wal.append  # one failure; the class method takes over again
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    wal.append = disk_full
 
 
 def newest_wal_segment(data_dir: Path) -> Path:
@@ -226,6 +263,16 @@ class TestWriteAheadLog:
         path = tmp_path / "wal-00000001.log"
         path.write_bytes(b"deadbeef not-json\n")
         assert read_segment(path) == []
+
+    def test_numbering_continues_past_a_pruned_checkpoint(self, tmp_path):
+        with WriteAheadLog(tmp_path) as wal:
+            wal.append("edits", {"i": 1})
+            wal.append("edits", {"i": 2})
+            wal.rotate(retain_after_seq=2)
+        assert list(WriteAheadLog(tmp_path).records()) == []
+        with WriteAheadLog(tmp_path, after_seq=2) as reopened:
+            assert reopened.last_seq == 2
+            assert reopened.append("edits", {"i": 3}) == 3
 
 
 # ---------------------------------------------------------------------------
@@ -463,6 +510,133 @@ class TestDurableNode:
                 fresh.publish()
             fresh.close(checkpoint=False)
 
+    def test_reopened_node_numbers_past_its_checkpoint(self, tmp_path):
+        """A graceful close checkpoints and prunes every WAL segment.  The
+        reopened WAL must not number from 1 again, or the next recovery
+        skips its records as covered and drops an acknowledged publish."""
+        cdss = CDSS("renumber")
+        cdss.add_peer("P1", {"R": ("x",)})
+        cdss.add_peer("P2", {"S": ("x",)})
+        cdss.add_mapping("m", "R(x) -> S(x)")
+        node = DurableNode.create(cdss.to_spec(), tmp_path / "node")
+        for key in range(3):
+            node.cdss.peer("P1").insert("R", (key,))
+            node.publish()
+        node.close()
+        reopened = DurableNode.open(tmp_path / "node")
+        reopened.cdss.peer("P1").insert("R", (99,))
+        reopened.publish()
+        assert (99,) in reopened.cdss.relation("S")
+        live = whole_state(reopened.cdss)
+        crash(reopened)
+
+        recovered = DurableNode.open(tmp_path / "node")
+        assert recovered.replayed_publish_records == 1
+        assert (99,) in recovered.cdss.relation("S")
+        assert whole_state(recovered.cdss) == live
+        recovered.close()
+
+    def test_failed_edits_append_stages_nothing(self, tmp_path):
+        """The WAL is the only durable copy of an edit: a batch whose
+        append fails must not be staged, or the next publish would apply
+        an edit that no recovery can replay."""
+        node = DurableNode.create(paper_spec(), tmp_path / "node")
+        node.publish()
+        fail_next_append(node.wal)
+        with pytest.raises(OSError):
+            with node.cdss.peer("PGUS").batch() as tx:
+                tx.insert("G", (7, 8, 9))
+        assert node.cdss.pending_edits() == 0
+        node.publish()
+        assert (7, 9) not in node.cdss.relation("B")
+        live = whole_state(node.cdss)
+        assert live == whole_state(reference_cdss(1, False))
+        crash(node)
+        recovered = DurableNode.open(tmp_path / "node")
+        assert whole_state(recovered.cdss) == live
+        recovered.close()
+
+    def test_failed_publish_append_keeps_the_edits(self, tmp_path):
+        """The publish marker is logged before any edit log drains: when
+        its append fails, the edits stay pending, and the retry publishes
+        them on the live node and again on recovery."""
+        node = DurableNode.create(paper_spec(), tmp_path / "node")
+        node.publish()
+        with node.cdss.peer("PGUS").batch() as tx:
+            tx.insert("G", (7, 8, 9))
+        before = whole_state(node.cdss)
+        fail_next_append(node.wal)
+        with pytest.raises(OSError):
+            node.publish()
+        assert node.cdss.pending_edits() == 1
+        assert whole_state(node.cdss) == before
+        node.publish()
+        live = whole_state(node.cdss)
+        assert live == whole_state(reference_cdss(2, False))
+        crash(node)
+        recovered = DurableNode.open(tmp_path / "node")
+        assert whole_state(recovered.cdss) == live
+        recovered.close()
+
+    def test_unknown_peer_publish_logs_and_drains_nothing(self, tmp_path):
+        """A marker naming an unknown peer could never replay."""
+        node = DurableNode.create(paper_spec(), tmp_path / "node")
+        logged = node.wal.last_seq
+        with pytest.raises(SchemaError):
+            node.publish(["PGUS", "Nope"])
+        assert node.wal.last_seq == logged
+        assert node.cdss.pending_edits() == 4
+        node.close(checkpoint=False)
+
+    def test_publish_records_with_a_delta_body_open(self, tmp_path):
+        """``publish`` records once carried the publish's net delta beside
+        its peers, strategy and version.  A WAL holding such records
+        opens to the same state: the edits have their own records, and
+        replay re-publishes them."""
+        node = DurableNode.create(paper_spec(), tmp_path / "node")
+        node.publish()
+        assert list(node.wal.records())[-1].body == {
+            "peers": ["PGUS", "PBioSQL", "PuBio"],
+            "strategy": "unified",
+            "version": 0,
+        }
+        with node.cdss.peer("PGUS").batch() as tx:
+            tx.insert("G", (7, 8, 9))
+        with node.cdss.peer("PBioSQL").batch() as tx:
+            tx.delete("B", (3, 2))  # imported: a rejection
+        version = node.cdss.system().version
+        # Written as the node used to write them, without publishing live.
+        node.wal.append(
+            "publish",
+            {
+                "peers": ["PGUS"],
+                "strategy": "unified",
+                "version": version,
+                "delta": {
+                    "local_inserts": {"G": [encode_row((7, 8, 9))]},
+                },
+            },
+        )
+        node.wal.append(
+            "publish",
+            {
+                "peers": ["PBioSQL"],
+                "strategy": "recompute",
+                "version": version,
+                "delta": {
+                    "rejection_inserts": {"B": [encode_row((3, 2))]},
+                },
+            },
+        )
+        crash(node)
+        recovered = DurableNode.open(tmp_path / "node")
+        assert recovered.replayed_publish_records == 3
+        assert recovered.cdss.pending_edits() == 0
+        assert whole_state(recovered.cdss) == whole_state(
+            reference_cdss(3, False)
+        )
+        recovered.close()
+
     def test_durability_spec_roundtrip(self, tmp_path):
         spec = paper_spec()
         from dataclasses import replace
@@ -576,6 +750,118 @@ class TestCrashMatrix:
         )
         assert certain_state(recovered.cdss) == reference_state(2, False)
         recovered.close()
+
+
+# ---------------------------------------------------------------------------
+# Differential state machine: a durable node against an in-memory twin
+# ---------------------------------------------------------------------------
+
+#: The paper spec's user relations and their arities.
+ARITIES = {"G": 3, "B": 2, "U": 2}
+PEERS = ("PGUS", "PBioSQL", "PuBio")
+
+
+class DurableMachine(RuleBasedStateMachine):
+    """Drive a :class:`DurableNode` over :func:`paper_spec` (labeled nulls
+    through ``m3``) and an in-memory twin with the same calls.  Crashes
+    reopen the node from its data directory; a disk-full fault makes the
+    node's next WAL append raise ENOSPC, and the twin skips the call that
+    failed.  After every step both hold the same internal database and
+    the same pending edits."""
+
+    def __init__(self):
+        super().__init__()
+        self.data_dir = Path(tempfile.mkdtemp(prefix="durable-machine-"))
+        self.node = DurableNode.create(
+            paper_spec(), self.data_dir / "node", fsync=FSYNC_NEVER
+        )
+        self.twin = paper_spec().build()
+        self.disk_full = False
+
+    def _durably(self, call) -> bool:
+        """Run ``call`` on the node; ``False`` if the disk-full fault
+        armed for it made it fail (the twin then skips it)."""
+        if not self.disk_full:
+            call(self.node.cdss)
+            return True
+        self.disk_full = False
+        fail_next_append(self.node.wal)
+        with pytest.raises(OSError):
+            call(self.node.cdss)
+        return False
+
+    def _edit(self, relation, rows, insert):
+        def stage(cdss):
+            with cdss.batch() as tx:
+                for row in rows:
+                    if insert:
+                        tx.insert(relation, row)
+                    else:
+                        tx.delete(relation, row)
+
+        if self._durably(stage):
+            stage(self.twin)
+
+    @rule(relation=st.sampled_from(sorted(ARITIES)), data=st.data())
+    def insert(self, relation, data):
+        """Fresh rows, or re-inserts of rejected ones (un-rejection)."""
+        fresh = st.tuples(*[st.integers(1, 4)] * ARITIES[relation])
+        rejected = sorted(self.twin.system().rejections(relation), key=repr)
+        row = st.one_of(fresh, st.sampled_from(rejected)) if rejected else fresh
+        self._edit(
+            relation, data.draw(st.lists(row, min_size=1, max_size=3)), True
+        )
+
+    @rule(relation=st.sampled_from(sorted(ARITIES)), data=st.data())
+    def delete(self, relation, data):
+        """Local rows, or imported ones (a rejection), nulls included."""
+        present = sorted(self.twin.relation(relation), key=repr)
+        if present:
+            rows = data.draw(
+                st.lists(
+                    st.sampled_from(present), min_size=1, max_size=3, unique=True
+                )
+            )
+            self._edit(relation, rows, False)
+
+    @rule(
+        peers=st.lists(st.sampled_from(PEERS), min_size=1, unique=True),
+        strategy=st.sampled_from(STRATEGIES),
+    )
+    def publish(self, peers, strategy):
+        def publish_on_node(_cdss):
+            self.node.publish(peers, strategy)
+
+        if self._durably(publish_on_node):
+            self.twin.update_exchange(peers, strategy)
+
+    @rule()
+    def checkpoint(self):
+        self.node.checkpoint()
+
+    @rule()
+    def crash_and_reopen(self):
+        crash(self.node)
+        self.node = DurableNode.open(self.data_dir / "node", fsync=FSYNC_NEVER)
+
+    @rule()
+    def fill_disk(self):
+        self.disk_full = True
+
+    @invariant()
+    def same_state_as_the_twin(self):
+        assert whole_state(self.node.cdss) == whole_state(self.twin)
+        assert pending(self.node.cdss) == pending(self.twin)
+
+    def teardown(self):
+        self.node.close(checkpoint=False)
+        shutil.rmtree(self.data_dir, ignore_errors=True)
+
+
+DurableMachine.TestCase.settings = settings(
+    max_examples=25, stateful_step_count=20, deadline=None
+)
+TestDurableMachine = DurableMachine.TestCase
 
 
 # ---------------------------------------------------------------------------
