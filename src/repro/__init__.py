@@ -37,7 +37,6 @@ from .api import (
     MappingSpec,
     PeerHandle,
     PeerSpec,
-    PreparedProgram,
     PreparedQuery,
     Query,
     RelationSpec,
@@ -83,7 +82,6 @@ __all__ = [
     "LineageSemiring",
     "MappingSpec",
     "PeerHandle",
-    "PreparedProgram",
     "PeerSchema",
     "PeerSpec",
     "PreparedQuery",

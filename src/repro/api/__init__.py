@@ -18,9 +18,9 @@ Entry points:
   predicates push down to indexed probes), certain-answer restriction and
   per-row provenance.
 * :class:`Query` / :func:`col` / :func:`param` — the composable query
-  surface; ``cdss.prepare(query)`` returns a :class:`PreparedQuery`
-  (planned + compiled once, parameterized execution through the engine
-  plan cache) whose :meth:`~PreparedQuery.execute` yields a lazy
+  surface; ``cdss.prepare(query)`` and ``cdss.prepare_program(text)``
+  return a :class:`PreparedQuery` (planned + compiled once,
+  parameterized execution through the engine plan cache) whose :meth:`~PreparedQuery.execute` yields a lazy
   :class:`AnswerSet` with ``certain`` / ``with_nulls`` / ``annotated``
   answer modes.
 * :class:`SystemSpec` (+ :class:`PeerSpec`, :class:`MappingSpec`,
@@ -31,7 +31,6 @@ Entry points:
 
 from .batch import Batch, BatchError
 from .handles import PeerHandle, TrustScope
-from .programs import PreparedProgram, ProgramAnswers, prepare_program
 from .query import (
     AnswerSet,
     Comparison,
@@ -63,9 +62,7 @@ __all__ = [
     "MappingSpec",
     "PeerHandle",
     "PeerSpec",
-    "PreparedProgram",
     "PreparedQuery",
-    "ProgramAnswers",
     "Query",
     "RelationSpec",
     "RelationView",
@@ -74,5 +71,4 @@ __all__ = [
     "TrustScope",
     "col",
     "param",
-    "prepare_program",
 ]

@@ -5,18 +5,21 @@ with certain-answer semantics (Section 2.1) and provenance annotations
 (Section 3.2).  This module is the serving-oriented query surface of the
 v2 API — the counterpart of the transactional update path:
 
-* :class:`Query` — an immutable query description, built either from
-  datalog text (``Query.parse("ans(x, y) :- U(x, z), U(y, z)")``) or with
-  a fluent builder over relations / :class:`~repro.api.views.RelationView`
+* :class:`Query` — an immutable query description: a program whose
+  one *final* rule streams the answers.  Datalog text
+  (``Query.parse("ans(x, y) :- U(x, z), U(y, z)")``) and the fluent
+  builder over relations / :class:`~repro.api.views.RelationView`
   (``select`` / ``join`` / ``project`` with structured predicates like
-  ``col("city") == param("c")``);
+  ``col("city") == param("c")``) give one-rule programs;
+  :meth:`Query.program` takes recursive ones with auxiliary predicates;
 * :meth:`CDSS.prepare <repro.core.cdss.CDSS.prepare>` →
-  :class:`PreparedQuery` — rewrites the query to the internal ``R__o``
-  relations, plans it through the engine-level plan cache, and compiles it
+  :class:`PreparedQuery` — rewrites the program to the internal ``R__o``
+  relations, plans it through the engine plan caches, and compiles it
   through :func:`~repro.datalog.plan.compile_plan` exactly **once**;
-  parameters occupy reserved environment slots in the compiled plan, so
+  parameters occupy reserved environment slots in every compiled plan, so
   re-executing with new bindings changes only the initial environment —
-  zero replanning, zero recompilation;
+  zero replanning, zero recompilation.  Auxiliary rules run to fixpoint
+  first, in a scratch database;
 * :meth:`PreparedQuery.execute` → :class:`AnswerSet` — a lazy answer
   stream with the three answer modes of Section 2.1: ``certain`` (default;
   labeled-null rows dropped), ``with_nulls`` (the superset), and
@@ -39,11 +42,12 @@ from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, Sequenc
 from ..datalog.ast import (
     Atom,
     Constant,
+    Program,
     Rule,
     Variable,
     tuple_has_labeled_null,
 )
-from ..datalog.parser import parse_rule
+from ..datalog.parser import parse_program, parse_rule
 from ..datalog.plan import CompiledPlan, RulePlan, compile_plan, execute_plan
 from ..schema.internal import InternalSchema, output_name
 from ..schema.relation import RelationSchema
@@ -78,23 +82,63 @@ def certain_rows(rows: Iterable[Row]) -> frozenset[Row]:
     )
 
 
-def _rewrite_to_internal(rule: Rule, internal: InternalSchema) -> Rule:
-    """Rewrite body atoms from user relation names to their ``R__o`` tables."""
-    body = []
-    for atom in rule.body:
-        if atom.predicate not in internal.catalog:
-            raise QueryError(
-                f"query references unknown relation {atom.predicate!r}"
-            )
-        if internal.arity_of(atom.predicate) != atom.arity:
-            raise QueryError(
-                f"query uses {atom.predicate!r} with arity {atom.arity}, "
-                f"schema says {internal.arity_of(atom.predicate)}"
-            )
-        body.append(
-            Atom(output_name(atom.predicate), atom.terms, negated=atom.negated)
+def _split_program(
+    rules: Sequence[Rule], answer: str
+) -> tuple[tuple[Rule, ...], Rule]:
+    """``(auxiliary rules, final rule)`` of a program answering ``answer``:
+    a one-rule program is its own final rule; a longer one is all
+    auxiliary, and its final rule scans the answer relation they derive."""
+    defining = [rule for rule in rules if rule.head.predicate == answer]
+    if not defining:
+        raise QueryError(
+            f"program does not define the answer predicate {answer!r}"
         )
-    return Rule(rule.head, tuple(body), label=rule.label)
+    if len(rules) == 1:
+        return (), rules[0]
+    terms = tuple(Variable(f"${i}") for i in range(defining[0].head.arity))
+    return tuple(rules), Rule(Atom(answer, terms), (Atom(answer, terms),))
+
+
+def _rewrite_to_internal(
+    resolved: "_Resolved", internal: InternalSchema
+) -> tuple[Program | None, Rule]:
+    """``(auxiliary program or None, final rule)`` with body atoms over
+    user relations rewritten to their ``R__o`` tables.  Auxiliary
+    predicates must not collide with peer relations."""
+    idb = {rule.head.predicate: rule.head.arity for rule in resolved.aux}
+    for predicate in idb:
+        if predicate in internal.catalog:
+            raise QueryError(
+                f"query program redefines peer relation {predicate!r}"
+            )
+
+    def rewrite(rule: Rule) -> Rule:
+        body = []
+        for atom in rule.body:
+            if atom.predicate in idb:
+                expected = idb[atom.predicate]
+            elif atom.predicate in internal.catalog:
+                expected = internal.arity_of(atom.predicate)
+            else:
+                raise QueryError(
+                    f"query references unknown relation {atom.predicate!r}"
+                )
+            if expected != atom.arity:
+                raise QueryError(
+                    f"query uses {atom.predicate!r} with arity {atom.arity}, "
+                    f"schema says {expected}"
+                )
+            if atom.predicate not in idb:
+                atom = Atom(
+                    output_name(atom.predicate), atom.terms, negated=atom.negated
+                )
+            body.append(atom)
+        return Rule(rule.head, tuple(body), label=rule.label)
+
+    final = rewrite(resolved.rule)
+    if not resolved.aux:
+        return None, final
+    return Program(tuple(map(rewrite, resolved.aux)), name="query"), final
 
 
 # ---------------------------------------------------------------------------
@@ -323,17 +367,18 @@ def _parse_order_column(column: object) -> tuple[object, bool]:
     """Normalize one ``order_by`` argument to ``(name_or_position, desc)``.
 
     Strings may carry a leading ``-`` for descending (``"-city"``);
-    integers are 0-based output column positions; :func:`col` references
-    are accepted too.
+    integers and digit strings (``"-0"``: no column is named by digits)
+    are 0-based output column positions; :func:`col` references are
+    accepted too.
     """
     if isinstance(column, ColumnRef):
         return (column.name, False)
     if isinstance(column, int) and not isinstance(column, bool):
         return (column, False)
     if isinstance(column, str):
-        if column.startswith("-"):
-            return (column[1:], True)
-        return (column, False)
+        desc = column.startswith("-")
+        name = column[1:] if desc else column
+        return (int(name) if name.isdecimal() else name, desc)
     raise QueryError(
         f"order_by expects column names, positions, or col(...), "
         f"got {column!r}"
@@ -477,10 +522,13 @@ def _scan_of(source: object, alias: str | None) -> _Scan:
 
 
 class _Resolved:
-    """A builder/text query lowered to a user-level rule + metadata."""
+    """A query lowered to user-level rules + metadata: the ``aux`` rules
+    run to fixpoint first, then the final ``rule`` streams the answers."""
 
     __slots__ = (
         "rule",
+        "aux",
+        "sort_rows",
         "params",
         "param_names",
         "residuals",
@@ -502,8 +550,13 @@ class _Resolved:
         order: OrderSpec = (),
         limit: int | None = None,
         offset: int = 0,
+        aux: tuple[Rule, ...] = (),
+        sort_rows: bool = False,
     ) -> None:
         self.rule = rule
+        self.aux = aux
+        # Programs' rows come out fully sorted (no derivation order to keep).
+        self.sort_rows = sort_rows
         self.params = params
         self.param_names = param_names
         self.residuals = residuals
@@ -522,12 +575,17 @@ class Query:
         Query.parse("ans(x, y) :- U(x, z), U(y, z)")
         Query.parse("ans(n) :- U(n, c)", params=("c",))   # c bound at execute
 
-    or fluently over relations / views (each method returns a new query)::
+    fluently over relations / views (each method returns a new query)::
 
         (Query.scan(B)
               .join(U, on=(("nam", "can"),))   # B.nam == U.can
               .select(col("id") == param("i"))
               .project("id", "U.nam"))
+
+    or from a recursive program with auxiliary predicates::
+
+        Query.program("R(x, y) :- U(x, y)\nR(x, z) :- R(x, y), U(y, z)\n"
+                      "ans(y) :- R(s, y)", params=("s",))
 
     Queries hold no system reference; :meth:`CDSS.prepare
     <repro.core.cdss.CDSS.prepare>` binds them to a system, plans and
@@ -535,7 +593,9 @@ class Query:
     """
 
     __slots__ = (
-        "_rule",
+        "_rules",
+        "_answer",
+        "_program",
         "_text_params",
         "_scans",
         "_conditions",
@@ -546,7 +606,10 @@ class Query:
     )
 
     def __init__(self) -> None:
-        self._rule: Rule | None = None
+        # Text and program queries: their rules and answer predicate.
+        self._rules: tuple[Rule, ...] = ()
+        self._answer = ANSWER_PREDICATE
+        self._program = False
         self._text_params: tuple[str, ...] = ()
         self._scans: tuple[_Scan, ...] = ()
         # (comparison, visible): bare column names in the comparison's left
@@ -574,17 +637,42 @@ class Query:
         if not rule.body:
             raise QueryError("query must have a non-empty body")
         rule.check_safety()
+        return Query._of_rules((rule,), rule.head.predicate, params, False)
+
+    @staticmethod
+    def program(
+        text: "str | Program",
+        answer: str = ANSWER_PREDICATE,
+        params: Sequence[str] = (),
+    ) -> "Query":
+        """A query from a datalog program over user relation names: the
+        ``answer`` predicate's rows, fully sorted.  Its other heads are
+        auxiliary predicates, evaluated to fixpoint in scratch space.
+        Rules must be safe with the ``params`` counted as bound."""
+        parsed = parse_program(text) if isinstance(text, str) else text
+        parsed.check_safety(tuple(Variable(name) for name in params))
+        return Query._of_rules(parsed.rules, answer, params, True)
+
+    @staticmethod
+    def _of_rules(
+        rules: tuple[Rule, ...],
+        answer: str,
+        params: Sequence[str],
+        program: bool,
+    ) -> "Query":
         names = tuple(params)
         if len(set(names)) != len(names):
             raise QueryError(f"duplicate parameter names: {names!r}")
-        rule_vars = {v.name for v in rule.variables()}
+        rule_vars = {v.name for rule in rules for v in rule.variables()}
         for name in names:
             if name not in rule_vars:
                 raise QueryError(
                     f"parameter {name!r} does not occur in the query"
                 )
         query = Query()
-        query._rule = rule
+        query._rules = rules
+        query._answer = answer
+        query._program = program
         query._text_params = names
         return query
 
@@ -597,7 +685,9 @@ class Query:
 
     def _copy(self) -> "Query":
         query = Query()
-        query._rule = self._rule
+        query._rules = self._rules
+        query._answer = self._answer
+        query._program = self._program
         query._text_params = self._text_params
         query._scans = self._scans
         query._conditions = self._conditions
@@ -608,7 +698,7 @@ class Query:
         return query
 
     def _require_builder(self, method: str) -> None:
-        if self._rule is not None:
+        if self._rules:
             raise QueryError(
                 f"Query.{method} is a builder operation; this query was "
                 "constructed from datalog text"
@@ -706,7 +796,7 @@ class Query:
         Columns are output column names (head variables for text queries,
         projection entries for builder queries — a leading ``-`` sorts
         descending, as in ``order_by("city", "-id")``) or 0-based output
-        positions.  Replaces any previous ordering.
+        positions (``1``, ``"-0"``).  Replaces any previous ordering.
         """
         if not columns:
             raise QueryError("order_by requires at least one column")
@@ -731,15 +821,16 @@ class Query:
     # -- lowering ----------------------------------------------------------
 
     def _resolve(self, catalog: Mapping[str, RelationSchema]) -> _Resolved:
-        """Lower to a user-level rule + params + residual comparisons."""
-        if self._rule is not None:
+        """Lower to user-level rules + params + residual comparisons."""
+        if self._rules:
+            aux, rule = _split_program(self._rules, self._answer)
             params = tuple(Variable(name) for name in self._text_params)
             columns = tuple(
                 term.name if isinstance(term, Variable) else f"${position}"
-                for position, term in enumerate(self._rule.head.terms)
+                for position, term in enumerate(rule.head.terms)
             )
             return _Resolved(
-                self._rule,
+                rule,
                 params,
                 self._text_params,
                 (),
@@ -747,6 +838,8 @@ class Query:
                 order=resolve_order_spec(self._order, columns),
                 limit=self._limit,
                 offset=self._offset,
+                aux=aux,
+                sort_rows=self._program,
             )
         return self._resolve_builder(catalog)
 
@@ -900,9 +993,10 @@ class Query:
         )
 
     def __repr__(self) -> str:
-        if self._rule is not None:
+        if self._rules:
             suffix = f" params={list(self._text_params)}" if self._text_params else ""
-            return f"<Query {self._rule!r}{suffix}>"
+            body = "; ".join(repr(rule) for rule in self._rules)
+            return f"<Query {body}{suffix}>"
         parts = ", ".join(
             s.relation if s.alias == s.relation else f"{s.relation} as {s.alias}"
             for s in self._scans
@@ -944,13 +1038,21 @@ def _residual_closure(
 
 
 class _Binding:
-    """Everything a prepared query needs against one concrete system."""
+    """Everything a prepared query needs against one concrete system.
+
+    Auxiliary rules run on an engine of their own (reader threads must
+    not share the exchange engine's Δ-relations), one run at a time, and
+    plan through the system's planner, whose cache is value-keyed.
+    """
 
     __slots__ = (
         "db",
         "engine",
         "internal",
         "internal_rule",
+        "auxiliary",
+        "aux_engine",
+        "aux_lock",
         "params",
         "residual_specs",
         "use_engine_cache",
@@ -968,8 +1070,15 @@ class _Binding:
         self.db = db
         self.engine = engine
         self.internal = internal
-        self.internal_rule = _rewrite_to_internal(resolved.rule, internal)
         self.params = resolved.params
+        self.auxiliary, self.internal_rule = _rewrite_to_internal(
+            resolved, internal
+        )
+        if self.auxiliary is not None:
+            from ..datalog.engine import SemiNaiveEngine
+
+            self.aux_engine = SemiNaiveEngine(engine.planner)
+            self.aux_lock = threading.Lock()
         self.residual_specs = resolved.residuals
         self.use_engine_cache = use_engine_cache
         self._set_plan(self._plan())
@@ -986,10 +1095,6 @@ class _Binding:
     @property
     def compiled(self) -> CompiledPlan:
         return self._exec[1]
-
-    @property
-    def residual(self) -> Callable[[tuple], bool] | None:
-        return self._exec[2]
 
     def _plan(self) -> RulePlan:
         """Plan through the engine cache, or straight through the planner.
@@ -1024,8 +1129,8 @@ class _Binding:
         ] = (plan, compiled, residual)
 
     def _check_safety(self, resolved: _Resolved) -> None:
-        # Builder rules bypass Rule.check_safety (parameters count as
-        # bound); everything they mention must have landed in a slot.
+        # Residual comparisons are not rule atoms: everything they mention
+        # must have landed in a slot.
         for op, left, right in resolved.residuals:
             for spec in (left, right):
                 if isinstance(spec, Variable) and spec not in self.compiled.slot_of:
@@ -1040,24 +1145,55 @@ class _Binding:
             self._set_plan(plan)
 
     def resolver(
-        self, db: Database | None = None
+        self, db: Database | None = None, values: tuple[object, ...] = ()
     ) -> Callable[[int, Atom], object]:
         """An atom resolver over ``db`` (default: the bound live database).
 
         Passing a pinned snapshot's database executes the compiled plan
         against the snapshot instead — relations absent from the snapshot
-        (e.g. provenance tables a query never reads) resolve empty.
+        (e.g. provenance tables a query never reads) resolve empty.  A
+        program's auxiliary relations resolve from the scratch database
+        its auxiliary rules were just evaluated into, under ``values``.
         """
         if db is None:
             db = self.db
+        scratch = (
+            None if self.auxiliary is None else self._auxiliary(db, values)
+        )
 
         def resolve(_index: int, atom: Atom) -> object:
-            instance = db.get(atom.predicate)
+            # Auxiliary names shadow the database's own relations.
+            instance = None if scratch is None else scratch.get(atom.predicate)
+            if instance is None:
+                instance = db.get(atom.predicate)
             if instance is not None:
                 return instance
             return Instance(atom.predicate, atom.arity)
 
         return resolve
+
+    def _auxiliary(
+        self, source: Database, values: tuple[object, ...]
+    ) -> Database:
+        """A scratch database of the auxiliary relations, evaluated to
+        fixpoint over ``source``'s ``R__o`` tables.  It attaches those only
+        for the run: an attached database watches their mutations."""
+        program = self.auxiliary
+        scratch = Database()
+        attached = []
+        for name in program.edb_predicates():
+            instance = source.get(name)
+            if instance is not None:
+                attached.append(scratch.attach(instance).name)
+        try:
+            with self.aux_lock:
+                self.aux_engine.run(
+                    program, scratch, dict(zip(self.params, values))
+                )
+        finally:
+            for name in attached:
+                scratch.drop(name)
+        return scratch
 
 
 _RESULT_CACHE_LIMIT = 1024
@@ -1087,7 +1223,7 @@ def _binding_derivations(
     )
     return execute_plan(
         plan,
-        binding.resolver(db),
+        binding.resolver(db, values),
         head_filter=head_filter,
         params=values,
     )
@@ -1096,12 +1232,15 @@ def _binding_derivations(
 class PreparedQuery:
     """A query planned and compiled once, executable with new bindings.
 
-    Created by :meth:`CDSS.prepare <repro.core.cdss.CDSS.prepare>`.  The
-    compiled plan is registered in the engine-level plan cache; every
-    :meth:`execute` probes that cache (a hit — zero replanning) and swaps
-    only the parameter values in the initial environment.  If the CDSS is
-    reconfigured, the prepared query transparently re-binds against the
-    rebuilt system on the next execute.
+    Created by :meth:`CDSS.prepare <repro.core.cdss.CDSS.prepare>` and
+    :meth:`CDSS.prepare_program <repro.core.cdss.CDSS.prepare_program>`.
+    The final rule's compiled plan is registered in the engine-level plan
+    cache; every :meth:`execute` probes that cache (a hit — zero
+    replanning) and swaps only the parameter values in the initial
+    environment.  A program's auxiliary rules bind the same values into
+    their own plans' slots, so a new value re-plans nothing there either.
+    If the CDSS is reconfigured, the prepared query transparently re-binds
+    against the rebuilt system on the next execute.
 
     Materialized answers are additionally cached per ``(bindings, answer
     mode)`` with :attr:`Database.version <repro.storage.database.Database.
@@ -1117,7 +1256,6 @@ class PreparedQuery:
     """
 
     __slots__ = (
-        "_query",
         "_resolved",
         "_cdss",
         "_bound",
@@ -1129,13 +1267,11 @@ class PreparedQuery:
 
     def __init__(
         self,
-        query: Query,
         resolved: _Resolved,
         binding: _Binding,
         cdss: "CDSS | None" = None,
         system: object | None = None,
     ) -> None:
-        self._query = query
         self._resolved = resolved
         self._cdss = cdss
         # The (system, binding) pair is one atomically-swapped tuple; the
@@ -1168,6 +1304,13 @@ class PreparedQuery:
     @property
     def plan(self) -> RulePlan:
         return self._bound[1].plan
+
+    @property
+    def stats(self):
+        """The auxiliary rules' engine's cumulative ``EvaluationResult``
+        (``None`` for a one-rule statement), reset by a re-bind."""
+        binding = self._bound[1]
+        return None if binding.auxiliary is None else binding.aux_engine.stats
 
     def explain(self) -> str:
         """Render the bind-join pipeline this query runs (EXPLAIN)."""
@@ -1214,8 +1357,8 @@ class PreparedQuery:
     ) -> tuple[Row, ...]:
         """Run the compiled pipeline to deduplicated, mode-filtered rows.
 
-        Rows keep their first-derivation order; ``db`` overrides the atom
-        source (a pinned snapshot's database).
+        Rows keep their first-derivation order (a program's are sorted);
+        ``db`` overrides the atom source (a pinned snapshot's database).
         """
         drop_nulls = mode == AnswerSet.MODE_CERTAIN
         seen: set[Row] = set()
@@ -1227,6 +1370,11 @@ class PreparedQuery:
             if drop_nulls and tuple_has_labeled_null(row):
                 continue
             answers.append(row)
+        if self._resolved.sort_rows:
+            every_column = tuple(
+                (position, False) for position in range(len(self.columns))
+            )
+            return apply_row_order(answers, every_column, None, 0)
         return tuple(answers)
 
     def _cached_answers(
@@ -1426,17 +1574,6 @@ class AnswerSet:
 
     # -- streaming ---------------------------------------------------------
 
-    def _derivations(self):
-        """(row, substitution) pairs from the compiled pipeline.
-
-        The binding is fetched through the prepared query so every
-        consumption sees the current system — including after a CDSS
-        reconfiguration rebuilds it (the prepared query re-binds; this is
-        a plan-cache hit otherwise).
-        """
-        binding = self._prepared._current_binding()
-        return binding, _binding_derivations(binding, self._values)
-
     def __iter__(self) -> Iterator[Row]:
         if self._empty:
             return iter(())
@@ -1493,6 +1630,11 @@ class AnswerSet:
                 "cannot be served from a pinned snapshot; execute() "
                 "against the live system instead"
             )
+        if self._prepared._resolved.aux:
+            raise QueryError(
+                "annotated answers are not available for programs with "
+                "auxiliary rules: their relations carry no provenance"
+            )
         if self._empty:
             return {}
         from ..datalog.ast import instantiate_atom
@@ -1522,9 +1664,11 @@ class AnswerSet:
 
         drop_nulls = self._mode == self.MODE_CERTAIN
         accumulator = AnnotatedDatabase(semiring)
-        binding, derivations = self._derivations()
+        # Through the prepared query, which re-binds after a CDSS
+        # reconfiguration (a plan-cache hit otherwise).
+        binding = self._prepared._current_binding()
         rule = binding.internal_rule
-        for row, subst in derivations:
+        for row, subst in _binding_derivations(binding, self._values):
             if drop_nulls and tuple_has_labeled_null(row):
                 continue
             contribution = semiring.one
@@ -1593,4 +1737,4 @@ def prepare(
     query_obj = as_query(query, params)
     resolved = query_obj._resolve(internal.catalog)
     binding = _Binding(resolved, db, internal, engine, use_engine_cache)
-    return PreparedQuery(query_obj, resolved, binding, cdss=cdss, system=system)
+    return PreparedQuery(resolved, binding, cdss=cdss, system=system)

@@ -8,12 +8,10 @@ series the paper's figure reports.
 from __future__ import annotations
 
 import gc
-import json
 import os
 import sys
 import time
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Callable, Iterable
 
 
@@ -176,12 +174,6 @@ class ExperimentResult:
                 for m in self.measurements
             ],
         }
-
-    def write_json(self, path: str | Path) -> Path:
-        """Write :meth:`to_json_dict` to ``path``; returns the path."""
-        path = Path(path)
-        path.write_text(json.dumps(self.to_json_dict(), indent=2) + "\n")
-        return path
 
 
 def timed(fn: Callable[[], object]) -> tuple[object, float]:

@@ -60,17 +60,11 @@ from .exchange import (
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..api.batch import Batch
     from ..api.handles import PeerHandle
-    from ..api.programs import PreparedProgram
     from ..api.query import PreparedQuery, Query
     from ..api.spec import SystemSpec
     from ..api.views import RelationView
-    from ..datalog.ast import Rule
+    from ..datalog.ast import Program, Rule
 
-
-_PROGRAM_CACHE_LIMIT = 64
-"""query_program's prepared-program entries before wholesale clearing
-(each entry pins its own engine + plan cache; parameterize instead of
-inlining constants to stay under it)."""
 
 _REPORT_HISTORY = 64
 """How many of the latest exchange reports ``CDSS.exchange_reports``
@@ -119,10 +113,6 @@ class CDSS:
         self._peers: dict[str, Peer] = {}
         self._mappings: dict[str, SchemaMapping] = {}
         self._relation_owner: dict[str, str] = {}
-        # query_program's per-text cache of PreparedPrograms (prepared
-        # programs re-bind themselves after reconfiguration, so entries
-        # stay valid for the CDSS's whole lifetime).
-        self._program_cache: dict[tuple[str, str], "PreparedProgram"] = {}
         self._system: ExchangeSystem | None = None
         self._previous_system: ExchangeSystem | None = None
         self.exchange_reports: list[ExchangeReport] = []
@@ -457,6 +447,14 @@ class CDSS:
         registered in the exchange engine's plan cache; re-executing with
         new parameter bindings performs zero replanning.
         """
+        return self._prepare(query, params)
+
+    def _prepare(
+        self,
+        query: "str | Rule | Query",
+        params: Sequence[str] = (),
+        use_engine_cache: bool = True,
+    ) -> "PreparedQuery":
         from ..api.query import prepare
 
         system = self.system()
@@ -468,6 +466,7 @@ class CDSS:
             params=params,
             cdss=self,
             system=system,
+            use_engine_cache=use_engine_cache,
         )
 
     def query(self, text: str, certain: bool = True) -> frozenset[Row]:
@@ -476,83 +475,50 @@ class CDSS:
         A convenience over :meth:`prepare`; for repeated or parameterized
         execution prepare the query once and re-execute it.  One-shots
         plan through the planner only (their fresh rule objects would
-        pollute the engine-level plan cache without ever hitting).
+        pollute the engine-level plan cache without ever hitting); the
+        planner's value-keyed cache still serves repeated text.
         """
-        from ..api.query import prepare
-
-        system = self.system()
-        prepared = prepare(
-            text,
-            system.db,
-            system.internal,
-            engine=system.engine,
-            cdss=self,
-            system=system,
-            use_engine_cache=False,
-        )
-        answers = prepared.execute()
+        answers = self._prepare(text, use_engine_cache=False).execute()
         if not certain:
             answers = answers.with_nulls()
         return answers.to_rows()
 
     def prepare_program(
         self,
-        program: str,
+        program: "str | Program",
         answer: str = "ans",
         params: Sequence[str] = (),
-    ) -> "PreparedProgram":
+    ) -> "PreparedQuery":
         """Prepare a recursive query program: validate + rewrite once.
 
-        The returned :class:`~repro.api.programs.PreparedProgram` keeps a
-        dedicated engine whose plan cache and Δ-relations stay warm
-        across :meth:`~repro.api.programs.PreparedProgram.execute` calls;
-        ``params`` names program variables bound per execution
-        (``prepared.execute(name=value)``).
+        Returns the same :class:`~repro.api.query.PreparedQuery` as
+        :meth:`prepare`, built from :meth:`Query.program
+        <repro.api.query.Query.program>`; ``params`` names program
+        variables bound per execution (``prepared.execute(name=value)``).
         """
-        from ..api.programs import prepare_program
+        from ..api.query import Query
 
-        system = self.system()
-        return prepare_program(
-            program,
-            system.db,
-            system.internal,
-            answer=answer,
-            params=params,
-            planner=self._planner,
-            cdss=self,
-            system=system,
-        )
+        return self._prepare(Query.program(program, answer, params))
 
     def query_program(
-        self, text: str, answer: str = "ans", certain: bool = True
+        self, text: "str | Program", answer: str = "ans", certain: bool = True
     ) -> frozenset[Row]:
         """Evaluate a recursive datalog program over the peer instances.
 
         Bodies reference user relations; the program may define auxiliary
         intensional predicates (evaluated to fixpoint in scratch space).
-        Returns the extension of the ``answer`` predicate.
-
-        A convenience over :meth:`prepare_program`: the prepared program
-        is cached per ``(text, answer)``, so repeated calls with the same
-        text re-plan nothing.
+        Returns the extension of the ``answer`` predicate.  A one-shot,
+        planned like :meth:`query`.
         """
-        if isinstance(text, str):
-            key = (text, answer)
-            prepared = self._program_cache.get(key)
-            if prepared is None:
-                prepared = self.prepare_program(text, answer=answer)
-                if len(self._program_cache) >= _PROGRAM_CACHE_LIMIT:
-                    # Each entry pins a dedicated engine; callers that
-                    # inline constants into the text (instead of params=)
-                    # must not grow this without bound.
-                    self._program_cache.clear()
-                self._program_cache[key] = prepared
-        else:
-            # Pre-parsed Program objects: prepare fresh (identity-keyed
-            # caching would never hit for equal-but-distinct objects).
-            prepared = self.prepare_program(text, answer=answer)
+        from ..api.query import Query
+
+        prepared = self._prepare(
+            Query.program(text, answer), use_engine_cache=False
+        )
         answers = prepared.execute()
-        return answers.certain() if certain else answers.with_nulls()
+        if not certain:
+            answers = answers.with_nulls()
+        return answers.to_rows()
 
     # -- provenance -------------------------------------------------------------
 

@@ -324,23 +324,20 @@ class Rule:
     def negative_body(self) -> tuple[Atom, ...]:
         return tuple(a for a in self.body if a.negated)
 
-    def body_predicates(self) -> frozenset[str]:
-        return frozenset(a.predicate for a in self.body)
-
     def variables(self) -> frozenset[Variable]:
         out: set[Variable] = set(self.head.variable_set())
         for atom in self.body:
             out |= atom.variable_set()
         return frozenset(out)
 
-    def check_safety(self) -> None:
+    def check_safety(self, bound: Iterable[Variable] = ()) -> None:
         """Raise :class:`SafetyError` unless the rule is safe.
 
         Safety: every head variable and every variable of a negated body atom
         must occur in some positive body atom (tgds *with safe negation*,
-        Section 3.1).
+        Section 3.1), or in ``bound`` (parameters, bound before evaluation).
         """
-        positive_vars: set[Variable] = set()
+        positive_vars: set[Variable] = set(bound)
         for atom in self.positive_body:
             positive_vars |= atom.variable_set()
         for var in self.head.variable_set():
@@ -411,9 +408,9 @@ class Program:
     def __len__(self) -> int:
         return len(self.rules)
 
-    def check_safety(self) -> None:
+    def check_safety(self, bound: Iterable[Variable] = ()) -> None:
         for rule in self.rules:
-            rule.check_safety()
+            rule.check_safety(bound)
 
     def idb_predicates(self) -> frozenset[str]:
         """Predicates defined by some rule head."""

@@ -32,13 +32,19 @@ from ..obs import metrics as _metrics
 from ..obs import tracing as _tracing
 from ..storage.database import Database
 from ..storage.instance import Instance
-from .ast import Atom, DatalogError, Program, Rule
+from .ast import Atom, DatalogError, Program, Rule, Variable
 from .plan import Row, RowSource, RulePlan, run_plan
 from .planner import Planner, PreparedPlanner
 from .stratify import Component, stratify, twin_groups
 
 HeadFilter = Callable[[Row], bool]
 """Predicate over a derived head row; False rejects the derivation."""
+
+Params = Mapping[Variable, object]
+"""Parameter bindings of one run: each rule's plan takes the variables it
+mentions as constant slots (see :attr:`~repro.datalog.plan.RulePlan.params`)."""
+
+_NO_PARAMS: Params = {}
 
 _PLAN_CACHE_LIMIT = 10_000
 """Entries the engine plan cache may hold before it is wholesale cleared
@@ -255,8 +261,9 @@ class SemiNaiveEngine:
         ] = {}
         # Programs are frozen, so their validation is memoized the same
         # way: id-keyed, with the program stored to pin its id.
-        # id(program) -> (program, components in order, twin groups)
-        self._validated: dict[int, tuple] = {}
+        # (id(program), parameter variables)
+        #     -> (program, components in order, twin groups)
+        self._validated: dict[tuple[int, frozenset], tuple] = {}
         # (id(program), delta predicates) -> program, once found sound
         self._sound: dict[tuple[int, frozenset[str]], Program] = {}
         # Persistent per-predicate delta relations, reused across rounds and
@@ -346,10 +353,17 @@ class SemiNaiveEngine:
         delta_source: RowSource | None,
         result: EvaluationResult,
         row_filter: HeadFilter | None,
+        params: Params = _NO_PARAMS,
     ) -> list[Row]:
         """Evaluate one rule (optionally with a delta occurrence), returning
-        the fully materialized list of head rows that pass ``row_filter``."""
-        plan = self._plan_for(rule, db, delta_index, result)
+        the fully materialized list of head rows that pass ``row_filter``.
+        The rule's plan binds the ``params`` variables it mentions."""
+        if params:
+            variables = tuple(var for var in params if var in rule.variables())
+            values = tuple(params[var] for var in variables)
+        else:
+            variables = values = ()
+        plan = self._plan_for(rule, db, delta_index, result, variables)
         result.rule_applications += 1
 
         def resolve(index: int, atom: Atom) -> RowSource:
@@ -360,13 +374,13 @@ class SemiNaiveEngine:
             return _EMPTY_SOURCE
 
         if not _tracing.ENABLED:
-            return run_plan(plan, resolve, row_filter)
+            return run_plan(plan, resolve, row_filter, values)
         span = _tracing.start(
             "rule-evaluation",
             head=rule.head.predicate,
             delta_index=delta_index,
         )
-        rows = run_plan(plan, resolve, row_filter)
+        rows = run_plan(plan, resolve, row_filter, values)
         span.rows = len(rows)
         _tracing.finish(span)
         return rows
@@ -374,28 +388,35 @@ class SemiNaiveEngine:
     # -- full evaluation -----------------------------------------------------
 
     def _validate(
-        self, program: Program
+        self, program: Program, params: Params = _NO_PARAMS
     ) -> tuple[tuple[Component, ...], dict[int, Rule]]:
-        """Safety, arity and stratification checks, once per program;
-        returns its components in evaluation order and its twin groups."""
-        entry = self._validated.get(id(program))
+        """Safety (``params`` count as bound), arity and stratification
+        checks, once per program; returns its components in evaluation
+        order and its twin groups."""
+        key = (id(program), frozenset(params))
+        entry = self._validated.get(key)
         if entry is not None and entry[0] is program:
             return entry[1:]
-        program.check_safety()
+        program.check_safety(params)
         _check_head_arities(program)
         components = stratify(program).components
         if len(self._validated) >= _PLAN_CACHE_LIMIT:
             self._validated.clear()
         entry = (program, components, twin_groups(components))
-        self._validated[id(program)] = entry
+        self._validated[key] = entry
         return entry[1:]
 
-    def run(self, program: Program, db: Database) -> EvaluationResult:
-        """Evaluate ``program`` to fixpoint over ``db`` (inserting tuples)."""
-        components, twins = self._validate(program)
+    def run(
+        self, program: Program, db: Database, params: Params = _NO_PARAMS
+    ) -> EvaluationResult:
+        """Evaluate ``program`` to fixpoint over ``db`` (inserting tuples).
+
+        ``params`` binds parameter variables.  They fill plan slots, as in
+        a prepared query, so a run with new values re-plans nothing."""
+        components, twins = self._validate(program, params)
         ensure_idb_relations(program, db)
         result = EvaluationResult()
-        self._run_components(components, twins, db, result, None)
+        self._run_components(components, twins, db, result, None, params)
         return self._finish(result)
 
     def run_insertions(
@@ -455,6 +476,7 @@ class SemiNaiveEngine:
         db: Database,
         result: EvaluationResult,
         seed: dict[str, set[Row]] | None,
+        params: Params = _NO_PARAMS,
     ) -> dict[str, set[Row]]:
         """Evaluate every component once, in topological order.
 
@@ -485,7 +507,9 @@ class SemiNaiveEngine:
                                 pred, db[pred].arity, new[pred]
                             )
                         deltas[pred] = finals[pred]
-                added = self._run_component(component, twins, db, result, deltas)
+                added = self._run_component(
+                    component, twins, db, result, deltas, params
+                )
                 for pred, rows in added.items():
                     # A recursive component swapped its own Δ-instances.
                     finals.pop(pred, None)
@@ -510,6 +534,7 @@ class SemiNaiveEngine:
         db: Database,
         result: EvaluationResult,
         deltas: dict[str, Instance] | None,
+        params: Params,
     ) -> dict[str, set[Row]]:
         """Evaluate one component; return the rows it inserted.
 
@@ -536,7 +561,9 @@ class SemiNaiveEngine:
                 if recursive and span is not None
                 else None
             )
-            added = self._pass(component.rules, twins, db, result, deltas)
+            added = self._pass(
+                component.rules, twins, db, result, deltas, params
+            )
             result.rounds += 1
             if round_span is not None:
                 round_span.rows = sum(map(len, added.values()))
@@ -564,6 +591,7 @@ class SemiNaiveEngine:
         db: Database,
         result: EvaluationResult,
         deltas: Mapping[str, Instance] | None,
+        params: Params,
     ) -> dict[str, set[Row]]:
         """One evaluation of ``rules``, inserting what it derives: naive
         when ``deltas`` is None, else once per positive occurrence whose
@@ -586,7 +614,7 @@ class SemiNaiveEngine:
             for index, delta in occurrences:
                 if leader is None:
                     rows = self._evaluate_rule(
-                        rule, db, index, delta, result, row_filter
+                        rule, db, index, delta, result, row_filter, params
                     )
                 else:
                     key = (id(leader), index)
@@ -594,7 +622,7 @@ class SemiNaiveEngine:
                     if rows is None:
                         rows = self._shared[key] = set(
                             self._evaluate_rule(
-                                rule, db, index, delta, result, None
+                                rule, db, index, delta, result, None, params
                             )
                         )
                     if row_filter is not None:

@@ -17,7 +17,9 @@ Frame format (one record per line, JSON-lines so the log greps cleanly)::
 A torn tail — the half-written record a crash mid-``write`` leaves behind —
 fails the checksum (or does not parse at all) and cleanly ends replay;
 everything before it is intact because records are appended strictly in
-``seq`` order and fsynced per the policy.
+``seq`` order and fsynced per the policy.  An append that *fails* (a full
+disk) cuts its bytes back off and moves to a fresh segment, so no later
+record can land behind a torn one.
 
 The log is segmented: each :class:`WriteAheadLog` open (and each
 :meth:`rotate`) starts a new ``wal-<N>.log`` file, and rotation after a
@@ -199,11 +201,31 @@ class WriteAheadLog:
         return self.directory / f"{SEGMENT_PREFIX}{index:08d}{SEGMENT_SUFFIX}"
 
     def _open_handle(self):
+        # Unbuffered: a failed append must leave no bytes behind in a
+        # buffer that a later flush or close would write after the cut.
         if self._handle is None:
             self._handle = open(
-                self._segment_path(self._segment_index), "ab"
+                self._segment_path(self._segment_index), "ab", buffering=0
             )
         return self._handle
+
+    def _abandon_segment(self, start: int) -> None:
+        """Undo a failed append: cut the open segment back to ``start``
+        and continue in a fresh segment.
+
+        The frame may be torn, or whole but not durable; either way the
+        caller saw the append fail, so replay must not see the record.
+        If the cut fails too, the fresh segment still keeps every later
+        record readable: ``read_segment`` stops at the end of a segment.
+        """
+        handle, self._handle = self._handle, None
+        try:
+            os.ftruncate(handle.fileno(), start)
+        except OSError:
+            pass
+        finally:
+            handle.close()
+        self._segment_index += 1
 
     def append(self, kind: str, body: dict) -> int:
         """Durably append one record; returns its sequence number.
@@ -218,24 +240,23 @@ class WriteAheadLog:
             else None
         )
         seq = self._last_seq + 1
+        frame = memoryview(_frame(WalRecord(seq, kind, body)))
         handle = self._open_handle()
-        handle.write(_frame(WalRecord(seq, kind, body)))
-        handle.flush()
-        if self.fsync == FSYNC_ALWAYS:
-            os.fsync(handle.fileno())
-            self.fsyncs += 1
+        start = handle.tell()
+        try:
+            while frame:
+                frame = frame[handle.write(frame) :]
+            if self.fsync == FSYNC_ALWAYS:
+                os.fsync(handle.fileno())
+                self.fsyncs += 1
+        except BaseException:
+            self._abandon_segment(start)
+            raise
         self._last_seq = seq
         self.appended += 1
         if span is not None:
             _tracing.finish(span)
         return seq
-
-    def sync(self) -> None:
-        """Force the current segment to disk regardless of policy."""
-        if self._handle is not None:
-            self._handle.flush()
-            os.fsync(self._handle.fileno())
-            self.fsyncs += 1
 
     def rotate(self, retain_after_seq: int) -> int:
         """Start a new segment and prune segments a checkpoint covers.
@@ -244,13 +265,7 @@ class WriteAheadLog:
         deleted — replay will never need them again.  Returns the number
         of segments pruned.
         """
-        if self._handle is not None:
-            self._handle.flush()
-            if self.fsync == FSYNC_ALWAYS:
-                os.fsync(self._handle.fileno())
-                self.fsyncs += 1
-            self._handle.close()
-            self._handle = None
+        self.close()
         self._segment_index += 1
         pruned = 0
         for path in self.segments():
@@ -265,7 +280,6 @@ class WriteAheadLog:
 
     def close(self) -> None:
         if self._handle is not None:
-            self._handle.flush()
             if self.fsync == FSYNC_ALWAYS:
                 os.fsync(self._handle.fileno())
                 self.fsyncs += 1

@@ -426,12 +426,6 @@ class MetricsRegistry:
                 out.setdefault(sample.name, {})[label_repr] = sample.value
         return out
 
-    def reset(self) -> None:
-        """Drop every family and collector (test isolation only)."""
-        with self._lock:
-            self._families.clear()
-            self._collectors.clear()
-
 
 def _merge(samples: Iterable[Sample]) -> list[Sample]:
     merged: dict[tuple, Sample] = {}

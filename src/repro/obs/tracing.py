@@ -40,7 +40,7 @@ import os
 import threading
 import time
 from collections import deque
-from typing import Iterator, Optional
+from typing import Optional
 
 __all__ = [
     "Span",
@@ -255,10 +255,6 @@ def recent_traces() -> list:
     list of span dicts."""
     with _lock:
         return [list(trace) for trace in _recent]
-
-
-def iter_spans(trace: list) -> Iterator[dict]:
-    return iter(trace)
 
 
 # Environment opt-in: REPRO_TRACE=/path/to/file.jsonl (or

@@ -365,12 +365,6 @@ class ProvenanceEncoding:
 
     # -- lookups ----------------------------------------------------------
 
-    def table_named(self, relation: str) -> ProvenanceTable:
-        for table in self.tables:
-            if table.relation == relation:
-                return table
-        raise ProvenanceError(f"no provenance table named {relation!r}")
-
     def tables_for_mapping(self, mapping: str) -> tuple[ProvenanceTable, ...]:
         return tuple(t for t in self.tables if t.mapping == mapping)
 

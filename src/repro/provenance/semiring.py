@@ -75,9 +75,6 @@ class Semiring(Generic[T]):
             result = self.times(result, value)
         return result
 
-    def is_zero(self, value: T) -> bool:
-        return value == self.zero
-
     def __repr__(self) -> str:
         return f"<{type(self).__name__}>"
 

@@ -180,18 +180,6 @@ class InternalSchema:
             )
         return tuple(rules)
 
-    def logical_program(self) -> Program:
-        """Mapping rules + bookkeeping rules (without provenance encoding).
-
-        Note: this program derives ``R__i`` but nothing links ``R__i`` to
-        ``R__t`` — the provenance encoding adds those per-mapping rules.  For
-        a provenance-free system, use :meth:`plain_program`.
-        """
-        return Program(
-            self.mapping_rules() + self.bookkeeping_rules(),
-            name="internal-mappings",
-        )
-
     def plain_program(self) -> Program:
         """A provenance-free executable program (used by baselines/tests).
 
@@ -220,14 +208,6 @@ class InternalSchema:
         for name in self.relation_names():
             out.append(local_name(name))
             out.append(rejection_name(name))
-        return tuple(out)
-
-    def idb_names(self) -> tuple[str, ...]:
-        out: list[str] = []
-        for name in self.relation_names():
-            out.extend(
-                (input_name(name), trusted_name(name), output_name(name))
-            )
         return tuple(out)
 
     def setup_database(self, db: Database) -> None:

@@ -9,9 +9,10 @@ them directly:
   scalars pass through; anything else (labeled nulls, Skolem values)
   round-trips as ``{"!": repr(value)}`` — readable, order-stable, and
   honest about being opaque on the wire;
-* :class:`Statement` — one prepared query or program plus the logic to
-  run it against a pinned snapshot (or the live system) with answer
-  mode, ordering, and pagination applied;
+* :class:`Statement` — one prepared query or program (both a
+  :class:`~repro.api.query.PreparedQuery`) plus the logic to run it
+  against a pinned snapshot (or the live system) with answer mode,
+  ordering, and pagination applied;
 * :class:`StatementRegistry` — deduplicating id → statement map: the
   session state that makes ``POST /execute`` a zero-replanning re-execute.
 """
@@ -22,7 +23,7 @@ import threading
 import time
 from typing import TYPE_CHECKING, Mapping, Sequence
 
-from ..api.query import QueryError, apply_row_order
+from ..api.query import QueryError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..core.cdss import CDSS
@@ -146,10 +147,9 @@ class Statement:
             "kind": self.kind,
             "params": list(self.params),
             "executions": self.executions,
+            "columns": list(self.prepared.columns),
         }
-        if self.kind == KIND_QUERY:
-            info["columns"] = list(self.prepared.columns)
-        else:
+        if self.kind == KIND_PROGRAM:
             info["answer"] = self.answer
         return info
 
@@ -167,19 +167,18 @@ class Statement:
             raise ServeError(
                 f"unknown answer mode {mode!r}; expected one of {ANSWER_MODES}"
             )
-        execute = (
-            self._run_query if self.kind == KIND_QUERY else self._run_program
-        )
         try:
             if snapshot is None:
-                payload = execute(bindings, None, mode, order, limit, offset)
+                payload = self._run_query(
+                    bindings, None, mode, order, limit, offset
+                )
                 pinned_version = None
             else:
                 # The version is read under the lock the rows were read
                 # under: a standing replica may be patched forward (and
                 # its version moved) as soon as the lock is released.
                 with snapshot.lock:
-                    payload = execute(
+                    payload = self._run_query(
                         bindings, snapshot, mode, order, limit, offset
                     )
                     pinned_version = snapshot.version
@@ -217,42 +216,6 @@ class Statement:
             return {"rows": rows, "count": len(rows)}
         rows = [encode_row(row) for row in answers]
         return {"rows": rows, "count": len(rows)}
-
-    def _run_program(
-        self, bindings, snapshot, mode, order, limit, offset
-    ) -> dict:
-        prepared = self.prepared
-        if mode == MODE_ANNOTATED:
-            raise ServeError(
-                "annotated answers are not available for programs",
-                status=400,
-                code="bad_mode",
-            )
-        if snapshot is not None:
-            result = prepared.execute_at(snapshot, **bindings)
-        else:
-            result = prepared.execute(**bindings)
-        raw = result.with_nulls() if mode == MODE_WITH_NULLS else result.certain()
-        spec = []
-        for key in order:
-            desc = False
-            if isinstance(key, str) and key.startswith("-"):
-                desc, key = True, key[1:]
-                if key.isdigit():
-                    key = int(key)
-            if not isinstance(key, int) or isinstance(key, bool):
-                raise ServeError(
-                    "program ORDER BY accepts 0-based positions only"
-                )
-            spec.append((key, desc))
-        # Programs have no output column names: every column ascending
-        # breaks the ties of the positional ORDER BY (and is the whole
-        # order without one), so the answer order is deterministic.
-        rows = list(raw)
-        if rows:
-            spec.extend((i, False) for i in range(len(rows[0])))
-        rows = apply_row_order(rows, tuple(spec), limit, offset or 0)
-        return {"rows": [encode_row(row) for row in rows], "count": len(rows)}
 
 
 class StatementRegistry:

@@ -613,11 +613,6 @@ class ReproServer:
             offset=args["offset"],
         )
         if args["mode"] == MODE_ANNOTATED:
-            if statement.kind != KIND_QUERY:
-                raise ServeError(
-                    "annotated answers are not available for programs",
-                    code="bad_mode",
-                )
             # Live provenance tables: serialize with writes.
             async with self.admission.slot():
                 return await self._write(partial(run, snapshot=None))

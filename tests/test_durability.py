@@ -151,14 +151,28 @@ def crash(node: DurableNode) -> None:
     node.store.close()
 
 
-def fail_next_append(wal: WriteAheadLog) -> None:
-    """Make ``wal``'s next append raise ENOSPC before writing a byte."""
+class TornWriteHandle:
+    """A WAL segment handle on a filling disk: its first write lands half
+    the bytes and raises ENOSPC; later writes pass through."""
 
-    def disk_full(kind, body):
-        del wal.append  # one failure; the class method takes over again
+    def __init__(self, handle) -> None:
+        self._handle = handle
+        self._failed = False
+
+    def write(self, data) -> int:
+        if self._failed:
+            return self._handle.write(data)
+        self._failed = True
+        self._handle.write(bytes(data[: len(data) // 2]))
         raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
 
-    wal.append = disk_full
+    def __getattr__(self, name):
+        return getattr(self._handle, name)
+
+
+def fail_next_append(wal: WriteAheadLog) -> None:
+    """Make ``wal``'s next append write half its frame, then raise ENOSPC."""
+    wal._handle = TornWriteHandle(wal._open_handle())
 
 
 def newest_wal_segment(data_dir: Path) -> Path:
@@ -578,6 +592,27 @@ class TestDurableNode:
         assert whole_state(recovered.cdss) == live
         recovered.close()
 
+    def test_torn_failed_append_strands_no_later_record(self, tmp_path):
+        """A failed append that left half a frame on disk must not hide
+        the records appended after it from recovery."""
+        node = DurableNode.create(paper_spec(), tmp_path / "node")
+        node.publish()
+        fail_next_append(node.wal)
+        with pytest.raises(OSError):
+            with node.cdss.peer("PGUS").batch() as tx:
+                tx.insert("G", (7, 8, 9))
+        with node.cdss.peer("PGUS").batch() as tx:
+            tx.insert("G", (6, 6, 6))
+        node.publish()
+        live = whole_state(node.cdss)
+        crash(node)
+        recovered = DurableNode.open(tmp_path / "node")
+        assert recovered.replayed_publish_records == 2
+        assert (6, 6, 6) in recovered.cdss.relation("G")
+        assert (7, 8, 9) not in recovered.cdss.relation("G")
+        assert whole_state(recovered.cdss) == live
+        recovered.close()
+
     def test_unknown_peer_publish_logs_and_drains_nothing(self, tmp_path):
         """A marker naming an unknown peer could never replay."""
         node = DurableNode.create(paper_spec(), tmp_path / "node")
@@ -765,8 +800,8 @@ class DurableMachine(RuleBasedStateMachine):
     """Drive a :class:`DurableNode` over :func:`paper_spec` (labeled nulls
     through ``m3``) and an in-memory twin with the same calls.  Crashes
     reopen the node from its data directory; a disk-full fault makes the
-    node's next WAL append raise ENOSPC, and the twin skips the call that
-    failed.  After every step both hold the same internal database and
+    node's next WAL append write half its frame and raise ENOSPC, and the
+    twin skips the call that failed.  After every step both hold the same internal database and
     the same pending edits."""
 
     def __init__(self):
