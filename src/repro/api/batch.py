@@ -17,8 +17,8 @@ schema (and, for peer-scoped batches, against relation ownership) at
 half-way.
 
 Besides transactionality this is the hot insert path's bulk entry point:
-commit groups staged entries per peer and appends each group with one
-:meth:`~repro.core.editlog.EditLog.extend` call instead of one facade call
+commit groups staged entries per peer and appends every group with one
+:func:`~repro.core.editlog.extend_logs` call instead of one facade call
 per row.  The workload generator and the figure benchmarks route their
 insertion streams through it.
 """
@@ -113,19 +113,15 @@ class Batch:
     def commit(self) -> int:
         """Apply every staged entry to the owning peers' edit logs.
 
-        Entries were validated when staged, so this cannot fail part-way:
-        either the batch was never committed, or all of it is in the logs.
-        Returns the number of entries applied.
+        Entries were validated when staged, and every peer's share is
+        written ahead as one unit (on a durable node, one WAL record), so
+        this cannot fail part-way: either the batch was never committed,
+        or all of it is in the logs.  Returns the number of entries
+        applied.
         """
         if self._closed:
             raise BatchError("batch already committed or rolled back")
-        per_peer: dict[str, list[Update]] = {}
-        for update in self._staged:
-            owner = self._cdss._owner_peer(update.relation)
-            per_peer.setdefault(owner.name, []).append(update)
-        applied = 0
-        for name, updates in per_peer.items():
-            applied += self._cdss._peer(name).edit_log.extend(updates)
+        applied = self._cdss._stage(self._staged)
         self._staged.clear()
         self._closed = True
         return applied

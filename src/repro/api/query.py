@@ -633,10 +633,14 @@ class Query:
         ``params`` names body variables to treat as execute-time
         parameters (prepared-statement constant slots).
         """
-        rule = parse_rule(text) if isinstance(text, str) else text
+        bound = tuple(Variable(name) for name in params)
+        if isinstance(text, str):
+            rule = parse_rule(text, bound=bound)
+        else:
+            rule = text
+            rule.check_safety(bound)
         if not rule.body:
             raise QueryError("query must have a non-empty body")
-        rule.check_safety()
         return Query._of_rules((rule,), rule.head.predicate, params, False)
 
     @staticmethod
@@ -649,8 +653,12 @@ class Query:
         ``answer`` predicate's rows, fully sorted.  Its other heads are
         auxiliary predicates, evaluated to fixpoint in scratch space.
         Rules must be safe with the ``params`` counted as bound."""
-        parsed = parse_program(text) if isinstance(text, str) else text
-        parsed.check_safety(tuple(Variable(name) for name in params))
+        bound = tuple(Variable(name) for name in params)
+        if isinstance(text, str):
+            parsed = parse_program(text, bound=bound)
+        else:
+            parsed = text
+            parsed.check_safety(bound)
         return Query._of_rules(parsed.rules, answer, params, True)
 
     @staticmethod

@@ -48,7 +48,7 @@ from ..schema.relation import PeerSchema, RelationSchema, SchemaError
 from ..schema.tgd import SchemaMapping
 from ..storage.instance import Row
 from ..storage.zset import ZSet
-from .editlog import EditLog, publish
+from .editlog import EditLog, Update, extend_logs, publish
 from .exchange import (
     STRATEGY_UNIFIED,
     ExchangeReport,
@@ -325,8 +325,18 @@ class CDSS:
         model.
         """
         strategy = self.resolve_strategy(strategy)
-        system = self.system()
         names = tuple(peers) if peers is not None else tuple(self._peers)
+        local, rejections = self._publish_logs(names)
+        report = self.system().apply_delta(local, rejections, strategy)
+        self._record_report(report)
+        return report
+
+    def _publish_logs(
+        self, names: Sequence[str]
+    ) -> tuple[dict[str, ZSet], dict[str, ZSet]]:
+        """Drain the named peers' edit logs into one net delta against
+        ``R__l`` / ``R__r`` (:func:`~repro.core.editlog.publish`)."""
+        system = self.system()
         # Resolve every name before draining any log.
         logs = [self._peer(name).edit_log for name in names]
         local: dict[str, ZSet] = {}
@@ -336,9 +346,16 @@ class CDSS:
             peer_local, peer_rejections = publish(log, system.db)
             local.update(peer_local)
             rejections.update(peer_rejections)
-        report = system.apply_delta(local, rejections, strategy)
-        self._record_report(report)
-        return report
+        return local, rejections
+
+    def _stage(self, updates: Iterable[Update]) -> int:
+        """Stage edits into their owning peers' logs, all or nothing
+        (:func:`~repro.core.editlog.extend_logs`)."""
+        staged: dict[EditLog, list[Update]] = {}
+        for update in updates:
+            log = self._owner_peer(update.relation).edit_log
+            staged.setdefault(log, []).append(update)
+        return extend_logs(staged)
 
     def resolve_strategy(self, strategy: str | None = None) -> str:
         """The strategy a publish runs: ``strategy``, else the CDSS's own,

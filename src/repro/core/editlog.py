@@ -24,7 +24,8 @@ re-folding them reproduces every publish.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from itertools import chain
+from typing import Iterable, Iterator, Mapping
 
 from ..schema.internal import local_name, rejection_name
 from ..storage.database import Database
@@ -56,10 +57,11 @@ class EditLog:
 
     Observers registered with :meth:`observe` are called with each batch
     of entries about to be *staged* (by :meth:`insert` / :meth:`delete` /
-    :meth:`extend`) — the hook the durability layer uses to write-ahead-log
-    edits.  Observers run before the entries join the log, so an observer
-    that raises (a failed WAL append) stages nothing.  Draining and
-    clearing do not notify: consumption is the publish path's business.
+    :meth:`extend`, or :func:`extend_logs` across several logs) — the hook
+    the durability layer uses to write-ahead-log edits.  Observers run
+    before the entries join the log, so an observer that raises (a failed
+    WAL append) stages nothing.  Draining and clearing do not notify:
+    consumption is the publish path's business.
     """
 
     def __init__(self, peer: str) -> None:
@@ -68,7 +70,7 @@ class EditLog:
         self._observers: list = []
 
     def observe(self, callback) -> None:
-        """Register ``callback(log, entries)`` for newly staged entries."""
+        """Register ``callback(entries)`` for newly staged entries."""
         self._observers.append(callback)
 
     def unobserve(self, callback) -> bool:
@@ -78,34 +80,24 @@ class EditLog:
             return False
         return True
 
-    def _notify(self, entries: tuple[Update, ...]) -> None:
-        if entries:
-            for callback in self._observers:
-                callback(self, entries)
-
     def insert(self, relation: str, row: Iterable[object]) -> Update:
         update = Update(relation, tuple(row), is_insert=True)
-        self._notify((update,))
-        self._entries.append(update)
+        self.extend((update,))
         return update
 
     def delete(self, relation: str, row: Iterable[object]) -> Update:
         update = Update(relation, tuple(row), is_insert=False)
-        self._notify((update,))
-        self._entries.append(update)
+        self.extend((update,))
         return update
 
     def extend(self, updates: Iterable[Update]) -> int:
-        """Bulk-append prebuilt entries (the batch API's commit path).
+        """Bulk-append prebuilt entries.
 
         Returns the number of entries appended.  This is the hot insert
         path: one list extension instead of one :meth:`insert` call per
         row.
         """
-        entries = tuple(updates)
-        self._notify(entries)
-        self._entries.extend(entries)
-        return len(entries)
+        return extend_logs({self: updates})
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -124,6 +116,28 @@ class EditLog:
 
     def __repr__(self) -> str:
         return f"<EditLog {self.peer}: {len(self._entries)} entries>"
+
+
+def extend_logs(staged: Mapping[EditLog, Iterable[Update]]) -> int:
+    """Append entries to several logs all or nothing (the batch API's
+    commit path).
+
+    Every observer of any of the logs is called once, with all the
+    entries, before any log changes: a multi-peer batch is one
+    write-ahead record, and an observer that raises stages nothing in
+    any log.  Returns the number of entries appended.
+    """
+    groups = [(log, tuple(updates)) for log, updates in staged.items()]
+    observers = dict.fromkeys(
+        callback for log, _ in groups for callback in log._observers
+    )
+    entries = tuple(chain.from_iterable(updates for _, updates in groups))
+    if entries:
+        for callback in observers:
+            callback(entries)
+    for log, updates in groups:
+        log._entries.extend(updates)
+    return len(entries)
 
 
 def publish(

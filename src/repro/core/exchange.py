@@ -21,7 +21,8 @@ cross-strategy comparison.
 Maintained views are also *subscribable*: :meth:`ExchangeSystem.subscribe`
 turns on change capture, after which every publish appends a versioned
 batch of per-relation ``R__o`` Z-set deltas to the change log —
-:meth:`ExchangeSystem.changes_since` serves any cursor, and the serving
+:meth:`ExchangeSystem.changes_since` serves any cursor at or above the
+log's floor (and tells an older one to resynchronize), and the serving
 tier surfaces it as ``GET /changes?since=<version>``.
 """
 
@@ -58,8 +59,9 @@ STRATEGY_UNIFIED = "unified"
 STRATEGY_RECOMPUTE = "recompute"
 STRATEGIES = (STRATEGY_UNIFIED, STRATEGY_RECOMPUTE)
 
-#: Versioned change batches retained for subscribers; a cursor older than
-#: the window silently yields only the retained tail.
+#: Versioned change batches retained for subscribers.  Trimming raises
+#: the change log's floor, so a cursor older than the window is told to
+#: resynchronize rather than handed the retained tail.
 CHANGELOG_RETENTION = 4096
 
 
@@ -136,8 +138,17 @@ class Subscription:
         self._closed = False
 
     def poll(self) -> list[ChangeBatch]:
-        """Batches appended since the last poll (advances the cursor)."""
+        """Batches appended since the last poll (advances the cursor).
+
+        Raises :class:`ExchangeError` once the cursor has fallen below
+        the change log's floor: the batches in between are gone.
+        """
         version, batches = self._system.changes_since(self.cursor)
+        if batches is None:
+            raise ExchangeError(
+                f"cursor {self.cursor} lies before the change log's floor "
+                f"{self._system.floor}; resynchronize from the current state"
+            )
         self.cursor = version
         return batches
 
@@ -219,6 +230,7 @@ class ExchangeSystem:
         self._subscriptions: set[Subscription] = set()
         self._changelog: list[ChangeBatch] = []
         self._version = 0
+        self._floor = 0
         #: Publishes applied through :meth:`apply_delta` (cumulative).
         self.publishes = 0
         _metrics.REGISTRY.register(self, _exchange_samples)
@@ -289,30 +301,43 @@ class ExchangeSystem:
         self._subscriptions.add(subscription)
         return subscription
 
+    @property
+    def floor(self) -> int:
+        """The oldest cursor the change log answers in full: it holds a
+        batch for every version after the floor."""
+        return self._floor
+
     def restore_version(self, version: int) -> None:
-        """Seed the change-stream cursor after loading a checkpoint.
+        """Seed the change-stream version after recovery.
 
         A recovered node must hand out version numbers that continue the
         pre-crash sequence — clients hold cursors against it.  The change
-        log itself is not restored (retention makes it best-effort anyway);
-        WAL-tail replay repopulates the recent batches.
+        log itself is not restored: a recovered node derives its state in
+        one pass, which has no per-publish batches.  So the floor rises to
+        ``version``, and an older cursor is told to resynchronize.
         """
         if version < self._version:
             raise ValueError(
                 f"cannot move change-stream version backwards "
                 f"({self._version} -> {version})"
             )
-        self._version = int(version)
+        self._version = self._floor = int(version)
 
-    def changes_since(self, since: int) -> tuple[int, list[ChangeBatch]]:
+    def changes_since(
+        self, since: int
+    ) -> tuple[int, list[ChangeBatch] | None]:
         """``(current version, batches with version > since)``.
 
         The stateless-cursor read the serving tier's ``/changes`` route
         wraps: clients remember the returned version and pass it back.
-        Batches older than the retention window are gone; a stale cursor
-        gets the retained tail.  Versions increase along the log, so the
-        cut is a binary search, not a scan of the whole window.
+        The batches are ``None`` when ``since`` lies below :attr:`floor`
+        (trimmed by retention, or from before a restart): the log can no
+        longer answer that cursor, and its holder must resynchronize from
+        the current state.  Versions increase along the log, so the cut
+        is a binary search, not a scan of the whole window.
         """
+        if since < self._floor:
+            return self._version, None
         log = self._changelog
         start = bisect_right(log, since, key=_batch_version)
         return self._version, log[start:]
@@ -322,6 +347,7 @@ class ExchangeSystem:
         self._changelog.append(ChangeBatch(self._version, changes))
         if len(self._changelog) > CHANGELOG_RETENTION:
             del self._changelog[: len(self._changelog) - CHANGELOG_RETENTION]
+            self._floor = self._changelog[0].version - 1
 
     def _diff_outputs(
         self, before: Mapping[str, frozenset[Row]]
@@ -458,11 +484,20 @@ class ExchangeSystem:
         local: Mapping[str, ZSet],
         rejections: Mapping[str, ZSet],
     ) -> ExchangeReport:
+        self.apply_inputs(local, rejections)
+        return self.recompute()
+
+    def apply_inputs(
+        self,
+        local: Mapping[str, ZSet],
+        rejections: Mapping[str, ZSet],
+    ) -> None:
+        """Fold a published delta into ``R__l`` / ``R__r`` only, leaving
+        the derived state behind until the next :meth:`recompute`."""
         for relation, zset in local.items():
             apply_zset(self.db[local_name(relation)], zset)
         for relation, zset in rejections.items():
             apply_zset(self.db[rejection_name(relation)], zset)
-        return self.recompute()
 
     # -- consistency (used heavily by tests) -------------------------------------------
 

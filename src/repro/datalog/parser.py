@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from typing import Iterable
 
 from .ast import (
     Atom,
@@ -180,8 +181,13 @@ def _parse_atom_list(stream: _TokenStream, allow_skolem: bool) -> list[Atom]:
             return atoms
 
 
-def parse_rule(text: str, label: str | None = None) -> Rule:
-    """Parse one datalog rule, e.g. ``"B(i, n) :- G(i, c, n)"``."""
+def parse_rule(
+    text: str, label: str | None = None, bound: Iterable[Variable] = ()
+) -> Rule:
+    """Parse one datalog rule, e.g. ``"B(i, n) :- G(i, c, n)"``.
+
+    The rule must be safe with the ``bound`` variables (a query's
+    parameters) counted as bound."""
     stream = _TokenStream(_tokenize(text), text)
     head = _parse_atom(stream, allow_skolem=True)
     if head.negated:
@@ -198,17 +204,21 @@ def parse_rule(text: str, label: str | None = None) -> Rule:
         extra = stream.next()
         raise ParseError(f"trailing input {extra.text!r} in rule {text!r}")
     rule = Rule(head, tuple(body), label=label)
-    rule.check_safety()
+    rule.check_safety(bound)
     return rule
 
 
-def parse_program(text: str, name: str | None = None) -> Program:
+def parse_program(
+    text: str, name: str | None = None, bound: Iterable[Variable] = ()
+) -> Program:
     """Parse a newline- or period-separated sequence of rules.
 
     Rules may span lines; each rule is terminated by a period or by a line
     whose continuation does not parse as part of it.  For simplicity the
     grammar here requires one rule per line unless periods are used.
+    Each rule must be safe with the ``bound`` variables counted as bound.
     """
+    bound = tuple(bound)
     rules: list[Rule] = []
     buffer: list[str] = []
     for raw_line in text.splitlines():
@@ -223,10 +233,10 @@ def parse_program(text: str, name: str | None = None) -> Program:
             continue
         if joined.rstrip().endswith((",", ":-")):
             continue
-        rules.append(parse_rule(joined))
+        rules.append(parse_rule(joined, bound=bound))
         buffer = []
     if buffer:
-        rules.append(parse_rule(" ".join(buffer)))
+        rules.append(parse_rule(" ".join(buffer), bound=bound))
     return Program(tuple(rules), name=name)
 
 

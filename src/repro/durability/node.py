@@ -6,11 +6,12 @@ disconnection and catch up *incrementally* (Section 5).  A
 :class:`~repro.core.cdss.CDSS` that property:
 
 * the edit logs are what the :class:`~repro.durability.wal.WriteAheadLog`
-  records: every staged edit batch is appended before it joins its peer's
-  log, and every publish appends a marker (its peers, strategy and
-  change-stream version) before any log drains.  A publish's net delta
-  is a function of the edit logs and ``R__l`` / ``R__r``
-  (:func:`~repro.core.editlog.publish`), so it is re-derived, not logged;
+  records: every staged edit batch is appended, as one record however
+  many peers it spans, before it joins any peer's log, and every publish
+  appends a marker (its peers, strategy and change-stream version) before
+  any log drains.  A publish's net delta is a function of the edit logs
+  and ``R__l`` / ``R__r`` (:func:`~repro.core.editlog.publish`), so it is
+  re-derived, not logged;
 * periodically (every ``checkpoint_every`` publishes, on demand, and on
   graceful :meth:`close`) the node's *inputs* — every peer's local
   contributions and rejections (``R__l`` / ``R__r``), the pending edit
@@ -21,13 +22,13 @@ disconnection and catch up *incrementally* (Section 5).  A
   rows (``R__i`` / ``R__t`` / ``R__o`` and the provenance relations) are
   the fixpoint of the mapping program over those inputs (the paper's
   consistent state, Definition 3.1), so they are not stored;
-* :meth:`open` loads the checkpointed inputs, derives everything else
-  with one recompute, and then replays only the WAL records after the
-  recovery pointer: ``edits`` records restage their edits, and each
-  ``publish`` marker re-publishes the recorded peers' logs through the
-  normal incremental maintenance path
-  (:meth:`~repro.core.cdss.CDSS.update_exchange` with the logged
-  strategy).
+* :meth:`open` loads the checkpointed inputs and folds the WAL records
+  after the recovery pointer into them: ``edits`` records restage their
+  edits, and each ``publish`` marker drains the recorded peers' logs
+  into ``R__l`` / ``R__r``, against the same inputs the live publish
+  saw.  Then one recompute derives everything else, however long the
+  tail.  No marker runs maintenance, so its logged strategy does not
+  matter: both strategies reach the fixpoint of the same inputs.
 
 A crash at any instant therefore loses at most the un-fsynced WAL tail:
 between checkpoint COMMIT and WAL pruning, replay simply skips records
@@ -45,9 +46,12 @@ On-disk layout of a node directory::
     wal/            redo-log segments
 
 Change-stream versions recover exactly when publishes happen with a
-subscription open (the serving tier's case — it always holds one);
-otherwise recovery may advance the version past the pre-crash value,
-which is harmless because no client can hold a cursor beyond it.
+subscription open (the serving tier's case — it always holds one):
+each marker moves the version to ``max(version, recorded) + 1``.
+Otherwise recovery may advance the version past the pre-crash value,
+which is harmless because no client can hold a cursor beyond it.  The
+recovered change log holds no batches, so its floor is the recovered
+version, and a cursor from before the crash is told to resynchronize.
 
 Route publishes through :meth:`publish` (the serving tier does); a
 publish applied behind the node's back (``cdss.update_exchange``)
@@ -63,7 +67,9 @@ bucket per internal relation; :meth:`open` reads only the input buckets
 of such a file, and the next checkpoint removes the rest.  Likewise,
 ``publish`` records written before they became markers also carry the
 net delta as a ``delta`` body; :meth:`open` ignores it, since every edit
-the publish consumed has its own ``edits`` record.
+the publish consumed has its own ``edits`` record.  ``edits`` records
+written before a batch became one record name their ``peer``; replay
+routes every entry to the peer owning its relation, which reads both.
 """
 
 from __future__ import annotations
@@ -186,7 +192,8 @@ class DurableNode:
         fsync: str = FSYNC_ALWAYS,
         checkpoint_every: int = 0,
     ) -> "DurableNode":
-        """Recover a node from disk: latest checkpoint + WAL-tail replay."""
+        """Recover a node from disk: the latest checkpoint's inputs plus
+        the WAL tail, derived once."""
         data_dir = Path(data_dir)
         spec_path = data_dir / SPEC_FILE
         if not spec_path.exists():
@@ -228,68 +235,56 @@ class DurableNode:
 
     def _recover(self, last_applied: int) -> None:
         system = self.cdss.system()
+        version = 0
         if self.store.size(CATALOG_BUCKET):
-            # Carry the inputs across and derive the rest, as
-            # CDSS.system() does for a reconfigured system.
+            # Carry the inputs across, as CDSS.system() does for a
+            # reconfigured system; the derivation below does the rest.
             stored = restore_db(self.store)
             for name in system.internal.edb_names():
                 rows = stored.get(name)
                 if rows is not None:
                     system.db[name].insert_many(rows)
-            system.recompute()
             self._restore_edit_logs()
-            system.restore_version(
-                int(self.store.get(NODE_META_BUCKET, "version", 0))  # type: ignore[arg-type]
-            )
-        # Replay with a subscription open so replayed publishes tick the
-        # change-stream version and repopulate the recent change log.
-        subscription = system.subscribe()
-        try:
-            for record in self.wal.records(after_seq=last_applied):
-                self._replay(record)
-        finally:
-            subscription.close()
+            version = int(self.store.get(NODE_META_BUCKET, "version", 0))  # type: ignore[arg-type]
+        for record in self.wal.records(after_seq=last_applied):
+            version = self._replay(record, version)
+        # One derivation over the recovered inputs, with no subscription
+        # open: it is not a publish and leaves no change batch.
+        system.recompute()
+        system.restore_version(version)
         self._publishes_since_checkpoint = self.replayed_publish_records
         self.recovered = True
 
     def _restore_edit_logs(self) -> None:
         for bucket in self.store.bucket_names():
-            if not bucket.startswith(EDITLOG_PREFIX):
-                continue
-            peer = bucket[len(EDITLOG_PREFIX) :]
-            entries = [
-                Update(str(relation), tuple(row), is_insert=bool(flag))
-                for relation, row, flag in self.store.values(bucket)  # type: ignore[misc]
-            ]
-            self.cdss._peer(peer).edit_log.extend(entries)
-
-    def _replay(self, record: WalRecord) -> None:
-        system = self.cdss.system()
-        if record.kind == KIND_EDITS:
-            log = self.cdss._peer(str(record.body["peer"])).edit_log
-            log.extend(
-                Update(
-                    str(relation), decode_row(row), is_insert=bool(flag)
+            if bucket.startswith(EDITLOG_PREFIX):
+                self.cdss._stage(
+                    Update(str(relation), tuple(row), is_insert=bool(flag))
+                    for relation, row, flag in self.store.values(bucket)  # type: ignore[misc]
                 )
+
+    def _replay(self, record: WalRecord, version: int) -> int:
+        """Fold one WAL record into the inputs; returns the change-stream
+        version after it."""
+        if record.kind == KIND_EDITS:
+            self.cdss._stage(
+                Update(str(relation), decode_row(row), is_insert=bool(flag))
                 for relation, row, flag in record.body["entries"]
             )
             self.replayed_edit_records += 1
-        elif record.kind == KIND_PUBLISH:
-            # The edits this publish consumed were replayed from "edits"
-            # records, against the same R__l / R__r the live publish saw:
-            # publishing them again folds the same net delta.
-            recorded = int(record.body.get("version", 0))
-            if recorded > system.version:
-                system.restore_version(recorded)
-            self.cdss.update_exchange(
-                [str(name) for name in record.body["peers"]],
-                str(record.body["strategy"]),
-            )
+            return version
+        if record.kind == KIND_PUBLISH:
+            # The edits this publish consumed were restaged from "edits"
+            # records, and R__l / R__r hold what the live publish saw:
+            # draining them again folds the same net delta.
+            names = [str(name) for name in record.body["peers"]]
+            self.cdss.system().apply_inputs(*self.cdss._publish_logs(names))
             self.replayed_publish_records += 1
-        else:
-            raise WalError(
-                f"unknown WAL record kind {record.kind!r} at seq {record.seq}"
-            )
+            # A live publish under a subscription ticked the version once.
+            return max(version, int(record.body.get("version", 0))) + 1
+        raise WalError(
+            f"unknown WAL record kind {record.kind!r} at seq {record.seq}"
+        )
 
     # -- the write path ----------------------------------------------------
 
@@ -299,11 +294,10 @@ class DurableNode:
             log.observe(self._on_edits)
             self._observed.append(log)
 
-    def _on_edits(self, log: EditLog, entries: tuple[Update, ...]) -> None:
+    def _on_edits(self, entries: tuple[Update, ...]) -> None:
         self.wal.append(
             KIND_EDITS,
             {
-                "peer": log.peer,
                 "entries": [
                     [u.relation, encode_row(u.row), u.is_insert]
                     for u in entries
@@ -330,8 +324,8 @@ class DurableNode:
 
         A ``publish`` marker naming the peers and the strategy is
         WAL-logged (and fsynced, per policy) *before* any edit log drains
-        — the redo-log ordering that makes recovery exact: replay
-        re-publishes the same logs, whose edits the WAL already holds.  A
+        — the redo-log ordering that makes recovery exact: recovery
+        drains the same logs, whose edits the WAL already holds.  A
         failed append leaves every edit pending.  Auto-checkpoints on the
         configured cadence.
         """

@@ -249,10 +249,13 @@ class ServeClient:
     def changes(self, since: int = 0, wait: float | None = None) -> dict:
         """Poll the update-exchange change stream.
 
-        Returns ``{"version": V, "since": since, "changes": [...]}`` where
-        each change batch carries per-relation inserted/deleted rows.
-        Remember ``version`` and pass it back as ``since`` to get only
-        what happened after the previous poll.
+        Returns ``{"version": V, "since": since, "resync": bool,
+        "changes": [...]}`` where each change batch carries per-relation
+        inserted/deleted rows.  Remember ``version`` and pass it back as
+        ``since`` to get only what happened after the previous poll.
+        ``resync`` is true when the node's change log no longer holds
+        every batch after ``since`` (trimmed, or from before a restart):
+        re-read the state you follow, then poll on from ``version``.
 
         ``wait=SECS`` long-polls: an empty result parks server-side until
         the next publish or the wait elapses (the server caps it at its

@@ -494,6 +494,8 @@ class ReproServer:
         sub-second change propagation without hot polling.  The wait is
         capped at ``MAX_CHANGES_WAIT`` and a timed-out poll returns the
         normal (empty) payload, so clients need no special timeout path.
+        A cursor below the change log's floor gets ``"resync": true`` at
+        once: no publish can fill the batches it missed.
         """
         raw = query.get("since", "0")
         try:
@@ -512,11 +514,13 @@ class ReproServer:
                 code="bad_wait",
             ) from None
         payload = self._changes_payload(since)
-        if payload["changes"] or wait <= 0:
+        if payload["changes"] or payload["resync"] or wait <= 0:
             return payload
         loop = asyncio.get_running_loop()
         deadline = loop.time() + wait
-        while not payload["changes"] and not self._shutdown.is_set():
+        while not (
+            payload["changes"] or payload["resync"] or self._shutdown.is_set()
+        ):
             remaining = deadline - loop.time()
             if remaining <= 0:
                 break
@@ -533,7 +537,8 @@ class ReproServer:
         return payload
 
     def _changes_payload(self, since: int) -> dict:
-        """One change-stream read: batches with version > ``since``.
+        """One change-stream read: batches with version > ``since``, or
+        ``"resync": true`` when the log no longer holds them.
 
         Reads the exchange system's change log without any lock: batches
         are immutable once appended and the log only grows under the
@@ -542,7 +547,7 @@ class ReproServer:
         """
         version, batches = self.cdss.system().changes_since(since)
         changes = []
-        for batch in batches:
+        for batch in batches or ():
             relations = {}
             for relation in sorted(batch.changes):
                 zset = batch.changes[relation]
@@ -555,7 +560,12 @@ class ReproServer:
                     ],
                 }
             changes.append({"version": batch.version, "relations": relations})
-        return {"version": version, "since": since, "changes": changes}
+        return {
+            "version": version,
+            "since": since,
+            "resync": batches is None,
+            "changes": changes,
+        }
 
     def _wake_change_waiters(self) -> None:
         waiters, self._change_waiters = self._change_waiters, []

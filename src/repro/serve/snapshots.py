@@ -26,8 +26,8 @@ wholly before or wholly after the patch.
 :meth:`Database.pin <repro.storage.database.Database.pin>` instead, and
 the pin counted under its reason, when the change log cannot bring it
 forward: the CDSS was reconfigured (``system`` — a new exchange system),
-the set of ``R__o`` tables changed (``relations``), the cursor fell out
-of the retained log (``log_gap``), or the patched replica's row counts
+the set of ``R__o`` tables changed (``relations``), the cursor fell below
+the change log's floor (``log_gap``), or the patched replica's row counts
 disagree with the live tables (``row_count``).  The two pins at boot
 count under ``boot``.
 
@@ -174,9 +174,7 @@ class SnapshotManager:
         if snapshot.names != _output_names(system):
             return "relations"
         version, batches = system.changes_since(replica.cursor)
-        if version != replica.cursor and (
-            not batches or batches[0].version != replica.cursor + 1
-        ):
+        if batches is None:
             return "log_gap"
         rows = snapshot._apply_changes(
             (

@@ -4,7 +4,7 @@ import errno
 
 import pytest
 
-from repro.core.editlog import EditLog, Update, publish
+from repro.core.editlog import EditLog, Update, extend_logs, publish
 from repro.schema import InternalSchema, PeerSchema, RelationSchema
 from repro.storage import Database, ZSet
 
@@ -54,7 +54,7 @@ class TestEditLog:
     def test_observers_see_each_staged_batch(self):
         log = EditLog("P")
         seen = []
-        log.observe(lambda _log, entries: seen.append(entries))
+        log.observe(seen.append)
         log.insert("R", (1,))
         log.extend([Update("R", (2,), True), Update("R", (3,), False)])
         assert [len(batch) for batch in seen] == [1, 2]
@@ -66,7 +66,7 @@ class TestEditLog:
         next publish would apply an edit the WAL never saw."""
         log = EditLog("P")
 
-        def disk_full(_log, _entries):
+        def disk_full(_entries):
             raise OSError(errno.ENOSPC, "No space left on device")
 
         log.observe(disk_full)
@@ -76,6 +76,29 @@ class TestEditLog:
             else:
                 getattr(log, stage)("R", (1,))
         assert len(log) == 0
+
+    def test_extend_logs_notifies_once_across_logs(self):
+        """A multi-log stage is one unit: a shared observer sees every
+        entry in one call, and when it raises no log stages anything."""
+        first, second = EditLog("P"), EditLog("Q")
+        seen = []
+        for log in (first, second):
+            log.observe(seen.append)
+        entries = {
+            first: [Update("R", (1,), True)],
+            second: [Update("S", (2,), False), Update("S", (3,), True)],
+        }
+        assert extend_logs(entries) == 3
+        assert [len(batch) for batch in seen] == [3]
+        assert [len(first), len(second)] == [1, 2]
+
+        def disk_full(_entries):
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        second.observe(disk_full)
+        with pytest.raises(OSError):
+            extend_logs(entries)
+        assert [len(first), len(second)] == [1, 2]
 
 
 class TestPublish:

@@ -365,6 +365,26 @@ class TestParameterSlots:
         with pytest.raises(SafetyError):
             cdss.prepare_program(program)
 
+    def test_program_text_safe_only_with_parameters(self):
+        """Datalog text whose safety needs a parameter parses: the one
+        safety check counts the parameters as bound."""
+        from repro.datalog.ast import SafetyError
+
+        text = (
+            "Target(y) :- U(x, y)\n"
+            "ans(x) :- U(x, y), not Target(x), not U(s, y)"
+        )
+        cdss = synonym_cdss()
+        prepared = cdss.prepare_program(text, params=("s",))
+        # U is 1-2, 2-3, 3-4, 4-5, 10-11; Target is {2, 3, 4, 5, 11}.
+        assert prepared.execute(s=99).to_rows() == {(1,), (10,)}
+        assert prepared.execute(s=1).to_rows() == {(10,)}
+        assert prepared.execute(s=10).to_rows() == {(1,)}
+        with pytest.raises(SafetyError):
+            cdss.prepare_program(text)
+        query = cdss.prepare("ans(x) :- U(x, y), not U(s, y)", params=("s",))
+        assert query.execute(s=10).to_rows() == {(1,), (2,), (3,), (4,)}
+
     @pytest.mark.parametrize("program", PARAMETERIZED_PROGRAMS)
     @pytest.mark.parametrize("value", [1, 2, 4, 10, 11, 99])
     def test_bound_parameter_equals_inlined_constant(self, program, value):

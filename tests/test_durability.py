@@ -7,11 +7,13 @@ database* (every internal relation: inputs, derived instances, provenance
 tables, labeled nulls) as a clean in-memory reference that performed the
 surviving operations.
 
-A checkpoint holds the node's inputs only, so opening one derives the
-rest with a single recompute.  That boot derivation is not a publish: it
-leaves no exchange report, and the WAL tail after it must still replay
-through incremental maintenance (checked through the exchange-report
-strategies and the node's replay counters).
+A checkpoint holds the node's inputs only, and the WAL tail after it
+holds edits and publish markers, so opening a node folds the tail into
+those inputs and derives the rest with a single recompute: no
+incremental maintenance, however many publishes the tail holds (checked
+by counting the exchange calls an open makes, and the engine work two
+tails of different lengths cost).  The recovered change log holds no
+batches, so a cursor from before the crash is told to resynchronize.
 
 The WAL holds edits and publish markers only, so each edit must be
 logged before it is staged and each marker before a log drains; a
@@ -29,7 +31,9 @@ import signal
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
+from unittest.mock import patch
 
 import pytest
 from hypothesis import settings
@@ -44,7 +48,8 @@ from repro import (
     SystemSpec,
     WriteAheadLog,
 )
-from repro.core import STRATEGIES
+from repro.core import STRATEGIES, ExchangeSystem
+from repro.core.editlog import Update
 from repro.durability.node import (
     EDITLOG_PREFIX,
     NODE_META_BUCKET,
@@ -131,13 +136,27 @@ def whole_state(cdss: CDSS) -> dict:
     }
 
 
-def assert_no_recompute(node: DurableNode) -> None:
-    """The WAL tail replayed incrementally.  Opening a checkpoint derives
-    once, but that boot derivation is not a publish and leaves no report:
-    every report here is a replayed publish."""
-    strategies = [report.strategy for report in node.cdss.exchange_reports]
-    assert strategies, "recovery should have replayed at least one publish"
-    assert "recompute" not in strategies
+def open_derived_once(data_dir: Path) -> DurableNode:
+    """``DurableNode.open``, checking the recovery contract: exactly one
+    recompute and no incremental maintenance, whatever the WAL tail."""
+    calls = []
+    recompute = ExchangeSystem.recompute
+    apply_delta = ExchangeSystem.apply_delta
+
+    def counted_recompute(system):
+        calls.append("recompute")
+        return recompute(system)
+
+    def counted_apply_delta(system, *args, **kwargs):
+        calls.append("apply_delta")
+        return apply_delta(system, *args, **kwargs)
+
+    with patch.object(ExchangeSystem, "recompute", counted_recompute):
+        with patch.object(ExchangeSystem, "apply_delta", counted_apply_delta):
+            node = DurableNode.open(data_dir)
+    assert calls == ["recompute"]
+    assert node.cdss.exchange_reports == []
+    return node
 
 
 def pending(cdss: CDSS) -> dict:
@@ -295,7 +314,7 @@ class TestWriteAheadLog:
 
 
 class TestDurableNode:
-    def test_crash_recovery_replays_tail_without_recompute(self, tmp_path):
+    def test_crash_recovery_derives_the_tail_once(self, tmp_path):
         node = DurableNode.create(paper_spec(), tmp_path / "node")
         run_script(node.cdss, node.publish, publishes=3, stage_tail=True)
         expected = certain_state(node.cdss)
@@ -304,18 +323,94 @@ class TestDurableNode:
         node.wal.close()
         node.store.close()
 
-        recovered = DurableNode.open(tmp_path / "node")
+        recovered = open_derived_once(tmp_path / "node")
         assert recovered.recovered
         assert recovered.replayed_publish_records == 3
         assert recovered.replayed_edit_records >= 3
-        assert_no_recompute(recovered)
         assert certain_state(recovered.cdss) == expected
         assert certain_state(recovered.cdss) == reference_state(3, True)
         assert recovered.cdss.pending_edits() == 1
-        # Change-stream versions continue the pre-crash sequence (the
-        # serving tier held no subscription here, so replay may not
-        # undershoot — only match or exceed).
+        assert recovered.cdss.system().is_consistent()
+        # Change-stream versions continue the pre-crash sequence (no
+        # subscription was open here, so recovery may not undershoot —
+        # only match or exceed).
         assert recovered.cdss.system().version >= version
+        recovered.close()
+
+    def test_recovery_work_does_not_grow_with_the_tail(self, tmp_path):
+        """Two nodes share a checkpoint and reach the same inputs, one
+        through a tail of one publish and one through six: recovery
+        derives once from those inputs, so both do the same engine
+        work."""
+        edits = [
+            ("PGUS", "insert", "G", (7, 8, 9)),
+            ("PGUS", "insert", "G", (8, 9, 10)),
+            ("PBioSQL", "delete", "B", (3, 2)),  # imported: a rejection
+            ("PuBio", "insert", "U", (9, 9)),
+            ("PGUS", "insert", "G", (10, 11, 12)),
+            ("PGUS", "delete", "G", (7, 8, 9)),  # local: a retraction
+        ]
+        work, states = [], []
+        for name, publish_each in (("one", False), ("six", True)):
+            node = DurableNode.create(paper_spec(), tmp_path / name)
+            node.publish()
+            node.checkpoint()
+            for peer, op, relation, row in edits:
+                getattr(node.cdss.peer(peer), op)(relation, row)
+                if publish_each:
+                    node.publish()
+            if not publish_each:
+                node.publish()
+            live = whole_state(node.cdss)
+            crash(node)
+            recovered = DurableNode.open(tmp_path / name)
+            assert recovered.replayed_publish_records == (
+                6 if publish_each else 1
+            )
+            assert whole_state(recovered.cdss) == live
+            counters = recovered.cdss.system().engine.stats.counters()
+            work.append(
+                (counters["rule_applications"], counters["tuples_inserted"])
+            )
+            states.append(live)
+            recovered.close()
+        assert states[0] == states[1]
+        assert work[0] == work[1]
+
+    def test_recovered_change_log_starts_at_the_recovered_version(
+        self, tmp_path
+    ):
+        """With a subscription open on the live node (the serving tier's
+        case), the recovered version is exactly the pre-crash one.  The
+        recovered log holds no batches, so an older cursor is told to
+        resynchronize instead of being handed a partial tail."""
+        node = DurableNode.create(paper_spec(), tmp_path / "node")
+        node.cdss.system().subscribe()
+        node.publish()
+        node.checkpoint()
+        cursor = node.cdss.system().version
+        with node.cdss.peer("PGUS").batch() as tx:
+            tx.insert("G", (7, 8, 9))
+        node.publish()
+        node.publish(["PBioSQL"], "recompute")
+        version = node.cdss.system().version
+        assert version == cursor + 2
+        crash(node)
+
+        recovered = open_derived_once(tmp_path / "node")
+        system = recovered.cdss.system()
+        assert system.version == version
+        assert system.floor == version
+        assert system.changes_since(cursor) == (version, None)
+        assert system.changes_since(version) == (version, [])
+        # Publishes after recovery continue the log from the floor.
+        subscription = system.subscribe()
+        with recovered.cdss.peer("PuBio").batch() as tx:
+            tx.insert("U", (9, 9))
+        recovered.publish()
+        assert [batch.version for batch in subscription.poll()] == [
+            version + 1
+        ]
         recovered.close()
 
     def test_recovered_node_resumes_incrementally(self, tmp_path):
@@ -570,6 +665,57 @@ class TestDurableNode:
         assert whole_state(recovered.cdss) == live
         recovered.close()
 
+    def test_failed_multi_peer_batch_append_stages_nothing(self, tmp_path):
+        """A batch spanning two peers is written ahead as one record: a
+        disk that fills while it logs leaves neither peer's edits
+        staged, on the live node and after recovery."""
+        node = DurableNode.create(paper_spec(), tmp_path / "node")
+        node.publish()
+        append = node.wal.append
+
+        def disk_full_on_b(kind, body):
+            if any(entry[0] == "B" for entry in body.get("entries", ())):
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+            return append(kind, body)
+
+        node.wal.append = disk_full_on_b
+        with pytest.raises(OSError):
+            with node.cdss.batch() as tx:
+                tx.insert("G", (7, 8, 9))
+                tx.insert("B", (4, 4))
+        del node.wal.append
+        assert node.cdss.pending_edits() == 0
+        live = whole_state(node.cdss)
+        crash(node)
+        recovered = DurableNode.open(tmp_path / "node")
+        assert recovered.cdss.pending_edits() == 0
+        assert whole_state(recovered.cdss) == live
+        recovered.close()
+
+    def test_multi_peer_batch_is_one_record(self, tmp_path):
+        """One record per batch, and replay routes each entry to the
+        peer owning its relation — old records naming their ``peer``
+        replay the same way."""
+        node = DurableNode.create(paper_spec(), tmp_path / "node")
+        before = node.wal.last_seq
+        with node.cdss.batch() as tx:
+            tx.insert("G", (7, 8, 9))
+            tx.insert("B", (4, 4))
+        node.wal.append(
+            "edits",
+            {"peer": "PuBio", "entries": [["U", encode_row((9, 9)), True]]},
+        )
+        assert node.wal.last_seq == before + 2
+        live = pending(node.cdss)
+        crash(node)
+        recovered = DurableNode.open(tmp_path / "node")
+        assert recovered.replayed_edit_records == 2
+        assert pending(recovered.cdss) == {
+            **live,
+            "PuBio": list(live["PuBio"]) + [Update("U", (9, 9), True)],
+        }
+        recovered.close()
+
     def test_failed_publish_append_keeps_the_edits(self, tmp_path):
         """The publish marker is logged before any edit log drains: when
         its append fails, the edits stay pending, and the retry publishes
@@ -729,8 +875,8 @@ class TestCrashMatrix:
 
     def test_kill_after_checkpoint_and_wal_tail(self, tmp_path):
         """Checkpoint after the first publish, then two more publishes
-        reach only the WAL: open derives from the checkpoint, then replays
-        the tail incrementally onto the derived state."""
+        reach only the WAL: open folds the tail into the checkpoint's
+        inputs and derives once."""
         node = DurableNode.create(paper_spec(), tmp_path / "node")
         node.publish()
         node.checkpoint()
@@ -743,9 +889,8 @@ class TestCrashMatrix:
         live = whole_state(node.cdss)
         node.wal.close()
         node.store.close()
-        recovered = DurableNode.open(tmp_path / "node")
+        recovered = open_derived_once(tmp_path / "node")
         assert recovered.replayed_publish_records == 2
-        assert_no_recompute(recovered)
         assert whole_state(recovered.cdss) == live
         assert certain_state(recovered.cdss) == reference_state(3, False)
         recovered.close()
@@ -757,9 +902,8 @@ class TestCrashMatrix:
         node.wal.close()
         node.store.close()
         drop_last_record(newest_wal_segment(tmp_path / "node"))
-        recovered = DurableNode.open(tmp_path / "node")
+        recovered = open_derived_once(tmp_path / "node")
         assert recovered.replayed_publish_records == 2
-        assert_no_recompute(recovered)
         # The third publish is gone, but its edits record survived: the
         # deletion is staged, invisible until the next publish.
         assert recovered.cdss.pending_edits() == 1
@@ -777,9 +921,8 @@ class TestCrashMatrix:
         node.wal.close()
         node.store.close()
         drop_last_record(newest_wal_segment(tmp_path / "node"), partial=True)
-        recovered = DurableNode.open(tmp_path / "node")
+        recovered = open_derived_once(tmp_path / "node")
         assert recovered.replayed_publish_records == 2
-        assert_no_recompute(recovered)
         assert whole_state(recovered.cdss) == whole_state(
             reference_cdss(2, False)
         )
@@ -798,11 +941,13 @@ PEERS = ("PGUS", "PBioSQL", "PuBio")
 
 class DurableMachine(RuleBasedStateMachine):
     """Drive a :class:`DurableNode` over :func:`paper_spec` (labeled nulls
-    through ``m3``) and an in-memory twin with the same calls.  Crashes
-    reopen the node from its data directory; a disk-full fault makes the
-    node's next WAL append write half its frame and raise ENOSPC, and the
-    twin skips the call that failed.  After every step both hold the same internal database and
-    the same pending edits."""
+    through ``m3``) and an in-memory twin with the same calls.  The node
+    holds a change subscription, as a serving node does.  Crashes reopen
+    the node from its data directory, and must restore its change-stream
+    version exactly; a disk-full fault makes the node's next WAL append
+    write half its frame and raise ENOSPC, and the twin skips the call
+    that failed.  After every step both hold the same internal database
+    and the same pending edits."""
 
     def __init__(self):
         super().__init__()
@@ -810,6 +955,7 @@ class DurableMachine(RuleBasedStateMachine):
         self.node = DurableNode.create(
             paper_spec(), self.data_dir / "node", fsync=FSYNC_NEVER
         )
+        self.node.cdss.system().subscribe()
         self.twin = paper_spec().build()
         self.disk_full = False
 
@@ -876,8 +1022,17 @@ class DurableMachine(RuleBasedStateMachine):
 
     @rule()
     def crash_and_reopen(self):
+        version = self.node.cdss.system().version
         crash(self.node)
         self.node = DurableNode.open(self.data_dir / "node", fsync=FSYNC_NEVER)
+        # Live publishes ran under a subscription, so the version comes
+        # back exactly, and the log answers from there on only.
+        system = self.node.cdss.system()
+        assert system.version == system.floor == version
+        assert system.changes_since(version) == (version, [])
+        if version:
+            assert system.changes_since(version - 1) == (version, None)
+        system.subscribe()
 
     @rule()
     def fill_disk(self):
@@ -936,11 +1091,13 @@ class TestServeRecovery:
         proc, url = self._boot(spec_path, data_dir)
         try:
             with ServeClient.from_url(url, timeout=60) as client:
+                cursor = client.changes()["version"]
                 client.insert("G", (7, 8, 9))
                 client.publish()
                 before = client.query(
                     "ans(i, n) :- B(i, n)", order=["i", "n"]
                 )["rows"]
+                assert len(client.changes(since=cursor)["changes"]) == 1
             os.kill(proc.pid, signal.SIGKILL)
             proc.wait(timeout=60)
         finally:
@@ -956,6 +1113,14 @@ class TestServeRecovery:
                     "ans(i, n) :- B(i, n)", order=["i", "n"]
                 )["rows"]
                 durability = client.stats()["durability"]
+                # The recovered log holds no batch for the client's
+                # publish: its old cursor is told to resynchronize, and a
+                # long poll on it answers at once instead of parking.
+                stale = client.changes(since=cursor)
+                started = time.monotonic()
+                parked = client.changes(since=cursor, wait=30)
+                waited = time.monotonic() - started
+                current = client.changes(since=stale["version"])
                 client.shutdown()
             assert proc.wait(timeout=60) == 0
         finally:
@@ -966,7 +1131,10 @@ class TestServeRecovery:
         assert after == before
         assert durability["recovered"]
         assert "wal_seq" not in durability and durability["wal_last_seq"] > 0
-        # WAL-tail replay, not recompute: both the seed publish and the
-        # client's publish came back from the log.
+        # Both the seed publish and the client's publish came back from
+        # the log.
         assert durability["replayed_publish_records"] == 2
         assert durability["replayed_edit_records"] >= 1
+        assert stale["resync"] and stale["changes"] == []
+        assert parked["resync"] and waited < 10
+        assert not current["resync"] and current["changes"] == []

@@ -20,6 +20,7 @@ from pathlib import Path
 import pytest
 
 from repro import CDSS
+from repro.core import exchange
 from repro.api.query import QueryError
 from repro.schema.internal import output_name
 from repro.serve import (
@@ -386,6 +387,29 @@ class TestServerEndToEnd:
                 client.request("GET", "/changes?since=later")
             assert bad_since.value.status == 400
             assert bad_since.value.code == "bad_since"
+
+    def test_change_stream_resyncs_a_stale_cursor(self, monkeypatch):
+        """A cursor the retained log no longer covers gets
+        ``"resync": true`` at once, even on a long poll."""
+        monkeypatch.setattr(exchange, "CHANGELOG_RETENTION", 1)
+        cdss = paper_cdss()
+        with ServerThread(cdss) as node, ServeClient(port=node.port) as client:
+            cursor = client.changes()["version"]
+            assert client.changes(since=cursor)["resync"] is False
+            for row in ((123, 456), (124, 457)):
+                client.insert("B", row)
+                client.publish()
+            started = time.monotonic()
+            stale = client.changes(since=cursor, wait=30)
+            assert time.monotonic() - started < 10
+            assert stale["resync"] is True
+            assert stale["changes"] == []
+            assert stale["version"] == cursor + 2
+            latest = client.changes(since=cursor + 1)
+            assert latest["resync"] is False
+            assert [batch["version"] for batch in latest["changes"]] == [
+                cursor + 2
+            ]
 
     def test_change_stream_long_poll_times_out_empty(self):
         cdss = paper_cdss()
