@@ -116,8 +116,9 @@ class RelationView:
         cols, values, residual = self._compiled()
         table = system.output_table(self._relation)
         if cols:
-            # lookup returns a live index bucket view: snapshot it so the
-            # caller may mutate the system between yields.
+            # lookup returns ``(row,)`` or a live index bucket (a set of
+            # two or more rows): snapshot it so the caller may mutate the
+            # system between yields.
             rows: Iterable[Row] = tuple(table.lookup(cols, values))
         else:
             rows = table.rows()

@@ -302,6 +302,12 @@ class ExchangeSystem:
         return subscription
 
     @property
+    def capturing(self) -> bool:
+        """Whether a publish now lands in the change log and ticks
+        :attr:`version`: some subscription is open."""
+        return bool(self._subscriptions)
+
+    @property
     def floor(self) -> int:
         """The oldest cursor the change log answers in full: it holds a
         batch for every version after the floor."""

@@ -61,9 +61,11 @@ Env = tuple[object, ...]
 class RowSource(Protocol):
     """What the executor needs from a relation: scan + indexed lookup.
 
-    ``lookup`` may return a live, read-only view of an internal bucket
-    (see :meth:`repro.storage.instance.Instance.lookup`); the executor
-    never mutates sources mid-iteration, so no defensive copy is taken.
+    ``lookup`` may return a live, read-only view of an internal bucket,
+    or ``(row,)`` for a key with one row (see
+    :meth:`repro.storage.instance.Instance.lookup`); the executor only
+    iterates it and never mutates sources mid-iteration, so no defensive
+    copy is taken.
     """
 
     def __iter__(self) -> Iterator[Row]: ...

@@ -8,10 +8,10 @@ disconnection and catch up *incrementally* (Section 5).  A
 * the edit logs are what the :class:`~repro.durability.wal.WriteAheadLog`
   records: every staged edit batch is appended, as one record however
   many peers it spans, before it joins any peer's log, and every publish
-  appends a marker (its peers, strategy and change-stream version) before
-  any log drains.  A publish's net delta is a function of the edit logs
-  and ``R__l`` / ``R__r`` (:func:`~repro.core.editlog.publish`), so it is
-  re-derived, not logged;
+  appends a marker (its peers, strategy, change-stream version and
+  whether it ticks that version) before any log drains.  A publish's net
+  delta is a function of the edit logs and ``R__l`` / ``R__r``
+  (:func:`~repro.core.editlog.publish`), so it is re-derived, not logged;
 * periodically (every ``checkpoint_every`` publishes, on demand, and on
   graceful :meth:`close`) the node's *inputs* — every peer's local
   contributions and rejections (``R__l`` / ``R__r``), the pending edit
@@ -45,13 +45,13 @@ On-disk layout of a node directory::
     state.sqlite3   the checkpoint store
     wal/            redo-log segments
 
-Change-stream versions recover exactly when publishes happen with a
-subscription open (the serving tier's case — it always holds one):
-each marker moves the version to ``max(version, recorded) + 1``.
-Otherwise recovery may advance the version past the pre-crash value,
-which is harmless because no client can hold a cursor beyond it.  The
-recovered change log holds no batches, so its floor is the recovered
-version, and a cursor from before the crash is told to resynchronize.
+Change-stream versions recover exactly: each marker moves the version
+to ``max(version, recorded)``, plus one if the live publish ticked it
+(a subscription was open, as the serving tier's always is once it
+serves; ``serve --data-dir`` publishes a fresh node's seed edits before
+that).  The recovered change log holds no batches, so its floor is the
+recovered version, and a cursor from before the crash is told to
+resynchronize.
 
 Route publishes through :meth:`publish` (the serving tier does); a
 publish applied behind the node's back (``cdss.update_exchange``)
@@ -280,8 +280,11 @@ class DurableNode:
             names = [str(name) for name in record.body["peers"]]
             self.cdss.system().apply_inputs(*self.cdss._publish_logs(names))
             self.replayed_publish_records += 1
-            # A live publish under a subscription ticked the version once.
-            return max(version, int(record.body.get("version", 0))) + 1
+            # The live publish ticked the version once if it was
+            # captured (a subscription was open); a marker without the
+            # flag recovers as it did before the flag existed, one tick.
+            ticked = bool(record.body.get("ticks", True))
+            return max(version, int(record.body.get("version", 0))) + ticked
         raise WalError(
             f"unknown WAL record kind {record.kind!r} at seq {record.seq}"
         )
@@ -322,7 +325,8 @@ class DurableNode:
     ) -> ExchangeReport:
         """Durable :meth:`~repro.core.cdss.CDSS.update_exchange`.
 
-        A ``publish`` marker naming the peers and the strategy is
+        A ``publish`` marker naming the peers, the strategy, the
+        change-stream version and whether this publish ticks it is
         WAL-logged (and fsynced, per policy) *before* any edit log drains
         — the redo-log ordering that makes recovery exact: recovery
         drains the same logs, whose edits the WAL already holds.  A
@@ -334,12 +338,14 @@ class DurableNode:
         names = tuple(peers) if peers is not None else self.cdss.peers()
         for name in names:
             self.cdss._peer(name)  # an unknown peer raises before logging
+        system = self.cdss.system()
         self.wal.append(
             KIND_PUBLISH,
             {
                 "peers": list(names),
                 "strategy": used,
-                "version": self.cdss.system().version,
+                "version": system.version,
+                "ticks": system.capturing,
             },
         )
         report = self.cdss.update_exchange(names, used)

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import AbstractSet, Callable, Collection, Iterable, Iterator
+from typing import Callable, Collection, Iterable, Iterator
 
 from ..datalog.ast import Atom, Program, Rule, Variable
 from ..datalog.plan import _compile_pattern, _match_pattern, _tuple_getter
@@ -204,7 +204,7 @@ class ProvenanceTable:
 
     def supporting_rows(
         self, db: Database, head: HeadTarget, target_row: Row
-    ) -> AbstractSet[Row]:
+    ) -> Collection[Row]:
         """All rows of this provenance table deriving ``target_row`` via
         ``head`` in the current database state.
 
@@ -213,9 +213,10 @@ class ProvenanceTable:
         projected away during the mapping".  A row the head cannot produce
         (constant, repeated-variable or Skolem mismatch) has no support.
 
-        Returns a read-only view of the live index bucket (see
-        :meth:`repro.storage.instance.Instance.lookup`); materialize before
-        mutating the provenance table while iterating.
+        Returns what :meth:`repro.storage.instance.Instance.lookup` does: a
+        read-only ``(row,)`` for one supporting row, the live index bucket
+        for more; materialize before mutating the provenance table while
+        iterating.
         """
         columns, match = self._compiled[head.index][1]
         if match is not None:

@@ -9,6 +9,14 @@ batch for the set-at-a-time entry points (:meth:`Instance.insert_new`,
 :meth:`Instance.delete_existing`, :meth:`Instance.replace_contents`) — so a
 probe always reads current index state.
 
+An index maps each key to its bucket of rows.  Most keys match one row
+(every bucket of a chain's ``R__o`` indexes does), so a key with one row
+maps to that row tuple itself and only a key with two or more rows maps to
+a ``set``: a second row turns the entry into a set, and a set that drops to
+one row turns back into the row.  A one-row ``set`` costs ~200 bytes and a
+GC-tracked container beside the row it holds; the bare row costs nothing
+extra.  :meth:`Instance.lookup` hides the difference from every reader.
+
 Set semantics matches the paper: "in a set-based relational model ... a tuple
 is uniquely identified by its values" (Section 4.1.2), which is also what
 makes tuples usable as their own provenance tokens.
@@ -18,7 +26,6 @@ from __future__ import annotations
 
 from operator import itemgetter
 from typing import (
-    AbstractSet,
     Callable,
     Collection,
     Iterable,
@@ -28,8 +35,9 @@ from typing import (
 
 Row = tuple[object, ...]
 Columns = tuple[int, ...]
-#: One hash index: key tuple (the row projected on its columns) -> rows.
-Index = dict[Row, set[Row]]
+#: One hash index: key tuple (the row projected on its columns) -> its
+#: bucket, the one row itself or a ``set`` of two or more rows.
+Index = dict[Row, "Row | set[Row]"]
 
 _EMPTY_BUCKET: frozenset[Row] = frozenset()
 
@@ -41,10 +49,10 @@ def _row_set(rows: Iterable[Sequence[object]]) -> set[Row]:
 
 
 def _index_rows(index: Index, cols: Columns, added: Collection[Row]) -> None:
-    """Add ``added`` to the buckets of the index on ``cols``."""
-    # ``get`` + literal-set creation beats ``setdefault(key, set())``,
-    # which allocates a throwaway set on every hit; multi-column keys
-    # come from one ``itemgetter`` per batch, not a per-row generator.
+    """Add ``added`` (rows not yet indexed) to the buckets of the index
+    on ``cols``: a new key holds the row, a second row makes a set."""
+    # Multi-column keys come from one ``itemgetter`` per batch, not a
+    # per-row generator.
     get = index.get
     if len(cols) == 1:
         c = cols[0]
@@ -52,23 +60,28 @@ def _index_rows(index: Index, cols: Columns, added: Collection[Row]) -> None:
             key = (row[c],)
             bucket = get(key)
             if bucket is None:
-                index[key] = {row}
-            else:
+                index[key] = row
+            elif bucket.__class__ is set:
                 bucket.add(row)
+            else:
+                index[key] = {bucket, row}
     else:
         for row, key in zip(added, map(itemgetter(*cols), added)):
             bucket = get(key)
             if bucket is None:
-                index[key] = {row}
-            else:
+                index[key] = row
+            elif bucket.__class__ is set:
                 bucket.add(row)
+            else:
+                index[key] = {bucket, row}
 
 
 def _unindex_rows(
     index: Index, cols: Columns, removed: Collection[Row]
 ) -> None:
-    """Remove ``removed`` from the index on ``cols``; a bucket that
-    empties is dropped, so every key in the index has a row."""
+    """Remove ``removed`` from the index on ``cols``; a set that drops
+    to one row turns back into the row, and a key that loses its last
+    row is dropped, so every key in the index has a row."""
     if len(cols) == 1:
         c = cols[0]
         keys = [(row[c],) for row in removed]
@@ -76,10 +89,12 @@ def _unindex_rows(
         keys = map(itemgetter(*cols), removed)
     for row, key in zip(removed, keys):
         bucket = index.get(key)
-        if bucket is not None:
+        if bucket.__class__ is set:
             bucket.discard(row)
-            if not bucket:
-                del index[key]
+            if len(bucket) == 1:
+                (index[key],) = bucket
+        elif bucket == row:
+            del index[key]
 
 
 class StorageError(Exception):
@@ -310,13 +325,15 @@ class Instance:
 
     def lookup(
         self, columns: Sequence[int], values: Sequence[object]
-    ) -> AbstractSet[Row]:
+    ) -> Collection[Row]:
         """All rows whose ``columns`` equal ``values`` (index-accelerated).
 
-        Returns a **read-only view** of the live index bucket — no per-probe
-        copy is made.  Treat the result as ephemeral: do not mutate this
-        instance while iterating it, and materialize (``tuple(...)``) before
-        any interleaved mutation.  Use :meth:`rows` for a stable snapshot.
+        Returns a **read-only** collection: ``(row,)`` for a key with one
+        row, the live index bucket (a ``set``, no per-probe copy) for a key
+        with more, an empty ``frozenset`` for none.  Treat the result as
+        ephemeral: do not mutate this instance while iterating it, and
+        materialize (``tuple(...)``) before any interleaved mutation.  Use
+        :meth:`rows` for a stable snapshot.
         """
         cols = tuple(columns)
         if not cols:
@@ -327,13 +344,16 @@ class Instance:
             # The whole row, in order: a membership test, answered from
             # the row set without building an index.
             key = tuple(values)
-            return frozenset((key,)) if key in self._rows else frozenset()
+            return (key,) if key in self._rows else _EMPTY_BUCKET
         index = self._indexes.get(cols)
         if index is None:
             # One-time miss: validate the columns and build the index.
             self.ensure_index(cols)
             index = self._indexes[cols]
-        return index.get(tuple(values), _EMPTY_BUCKET)
+        bucket = index.get(tuple(values))
+        if bucket is None:
+            return _EMPTY_BUCKET
+        return bucket if bucket.__class__ is set else (bucket,)
 
     def matching(
         self, columns: Sequence[int], keys: Iterable[Row]
@@ -348,7 +368,14 @@ class Instance:
         if cols == tuple(range(self.arity)):
             return self._rows.intersection(keys)
         index = self._key_index(cols)
-        return set().union(*[index[key] for key in index.keys() & keys])
+        found: set[Row] = set()
+        for key in index.keys() & keys:
+            bucket = index[key]
+            if bucket.__class__ is set:
+                found |= bucket
+            else:
+                found.add(bucket)
+        return found
 
     def keys_present(
         self, columns: Sequence[int], keys: Iterable[Row]
@@ -382,6 +409,16 @@ class Instance:
         builds from the live rows this instance has paid for."""
         return {"indexes": len(self._indexes), "rebuilds": self._builds}
 
+    def bucket_counts(self) -> dict[str, int]:
+        """The shape of the materialized indexes: ``keys`` summed over
+        them, and ``set_buckets``, the keys holding two or more rows (a
+        one-row key holds its row).  One walk over every bucket."""
+        keys = set_buckets = 0
+        for index in self._indexes.values():
+            keys += len(index)
+            set_buckets += sum(b.__class__ is set for b in index.values())
+        return {"keys": keys, "set_buckets": set_buckets}
+
     # -- bulk helpers -----------------------------------------------------
 
     def select(self, predicate: Callable[[Row], bool]) -> frozenset[Row]:
@@ -394,17 +431,19 @@ class Instance:
     def copy(self, name: str | None = None) -> "Instance":
         """A deep copy carrying the index definitions.
 
-        Indexes are copied bucket-wise (cheaper than rebuilding key
-        tuples), so probes against the copy start warm.
+        Indexes are copied whole (cheaper than rebuilding key tuples), so
+        probes against the copy start warm; a one-row bucket is the
+        immutable row and is shared, only ``set`` buckets are copied.
         """
         clone = Instance(name or self.name, self.arity)
         clone._rows.update(self._rows)
         if self._rows:
             clone._version = 1
-        clone._indexes = {
-            cols: {key: set(bucket) for key, bucket in index.items()}
-            for cols, index in self._indexes.items()
-        }
+        for cols, index in self._indexes.items():
+            copied = clone._indexes[cols] = index.copy()
+            for key, bucket in index.items():
+                if bucket.__class__ is set:
+                    copied[key] = set(bucket)
         return clone
 
     def estimated_bytes(self) -> int:

@@ -413,6 +413,28 @@ class TestDurableNode:
         ]
         recovered.close()
 
+    def test_uncaptured_publish_ticks_no_recovered_version(self, tmp_path):
+        """A publish with no subscription open ticks no version live, and
+        its marker ticks none in recovery either: a node that published
+        before anything subscribed (``serve --data-dir`` boot) comes back
+        at exactly its pre-crash version."""
+        node = DurableNode.create(paper_spec(), tmp_path / "node")
+        node.publish()
+        assert node.cdss.system().version == 0
+        node.cdss.system().subscribe()
+        with node.cdss.peer("PGUS").batch() as tx:
+            tx.insert("G", (7, 8, 9))
+        node.publish()
+        assert node.cdss.system().version == 1
+        crash(node)
+
+        recovered = open_derived_once(tmp_path / "node")
+        system = recovered.cdss.system()
+        assert recovered.replayed_publish_records == 2
+        assert (system.version, system.floor) == (1, 1)
+        assert system.changes_since(1) == (1, [])
+        recovered.close()
+
     def test_recovered_node_resumes_incrementally(self, tmp_path):
         node = DurableNode.create(paper_spec(), tmp_path / "node")
         run_script(node.cdss, node.publish, publishes=2, stage_tail=False)
@@ -780,6 +802,7 @@ class TestDurableNode:
             "peers": ["PGUS", "PBioSQL", "PuBio"],
             "strategy": "unified",
             "version": 0,
+            "ticks": False,  # no subscription open: no version tick
         }
         with node.cdss.peer("PGUS").batch() as tx:
             tx.insert("G", (7, 8, 9))
@@ -1097,7 +1120,10 @@ class TestServeRecovery:
                 before = client.query(
                     "ans(i, n) :- B(i, n)", order=["i", "n"]
                 )["rows"]
-                assert len(client.changes(since=cursor)["changes"]) == 1
+                seen = client.changes(since=cursor)
+                assert len(seen["changes"]) == 1
+                # The last version a caught-up consumer holds.
+                last = seen["version"]
             os.kill(proc.pid, signal.SIGKILL)
             proc.wait(timeout=60)
         finally:
@@ -1121,6 +1147,7 @@ class TestServeRecovery:
                 parked = client.changes(since=cursor, wait=30)
                 waited = time.monotonic() - started
                 current = client.changes(since=stale["version"])
+                caught_up = client.changes(since=last)
                 client.shutdown()
             assert proc.wait(timeout=60) == 0
         finally:
@@ -1138,3 +1165,9 @@ class TestServeRecovery:
         assert stale["resync"] and stale["changes"] == []
         assert parked["resync"] and waited < 10
         assert not current["resync"] and current["changes"] == []
+        # The boot publish of the fresh node ran before the server
+        # subscribed, so it ticked no version, and recovery counts it
+        # the same way: the node comes back at the version the consumer
+        # last saw, which owes it nothing.
+        assert stale["version"] == last
+        assert not caught_up["resync"] and caught_up["changes"] == []

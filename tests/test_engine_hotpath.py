@@ -298,12 +298,22 @@ class TestBulkIndexMaintenance:
         assert inst.version == v0 + 2
 
     def test_lookup_returns_live_readonly_view(self):
-        inst = Instance("R", 2, [(1, "a")])
+        inst = Instance("R", 2, [(1, "a"), (1, "b")])
         view = inst.lookup([0], (1,))
-        assert set(view) == {(1, "a")}
-        inst.insert((1, "b"))
-        # Zero-copy: the view reflects the mutation (it is the live bucket).
         assert set(view) == {(1, "a"), (1, "b")}
+        inst.insert((1, "c"))
+        # Zero-copy: the view reflects the mutation (it is the live bucket).
+        assert set(view) == {(1, "a"), (1, "b"), (1, "c")}
+
+    def test_lookup_of_one_row_key_returns_the_row(self):
+        inst = Instance("R", 2, [(1, "a"), (2, "b")])
+        single = inst.lookup([0], (1,))
+        assert single == ((1, "a"),)
+        inst.insert((1, "c"))
+        # A one-row key holds the bare row: the probe result was built
+        # for this call, so the mutation does not reach it.
+        assert single == ((1, "a"),)
+        assert set(inst.lookup([0], (1,))) == {(1, "a"), (1, "c")}
 
 
 class TestExecutorSubstitutions:

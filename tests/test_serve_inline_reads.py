@@ -5,8 +5,10 @@ previous ``Statement.run`` took less than the interpreter's switch
 interval and the pinned replica's lock is free; every other read takes
 the reader pool (``repro-serve-read-*`` threads), and annotated reads
 take the writer thread.  ``Statement.run`` is wrapped to record the name
-of the thread each execution ran on.  Also covers the two path counters
-and the HTTP reason phrase of error statuses.
+of the thread each execution ran on and to set the run time the router
+reads (``last_run_s``), so the routing asserts never rest on how fast
+the host happens to be.  Also covers the two path counters and the HTTP
+reason phrase of error statuses.
 """
 
 import socket
@@ -24,28 +26,26 @@ LOOKUP = "ans(i) :- B(i, n)"
 
 
 class RunRecorder:
-    """Wraps ``Statement.run``: records thread names, can slow or park runs."""
+    """Wraps ``Statement.run``: records thread names, sets the run time
+    the router sees, can park runs."""
 
     def __init__(self, monkeypatch) -> None:
         self.threads: list[str] = []
-        self.sleep = 0.0
+        #: What each run reports as ``last_run_s``: under the switch
+        #: interval unless a test says otherwise.
+        self.duration = 0.0
         self.gate: threading.Event | None = None
-        run, run_query = Statement.run, Statement._run_query
+        run = Statement.run
 
         def recording_run(statement, *args, **kwargs):
             self.threads.append(threading.current_thread().name)
             if self.gate is not None:
                 self.gate.wait(timeout=30)
-            return run(statement, *args, **kwargs)
-
-        def slowed_run_query(statement, *args):
-            # Inside the span ``Statement.run`` times as ``last_run_s``.
-            if self.sleep:
-                time.sleep(self.sleep)
-            return run_query(statement, *args)
+            result = run(statement, *args, **kwargs)
+            statement.last_run_s = self.duration
+            return result
 
         monkeypatch.setattr(Statement, "run", recording_run)
-        monkeypatch.setattr(Statement, "_run_query", slowed_run_query)
 
     def wait_for_calls(self, count: int, timeout: float = 10.0) -> None:
         deadline = time.monotonic() + timeout
@@ -107,11 +107,13 @@ class TestRouting:
         ) as client:
             statement = prepare_lookup(client)
             lookup(client, statement)
+            # Never run before: the pool.
+            assert recorder.threads[0].startswith("repro-serve-read")
             # One run longer than the switch interval: the next read of
             # the statement goes back to the pool.
-            recorder.sleep = 2 * sys.getswitchinterval()
+            recorder.duration = 2 * sys.getswitchinterval()
             lookup(client, statement)
-            recorder.sleep = 0.0
+            recorder.duration = 0.0
             assert recorder.threads[1] == loop_thread(node)
             lookup(client, statement)
             assert recorder.threads[2].startswith("repro-serve-read")

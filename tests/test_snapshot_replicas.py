@@ -95,10 +95,15 @@ def live_pin(cdss):
 
 
 def expected_index(rows, cols):
-    index = {}
+    """The index on ``cols`` over ``rows`` as ``Instance`` stores it: a
+    key with one row holds the row, a key with more a ``set``."""
+    buckets = {}
     for row in rows:
-        index.setdefault(tuple(row[c] for c in cols), set()).add(row)
-    return index
+        buckets.setdefault(tuple(row[c] for c in cols), set()).add(row)
+    return {
+        key: bucket if len(bucket) > 1 else next(iter(bucket))
+        for key, bucket in buckets.items()
+    }
 
 
 def assert_replica_equals(replica, reference):
